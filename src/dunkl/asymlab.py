@@ -219,7 +219,7 @@ def _log_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None,
         lam0 = lam_a[:m] - lam_a[m]
         counter = [0]
         inner_plan = plan[1:] if len(plan) > 1 else plan
-        lpsi = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, "scalar", counter)
+        lpsi = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, counter)
         # remove the envelope's exponential already accounted per level
         lpsi = lpsi - Y.reshape(-1, m) @ lam0
         logf = logf + lpsi.reshape((Q,) * m)

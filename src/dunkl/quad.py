@@ -37,14 +37,21 @@ DEFAULT_BUDGET = 10 ** 9
 
 
 def budget_cap() -> float:
-    """Global evaluation cap; DUNKL_BUDGET overrides the 1e9 default."""
+    """Global evaluation cap; DUNKL_BUDGET overrides the 1e9 default.
+
+    The override must be a finite positive number: ``predicted > nan`` is
+    False, so a NaN cap would silently switch every guard off.
+    """
     raw = os.environ.get("DUNKL_BUDGET")
     if raw is None:
         return float(DEFAULT_BUDGET)
     try:
-        return float(raw)
+        cap = float(raw)
     except ValueError as exc:
         raise DomainError(f"DUNKL_BUDGET={raw!r} is not a number") from exc
+    if not (math.isfinite(cap) and cap > 0):
+        raise DomainError(f"DUNKL_BUDGET={raw!r} must be a finite positive number")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,15 @@ absorb the adjacent (k-1)-power factors into Jacobi weights, switching to
 the exponential substitution rule once the level's tilt is too steep for a
 polynomial rule.
 
+The rank-1 level, where almost all nodes live, is fused: instead of
+building log-weights and a log-sum-exp per node, it sums the same level rule
+directly, ``_RANK1_BLOCK`` rows at a time.  A Jacobi row is the weighted
+mean of e^{mu y} over the nodes, taken relative to its cold end; a tilted row
+cancels the Laguerre weight's e^{s} against e^{mu y} analytically and sums
+w_j (1 - s_j/|u|)^{k-1} over the kept nodes.  The nodes still pass through
+the single-coordinate terminal case, so the evaluation count stays the node
+product of the plan.
+
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
 
@@ -45,6 +54,9 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 
 #: batch rows are chunked so the innermost tensors stay ~tens of MB
 _CHUNK = 400_000
+#: rows per block of the fused rank-1 level: numpy's per-call cost is spread
+#: over many nodes, and at 16 nodes a block's 0.5 MB work arrays stay in L2
+_RANK1_BLOCK = 4096
 
 
 def default_node_plan(n: int) -> tuple[int, ...]:
@@ -92,24 +104,85 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
 # the recursion (batched, log space)
 # ---------------------------------------------------------------------------
 
-def _rank1_direct(k: float, lam: np.ndarray, X: np.ndarray, nodes: int) -> np.ndarray:
-    """Dedicated rank-1 evaluator (the 'stop at the displayed formula' reading).
+def _rank1_jacobi(k, lam0, lo, hi, y, counter):
+    """log psi_{(mu, 0)}(e^X) on rows with |u| <= switch, by the Jacobi rule.
 
-    log psi for A_1 via the single integral
-    int_{x2}^{x1} e^{(l1-l2) y} ((x1-y)(y-x2))^{k-1} dy, one code path per
-    tilt regime, no recursion.
+    The rule's constant Gamma(2k)/Gamma(k)^2 L^{1-2k} half^{2k-1} is 1/sum(w),
+    so with normalised weights the value is the weighted mean of e^{mu y}:
+    shift + log1p(w @ (exp(mu y - shift) - 1)), shift = mu y at the cold-end
+    node.  Every term is >= 0, and mu = 0 gives exactly 0.  ``y`` is a
+    (nodes, rows) work array that receives the nodes.
     """
+    Q = y.shape[0]
+    x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
+    np.multiply.outer(x, 0.5 * (hi - lo), out=y)
+    y += 0.5 * (hi + lo)
+    t = _log_psi(k, lam0, y.reshape(-1, 1), (Q,), counter).reshape(y.shape)
+    shift = t[0 if lam0[0] >= 0 else -1].copy()
+    t -= shift
+    np.exp(t, out=t)
+    t -= 1.0
+    return shift + np.log1p((w / w.sum()) @ t)
+
+
+def _rank1_tilted(k, lam0, lo, hi, y, counter):
+    """log psi_{(mu, 0)}(e^X) on rows with |u| > switch, by the tilted rule.
+
+    The rule's nodes are y = hot -+ s_j/|mu|.  The e^{s} in its log-weight
+    cancels e^{mu y} = e^{mu hot - s}, which leaves
+    log Gamma(2k)/Gamma(k)^2 + mu hot - k log|u| + log sum_j w_j (1 - s_j/|u|)^{k-1}
+    over the nodes ``level_nodes`` keeps (s_j < DROP_FRAC |u|).  ``y`` is a
+    (nodes, rows) work array that receives the nodes.
+    """
+    Q = y.shape[0]
+    s, w = quad._ref_genlaguerre(Q, k - 1.0)
+    mu = float(lam0[0])
+    u = abs(mu) * (hi - lo)
+    hot = hi if mu > 0 else lo
+    np.add.outer(-math.copysign(1.0, mu) * s / abs(mu), hot, out=y)
+    g = _log_psi(k, lam0, y.reshape(-1, 1), (Q,), counter).reshape(y.shape)
+    np.multiply.outer(s, -1.0 / u, out=g)  # the terminal values only count nodes
+    g += 1.0
+    np.maximum(g, 1e-300, out=g)  # dropped nodes may reach <= 0; masked below
+    np.log(g, out=g)
+    g *= k - 1.0
+    np.exp(g, out=g)
+    kept = np.searchsorted(s, quad.DROP_FRAC * u)  # nodes with s_j < DROP_FRAC u
+    if kept.min() < Q:
+        g *= np.arange(Q)[:, None] < kept
+    logpref = float(gammaln(2 * k) - 2 * gammaln(k))
+    return logpref + mu * hot - k * np.log(u) + np.log(w @ g)
+
+
+def _rank1_level(k: float, lam: np.ndarray, X: np.ndarray, Q: int,
+                 counter: list) -> np.ndarray:
+    """log psi for A_1 rows: one fused, row-blocked pass of the level rule.
+
+    psi_lambda(e^X) = e^{l2 (x1+x2)} psi_{(mu, 0)}(e^X), mu = l1 - l2, and the
+    second factor is the rule ``level_nodes`` builds for
+    int_{x2}^{x1} e^{mu y} ((x1-y)(y-x2))^{k-1} dy, summed in blocks of
+    ``_RANK1_BLOCK`` rows without log-weights.  Every node still goes through
+    the terminal case of ``_log_psi``, so ``counter`` grows by B*Q.
+    """
+    B = X.shape[0]
+    lam0 = lam[:1] - lam[1]
     lo, hi = X[:, 1], X[:, 0]
-    mu = np.full(X.shape[0], lam[0] - lam[1])
-    y, logw = level_nodes(lo, hi, k - 1.0, k - 1.0, mu, nodes)
-    log_i = logsumexp(logw + mu[:, None] * y, axis=1)
-    pref = float(gammaln(2 * k) - 2 * gammaln(k))
-    return (pref + lam[1] * (X[:, 0] + X[:, 1])
-            + (1 - 2 * k) * np.log(hi - lo) + log_i)
+    tilted = abs(float(lam0[0])) * (hi - lo) > min(quad.TILT_SWITCH, 2.0 * Q)
+    out = np.empty(B)
+    work = np.empty(Q * min(B, _RANK1_BLOCK))  # the nodes of one block, (Q, rows)
+    for level, rows in ((_rank1_jacobi, ~tilted), (_rank1_tilted, tilted)):
+        idx = np.flatnonzero(rows)
+        for start in range(0, idx.size, _RANK1_BLOCK):
+            sel = idx[start:start + _RANK1_BLOCK]
+            y = work[:Q * sel.size].reshape(Q, sel.size)
+            if idx.size == B:  # all rows of one kind: slice, no gather
+                sel = slice(start, start + sel.size)
+            out[sel] = level(k, lam0, lo[sel], hi[sel], y, counter)
+    return lam[1] * (lo + hi) + out
 
 
 def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
-             base: str, counter: list) -> np.ndarray:
+             counter: list) -> np.ndarray:
     """log psi_lambda(e^X) for a batch of chamber rows X (active coords only).
 
     ``lam`` need not be sorted (psi is symmetric in it); rows of X must be
@@ -120,9 +193,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     if m == 0:
         counter[0] += B
         return lam[0] * X[:, 0]
-    if m == 1 and base == "rank1":
-        counter[0] += B * plan[0]
-        return _rank1_direct(k, lam, X, plan[0])
+    if m == 1:
+        return _rank1_level(k, lam, X, plan[0], counter)
     Q = plan[0]
     P = Q ** m
     if B * P > _CHUNK and B > 1:
@@ -130,7 +202,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
         out = np.empty(B)
         for sl in np.array_split(np.arange(B), nb):
             if len(sl):
-                out[sl] = _log_psi(k, lam, X[sl], plan, base, counter)
+                out[sl] = _log_psi(k, lam, X[sl], plan, counter)
         return out
 
     lam0 = lam[:m] - lam[m]
@@ -169,20 +241,18 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     for i in range(m):
         Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
     inner_plan = plan[1:] if len(plan) > 1 else plan
-    inner = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, base, counter)
+    inner = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, counter)
     logf = logf + inner.reshape((B,) + (Q,) * m)
     return logpref + base_term + logsumexp(logf.reshape(B, -1), axis=1)
 
 
 def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
-                  *, base: str = "scalar", batch: bool = False) -> np.ndarray | float:
+                  *, batch: bool = False) -> np.ndarray | float:
     """log psi_lambda(e^X); lam in any order, X chamber rows (full vectors).
 
     With ``batch=True``, ``X`` is an array of row vectors and an array of
     logs is returned.  Budget is checked against the predicted node product.
     """
-    if base not in ("scalar", "rank1"):
-        raise DomainError("base must be 'scalar' or 'rank1'")
     plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (rs.coord_len,):
@@ -201,7 +271,7 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
             f"recursion needs ~{predicted:.3g} evaluations, cap is "
             f"{quad.budget_cap():.3g} (set DUNKL_BUDGET to raise)")
     counter = [0]
-    out = _log_psi(rs.k, lam_a, rows_a, plan, base, counter)
+    out = _log_psi(rs.k, lam_a, rows_a, plan, counter)
     # inactive coordinates contribute the plain pairing exponential
     if rs.coord_len > rs.n + 1:
         mask = np.ones(rs.coord_len, dtype=bool)
@@ -223,7 +293,6 @@ class SphericalParams:
     lam: np.ndarray
     X: np.ndarray
     plan: tuple[int, ...] | None = None
-    base: str = "scalar"
 
     def __post_init__(self):
         object.__setattr__(self, "lam", ensure_chamber(self.rs, self.lam))
@@ -240,7 +309,7 @@ def spherical_exact(p: SphericalParams, *, with_error: bool = True) -> KernelVal
     rs = p.rs
     plan = p.plan if p.plan is not None else default_node_plan(rs.n)
     X, _ = collapse_walls(rs, p.X)
-    lv = spherical_log(rs, p.lam, X, plan, base=p.base)
+    lv = spherical_log(rs, p.lam, X, plan)
     evals = int(_predicted_evals(rs.n, plan))
     err_rel = 0.0
     if with_error:
@@ -249,7 +318,7 @@ def spherical_exact(p: SphericalParams, *, with_error: bool = True) -> KernelVal
             plan2 = tuple(rf * q for q in plan)
         else:
             plan2 = (rf * plan[0],) + tuple(plan[1:])
-        lv2 = spherical_log(rs, p.lam, X, plan2, base=p.base)
+        lv2 = spherical_log(rs, p.lam, X, plan2)
         err_rel = abs(math.expm1(lv - lv2))
         evals += int(_predicted_evals(rs.n, plan2))
         lv = lv2

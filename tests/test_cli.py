@@ -103,6 +103,12 @@ def test_certify_budget_refusal(monkeypatch):
                     "--num", "7"]) == 3
 
 
+def test_nan_budget_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("DUNKL_BUDGET", "nan")
+    assert run_cli(["certify", "spherical", "--n", "3", "--k", "1",
+                    "--num", "7"]) == 2
+
+
 def test_certify_empty_grid_usage_error():
     assert run_cli(["certify", "spherical", "--n", "1", "--k", "1",
                     "--num", "0"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from dunkl.errors import (BudgetExceededError, DomainError, EvaluationError,
                           InvalidExponentError)
 from dunkl.quad import (KernelValue, NestedDomain, QuadratureSpec,
-                        exp_weighted_log_integral, integrate_1d,
+                        budget_cap, exp_weighted_log_integral, integrate_1d,
                         integrate_nested, jacobi_rule, jacobi_weight_sum,
                         log_panel_integral)
 
@@ -165,6 +165,20 @@ def test_nested_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         integrate_nested(dom, lambda Y: np.ones(Y.shape[0]),
                          [QuadratureSpec(nodes=32)] * 2)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-5", "abc"])
+def test_budget_cap_rejects_non_finite_or_non_positive(monkeypatch, raw):
+    monkeypatch.setenv("DUNKL_BUDGET", raw)
+    with pytest.raises(DomainError):
+        budget_cap()
+
+
+def test_budget_cap_default_and_override(monkeypatch):
+    monkeypatch.delenv("DUNKL_BUDGET", raising=False)
+    assert budget_cap() == 1e9
+    monkeypatch.setenv("DUNKL_BUDGET", "2.5e3")
+    assert budget_cap() == 2500.0
 
 
 def test_nested_scalar_integrand_fallback():

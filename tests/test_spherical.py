@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, hyp1f1, ive
 
+from dunkl import spherical as sph
 from dunkl.errors import (BudgetExceededError, DegenerateArgumentError,
                           DomainError)
 from dunkl.rootsys import rootsystem
@@ -98,13 +100,82 @@ def test_k1_oracle_random_a1_a2():
             assert abs(math.exp(v) / ref - 1.0) < tol
 
 
-def test_base_case_switch_agrees_on_a2():
+def log_kummer_a1(k, z):
+    """log 1F1(k; 2k; z): hyp1f1 for |z| <= 30, the Bessel form above.
+
+    e^{-z/2} 1F1(k; 2k; z) = Gamma(k+1/2) (|z|/4)^{1/2-k} I_{k-1/2}(|z|/2)
+    is even in z (Kummer's transformation).
+    """
+    if abs(z) <= 30.0:
+        return math.log(hyp1f1(k, 2.0 * k, z))
+    a = abs(z)
+    return (0.5 * z + gammaln(k + 0.5) + (0.5 - k) * math.log(a / 4.0)
+            + math.log(ive(k - 0.5, a / 2.0)) + a / 2.0)
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.5])
+def test_a1_kummer_oracle_over_pairings(k):
+    # psi_lambda(e^X) = e^{l1 x2 + l2 x1} 1F1(k; 2k; (l1-l2)(x1-x2)) on A_1;
+    # |z| > 30 rows take the tilted Laguerre rule, the others the Jacobi rule
+    rs = rootsystem(1, k)
+    X = np.array([0.7, -0.3])
+    for z in np.geomspace(1e-3, 1e4, 36):
+        for lam in (np.array([z, 0.0]), np.array([0.0, z])):
+            zz = (lam[0] - lam[1]) * (X[0] - X[1])
+            ref = lam[0] * X[1] + lam[1] * X[0] + log_kummer_a1(k, zz)
+            assert abs(spherical_log(rs, lam, X) - ref) < 1e-9, (k, zz)
+
+
+def test_a1_kummer_oracle_mixed_batch():
+    # one batch mixing Jacobi and tilted rows, larger than a rank-1 block
+    k = 0.75
+    rs = rootsystem(1, k)
+    rng = np.random.default_rng(5)
+    gaps = 10.0 ** rng.uniform(-3.0, 1.0, 5000)
+    top = rng.uniform(-1.0, 1.0, gaps.size)
+    X = np.stack([top, top - gaps], axis=1)
+    lam = np.array([-2.0, 40.0])
+    got = spherical_log(rs, lam, X, batch=True)
+    z = (lam[0] - lam[1]) * gaps
+    assert (np.abs(z) > 30).any() and (np.abs(z) <= 30).any()
+    ref = [lam[0] * x[1] + lam[1] * x[0] + log_kummer_a1(k, zi)
+           for x, zi in zip(X, z)]
+    assert np.max(np.abs(got - ref)) < 1e-9
+
+
+def test_a2_argument_swap_at_k_not_one():
+    # psi_lambda(e^X) = psi_X(e^lambda): the two sides run different
+    # interlacing boxes and tilts, an independent check above rank 1
     rs = rootsystem(2, 0.8)
-    lam = np.array([2.2, 0.9, 0.0])
-    X = np.array([1.1, 0.4, -0.7])
-    a = spherical_log(rs, lam, X, base="scalar")
-    b = spherical_log(rs, lam, X, base="rank1")
-    assert abs(math.expm1(a - b)) < 1e-8
+    rng = np.random.default_rng(11)
+    pts = [(np.array([2.2, 0.9, 0.0]), np.array([1.1, 0.4, -0.7])),
+           (np.array([400.0, 150.0, 0.0]), np.array([1.0, 0.2, -0.5]))]
+    for _ in range(3):
+        pts.append((np.sort(rng.uniform(-1.0, 2.0, 3))[::-1],
+                    np.sort(rng.uniform(-1.0, 2.0, 3))[::-1]))
+    for lam, X in pts:
+        a = spherical_log(rs, lam, X)
+        b = spherical_log(rs, X, lam)
+        assert abs(math.expm1(a - b)) < 1e-9, (lam, X)
+
+
+@pytest.mark.parametrize("n,plan,rows", [
+    (1, (48,), 5000),
+    (2, (32, 24), 500),
+    (3, (6, 6, 6), 2000),
+])
+def test_counter_equals_predicted_evals(n, plan, rows):
+    # the counter the recursion fills is the node product, also when a batch
+    # is chunked or split into rank-1 blocks and when rows are tilted
+    rng = np.random.default_rng(n)
+    gaps = rng.uniform(0.05, 1.0, size=(rows, n))
+    X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
+    lam = np.linspace(60.0, 0.0, n + 1)
+    assert rows > sph._RANK1_BLOCK if n == 1 else rows * plan[0] ** n > sph._CHUNK
+    counter = [0]
+    out = sph._log_psi(0.7, lam, X, plan, counter)
+    assert np.all(np.isfinite(out))
+    assert counter[0] == sph._predicted_evals(n, plan, batch=rows)
 
 
 def test_envelope_values():
@@ -214,15 +285,6 @@ def test_psi0_a3_light_plan():
                                          X=np.array([1.5, 0.6, -0.2, -1.1]),
                                          plan=(12, 10, 10)), with_error=False)
     assert abs(kv.value - 1.0) < 1e-6
-
-
-def test_rank1_base_used_inside_a3():
-    rs = rootsystem(3, 1.0)
-    lam = np.array([1.2, 0.8, 0.3, 0.0])
-    X = np.array([0.9, 0.4, -0.1, -0.6])
-    a = spherical_log(rs, lam, X, plan=(10, 10, 10), base="scalar")
-    b = spherical_log(rs, lam, X, plan=(10, 10, 10), base="rank1")
-    assert abs(math.expm1(a - b)) < 1e-7
 
 
 def test_a4_batch_mode_with_raised_budget(monkeypatch):
