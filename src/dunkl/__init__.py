@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .errors import (AccuracyError, BudgetExceededError, DegenerateArgumentError,
                      DivergentTailError, DomainError, DunklError,
                      EvaluationError, InvalidExponentError, SingularityError)
-from .quad import KernelValue, NestedDomain, QuadratureSpec
+from .quad import KernelValue
 from .report import RatioReport
 from .rootsys import ChamberPoint, RootSystemA, rootsystem
 
@@ -15,6 +15,6 @@ __all__ = [
     "AccuracyError", "BudgetExceededError", "ChamberPoint",
     "DegenerateArgumentError", "DivergentTailError", "DomainError",
     "DunklError", "EvaluationError", "InvalidExponentError", "KernelValue",
-    "NestedDomain", "QuadratureSpec", "RatioReport", "RootSystemA",
-    "SingularityError", "rootsystem", "__version__",
+    "RatioReport", "RootSystemA", "SingularityError", "rootsystem",
+    "__version__",
 ]

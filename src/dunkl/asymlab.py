@@ -143,12 +143,6 @@ def lemma_a2_ratio(k: float, a: float, b1: float, b2: float, b3: float) -> float
                                  + math.log(a + b3))) / rhs
 
 
-def scale_invariance_spread(ratio_fn, scales=(1e-3, 1.0, 1e3)) -> float:
-    """max/min of ratio_fn(c) over the rescalings c; ~1 when scale-free."""
-    vals = [ratio_fn(c) for c in scales]
-    return max(vals) / min(vals)
-
-
 # ---------------------------------------------------------------------------
 # the reduction integral I^(n) and its truncation
 # ---------------------------------------------------------------------------
@@ -233,11 +227,7 @@ def prop_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
     lv = _log_In(rs, lam, X, plan, inner, restrict_top=False)
     plan2 = tuple(2 * q for q in plan)
     lv2 = _log_In(rs, lam, X, plan2, inner, restrict_top=False)
-    err_rel = abs(math.expm1(lv - lv2))
-    value = math.exp(lv2) if lv2 < 700 else math.inf
-    return KernelValue(value=value,
-                       err=err_rel * value if math.isfinite(value) else err_rel,
-                       evals=0, log_value=lv2)
+    return quad.refined(lv, lv2, evals=0)
 
 
 def log_prop_In_target(rs: RootSystemA, lam, X) -> float:

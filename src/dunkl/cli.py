@@ -15,8 +15,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from multiprocessing import Pool
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +27,48 @@ from .report import RatioReport, build_ratio_report
 from .rootsys import rootsystem
 from .selftest import run_selftest
 
-KERNELS = ("spherical", "heat", "newton", "stable")
 
-#: default PASS thresholds on the certified spread, per kernel
-SPREAD_BOUNDS = {"spherical": 1e3, "heat": 1e2, "newton": 1e2, "stable": 1e2}
+@dataclass(frozen=True)
+class Kernel:
+    """One row of the kernel table that ``eval`` and ``certify`` dispatch on."""
+
+    spread_bound: float   # default PASS threshold on the certified spread
+    needs: str            # the vector ``eval`` requires besides --X
+    psi_rows: int         # psi rows a sweep evaluates per step of --num
+    evaluate: Callable    # (rs, args, vector) -> (KernelValue, log envelope)
+    certify: Callable     # (rs, config, s, mapper) -> RatioReport
+    over_s: bool = False  # one sweep per stability index in --s
+
+
+KERNELS = {
+    "spherical": Kernel(
+        spread_bound=1e3, needs="lambda", psi_rows=1,
+        evaluate=lambda rs, a, lam: (spherical.spherical(rs, lam, a.X),
+                                     spherical.log_spherical_envelope(rs, lam, a.X)),
+        certify=lambda rs, c, s, mapper: spherical.certify_ratio(
+            rs, span=c.span, num=c.num, plan=c.plan, mapper=mapper)),
+    "heat": Kernel(
+        spread_bound=1e2, needs="Y", psi_rows=2,  # a generic and a wall Y per time
+        evaluate=lambda rs, a, Y: (
+            heatkernel.heat_exact(heatkernel.HeatParams(rs=rs, t=a.t, X=a.X, Y=Y)),
+            heatkernel.log_heat_envelope(rs, a.t, a.X, Y)),
+        certify=lambda rs, c, s, mapper: heatkernel.certify_heat_ratio(
+            rs, t_span=c.t_span, t_num=c.num, plan=c.plan, mapper=mapper)),
+    "newton": Kernel(
+        spread_bound=1e2, needs="Y", psi_rows=64,  # one per node of the default uQ
+        evaluate=lambda rs, a, Y: (
+            newton.newton_exact(newton.NewtonParams(rs=rs, X=a.X, Y=Y)),
+            newton.log_newton_envelope(rs, a.X, Y)),
+        certify=lambda rs, c, s, mapper: newton.certify_newton_ratio(
+            rs, num=c.num, plan=c.plan, mapper=mapper)),
+    "stable": Kernel(
+        spread_bound=1e2, needs="Y", psi_rows=stable.LOG_ROWS, over_s=True,
+        evaluate=lambda rs, a, Y: (
+            stable.stable_exact(stable.StableParams(rs=rs, s=a.s, t=a.t, X=a.X, Y=Y)),
+            stable.log_stable_envelope(rs, a.s, a.t, a.X, Y)),
+        certify=lambda rs, c, s, mapper: stable.certify_stable_ratio(
+            rs, s, num=c.num, plan=c.plan, mapper=mapper)),
+}
 
 
 @dataclass
@@ -52,7 +90,7 @@ class SweepConfig:
     version: str = field(default="", repr=False)
 
     def __post_init__(self):
-        if self.kernel not in KERNELS and not self.kernel.startswith("lemma:"):
+        if self.kernel not in KERNELS:
             raise DomainError(f"unknown kernel {self.kernel!r}")
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.format!r}")
@@ -61,27 +99,40 @@ class SweepConfig:
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.spread_bound is None:
-            self.spread_bound = SPREAD_BOUNDS.get(self.kernel, 1e3)
+            self.spread_bound = KERNELS[self.kernel].spread_bound
         if not self.version:
             self.version = __version__
 
+    def predicted_evals(self) -> float:
+        """Innermost evaluations of the sweep: psi rows x the recursion's
+        node product for one row x cells (certification rows do not refine)."""
+        entry = KERNELS[self.kernel]
+        plan = self.plan if self.plan is not None else spherical.default_node_plan(self.n)
+        cells = max(1, len(self.k)) * (len(self.s) if entry.over_s else 1)
+        return entry.psi_rows * self.num * spherical._predicted_evals(self.n, plan) * cells
+
     def validate_budget(self):
         """Refuse before evaluating anything if the sweep cannot fit the cap."""
-        from .spherical import _predicted_evals, default_node_plan
-        plan = self.plan if self.plan is not None else default_node_plan(self.n)
-        per_point = _predicted_evals(self.n, plan)
-        cells = max(1, len(self.k)) * (len(self.s) if self.kernel == "stable" else 1)
-        total = 4.0 * per_point * self.num * cells  # refinement & batching slack
+        total = self.predicted_evals()
         if total > budget_cap():
             raise BudgetExceededError(
                 f"sweep needs ~{total:.3g} evaluations, cap is {budget_cap():.3g}")
 
 
-def _parse_vec(text: str) -> np.ndarray:
+def _finite(text: str) -> float:
+    """argparse type: one finite number."""
     try:
-        return np.array([float(p) for p in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"malformed vector {text!r}") from exc
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"non-finite number {text!r}")
+    return val
+
+
+def _vector(text: str) -> np.ndarray:
+    """argparse type: comma-separated finite numbers."""
+    return np.array([_finite(p) for p in text.split(",")])
 
 
 def _fmt(x: float) -> str:
@@ -191,43 +242,19 @@ def _mapper(workers: int):
 
 def run_certify(config: SweepConfig) -> tuple[list[RatioReport], bool]:
     config.validate_budget()
+    entry = KERNELS[config.kernel]
     mapper, pool = _mapper(config.workers)
     reports = []
-    ok = True
     try:
         for k in config.k:
-            if config.kernel == "spherical":
-                rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
-                rep = spherical.certify_ratio(rs, span=config.span, num=config.num,
-                                              plan=config.plan, mapper=mapper)
-            elif config.kernel == "heat":
-                rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
-                rep = heatkernel.certify_heat_ratio(rs, t_span=config.t_span,
-                                                    t_num=config.num,
-                                                    plan=config.plan, mapper=mapper)
-            elif config.kernel == "newton":
-                rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
-                rep = newton.certify_newton_ratio(rs, num=config.num,
-                                                  plan=config.plan, mapper=mapper)
-            elif config.kernel == "stable":
-                for s in config.s:
-                    rs = rootsystem(config.n, k, config.d,
-                                    trace_zero=config.trace_zero)
-                    rep = stable.certify_stable_ratio(rs, s, num=config.num,
-                                                      plan=config.plan,
-                                                      mapper=mapper)
-                    reports.append(rep)
-                    ok = ok and rep.passes(config.spread_bound)
-                continue
-            else:
-                raise DomainError(f"cannot certify kernel {config.kernel!r}")
-            reports.append(rep)
-            ok = ok and rep.passes(config.spread_bound)
+            rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
+            for s in config.s if entry.over_s else (None,):
+                reports.append(entry.certify(rs, config, s, mapper))
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    return reports, ok
+    return reports, all(rep.passes(config.spread_bound) for rep in reports)
 
 
 def _merge_reports(reports: list[RatioReport]) -> RatioReport:
@@ -240,27 +267,12 @@ def _merge_reports(reports: list[RatioReport]) -> RatioReport:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    rs = rootsystem(args.n, args.k, args.d, trace_zero=args.trace_zero)
-    if args.kernel == "spherical":
-        lam = _parse_vec(args.lam)
-        X = _parse_vec(args.X)
-        kv = spherical.spherical(rs, lam, X)
-        env = spherical.log_spherical_envelope(rs, lam, X)
-    elif args.kernel == "heat":
-        X, Y = _parse_vec(args.X), _parse_vec(args.Y)
-        kv = heatkernel.heat_exact(heatkernel.HeatParams(rs=rs, t=args.t, X=X, Y=Y))
-        env = heatkernel.log_heat_envelope(rs, args.t, X, Y)
-    elif args.kernel == "newton":
-        X, Y = _parse_vec(args.X), _parse_vec(args.Y)
-        kv = newton.newton_exact(newton.NewtonParams(rs=rs, X=X, Y=Y))
-        env = newton.log_newton_envelope(rs, X, Y)
-    elif args.kernel == "stable":
-        X, Y = _parse_vec(args.X), _parse_vec(args.Y)
-        kv = stable.stable_exact(stable.StableParams(rs=rs, s=args.s, t=args.t,
-                                                     X=X, Y=Y))
-        env = stable.log_stable_envelope(rs, args.s, args.t, X, Y)
-    else:
-        raise DomainError(f"unknown kernel {args.kernel!r}")
+    entry = KERNELS[args.kernel]
+    vec = getattr(args, entry.needs)
+    if vec is None:
+        raise DomainError(f"eval {args.kernel} requires --{entry.needs}")
+    rs = rootsystem(args.n, float(args.k), args.d, trace_zero=args.trace_zero)
+    kv, env = entry.evaluate(rs, args, vec)
     print(f"value = {_fmt(kv.value)}")
     print(f"log_value = {_fmt(kv.log_value)}")
     print(f"envelope = {_fmt(math.exp(env) if env < 700 else math.inf)}")
@@ -279,7 +291,7 @@ def cmd_certify(args) -> int:
     config = SweepConfig(
         kernel=args.kernel, n=args.n,
         k=tuple(float(v) for v in args.k.split(",")),
-        s=tuple(float(v) for v in args.s.split(",")),
+        s=tuple(float(v) for v in args.s),
         d=args.d, trace_zero=args.trace_zero, num=args.num,
         span=(args.span_lo, args.span_hi),
         t_span=(args.t_span_lo, args.t_span_hi), plan=plan,
@@ -330,17 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate one kernel at one point")
     pe.add_argument("kernel", choices=KERNELS)
     common(pe)
-    pe.add_argument("--lambda", dest="lam", help="spectral vector, comma separated")
-    pe.add_argument("--X", required=True)
-    pe.add_argument("--Y")
-    pe.add_argument("--t", type=float, default=1.0)
-    pe.add_argument("--s", type=float, default=1.0)
+    pe.add_argument("--lambda", type=_vector, help="spectral vector, comma separated")
+    pe.add_argument("--X", type=_vector, required=True)
+    pe.add_argument("--Y", type=_vector)
+    pe.add_argument("--t", type=_finite, default=1.0)
+    pe.add_argument("--s", type=_finite, default=1.0)
     pe.set_defaults(fn=cmd_eval)
 
     pc = sub.add_parser("certify", help="run a ratio-certification sweep")
     pc.add_argument("kernel", choices=KERNELS)
     common(pc)
-    pc.add_argument("--s", default="1.0", help="stability indices (stable only)")
+    pc.add_argument("--s", type=_vector, default="1.0",
+                    help="stability indices (stable only)")
     pc.add_argument("--num", type=int, default=15, help="grid points per cell")
     pc.add_argument("--span-lo", type=float, default=1e-3)
     pc.add_argument("--span-hi", type=float, default=1e4)
@@ -365,14 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        if args.command == "eval":
-            args.k = float(args.k)
-            if args.kernel == "spherical" and not args.lam:
-                raise DomainError("eval spherical requires --lambda")
-            if args.kernel in ("heat", "newton", "stable") and not args.Y:
-                raise DomainError(f"eval {args.kernel} requires --Y")
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error
+        return exc.code
+    try:
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)

@@ -29,10 +29,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .quad import KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp
+from .quad import (KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp,
+                   refined)
 from .report import RatioReport, build_ratio_report
 from .rootsys import RootSystemA, positive_roots, pairing
-from .spherical import collapse_walls, default_node_plan, spherical_log
+from .spherical import (collapse_walls, default_node_plan, refined_plan,
+                        spherical_log)
 
 _c_norm_cache: dict = {}
 
@@ -140,16 +142,9 @@ def heat_exact(hp: HeatParams, *, with_error: bool = True) -> KernelValue:
     rs = hp.rs
     plan = hp.plan if hp.plan is not None else default_node_plan(rs.n)
     lv = heat_log(rs, hp.t, hp.X, hp.Y, plan, hp.c_norm)
-    err_rel = 0.0
-    evals = 1
-    if with_error:
-        plan2 = tuple(2 * q for q in plan) if rs.n <= 2 else (2 * plan[0],) + tuple(plan[1:])
-        lv2 = heat_log(rs, hp.t, hp.X, hp.Y, plan2, hp.c_norm)
-        err_rel = abs(math.expm1(lv - lv2))
-        lv = lv2
-    value = math.exp(lv) if lv < 700 else math.inf
-    err = err_rel * value if math.isfinite(value) else err_rel
-    return KernelValue(value=value, err=err, evals=evals, log_value=lv)
+    lv2 = (heat_log(rs, hp.t, hp.X, hp.Y, refined_plan(rs.n, plan), hp.c_norm)
+           if with_error else lv)
+    return refined(lv, lv2, evals=1)
 
 
 def log_heat_envelope(rs: RootSystemA, t: float, X, Y) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergentTailError, DomainError, SingularityError
 from .heatkernel import c_norm
-from .quad import KernelValue, _ref_genlaguerre, logsumexp
+from .quad import KernelValue, _ref_genlaguerre, logsumexp, refined
 from .report import RatioReport, build_ratio_report
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
 from .spherical import collapse_walls, default_node_plan, spherical_log
@@ -84,16 +84,9 @@ def newton_exact(p: NewtonParams, *, with_error: bool = True) -> KernelValue:
     rs = p.rs
     plan = p.plan if p.plan is not None else default_node_plan(rs.n)
     lv = newton_log(rs, p.X, p.Y, p.uQ, plan)
-    err_rel = 0.0
-    evals = p.uQ
-    if with_error:
-        lv2 = newton_log(rs, p.X, p.Y, 2 * p.uQ, plan)
-        err_rel = abs(math.expm1(lv - lv2))
-        lv = lv2
-        evals += 2 * p.uQ
-    value = math.exp(lv) if lv < 700 else math.inf
-    err = err_rel * value if math.isfinite(value) else err_rel
-    return KernelValue(value=value, err=err, evals=evals, log_value=lv)
+    if not with_error:
+        return refined(lv, lv, p.uQ)
+    return refined(lv, newton_log(rs, p.X, p.Y, 2 * p.uQ, plan), 3 * p.uQ)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Quadrature engine: Gauss rules with algebraic endpoint singularities,
-exponentially tilted level rules, nested tensor integration, and
-semi-infinite log-space integrals.
+exponentially tilted level rules, and semi-infinite log-space integrals.
 
 Every integral in the package routes through here.  Two regimes matter:
 
@@ -13,8 +12,10 @@ Every integral in the package routes through here.  Two regimes matter:
   the same substitution the sharp-estimate proofs use.  Nodes falling
   outside the interval are dropped; their weight mass is O(e^{-0.95 u}).
 
-A-posteriori error indicators come from refining the node count by
-``refine_factor`` and differencing.
+Every kernel value and lemma integral ends the same way: it is evaluated in
+log space on a rule and on a refined rule, and ``refined`` turns the pair
+into a ``KernelValue`` whose error indicator is the relative difference.  A non-finite refined log value
+raises instead of leaving the library.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import (betaln, roots_genlaguerre, roots_hermite,
                            roots_jacobi, roots_legendre)
 
-from .errors import (BudgetExceededError, DomainError, EvaluationError,
-                     InvalidExponentError)
+from .errors import DomainError, EvaluationError, InvalidExponentError
 
 _NEG_INF = -math.inf
 
@@ -58,7 +58,7 @@ def budget_cap() -> float:
 class KernelValue:
     """A numeric value with an a-posteriori refinement error indicator.
 
-    ``err`` is |I(nodes) - I(refine_factor*nodes)| in the units of ``value``;
+    ``err`` is |I(coarse) - I(refined)| in the units of ``value``;
     ``log_value`` is carried for positive kernels evaluated in log space
     (``value`` may then over/underflow to inf/0 while log_value stays finite).
     """
@@ -81,27 +81,21 @@ class KernelValue:
         return self.value
 
 
-_FAMILIES = ("gauss_jacobi", "gauss_legendre", "gauss_laguerre", "adaptive_simpson")
+def refined(lv: float, lv_fine: float, evals: int) -> KernelValue:
+    """The refine-and-compare epilogue of every kernel.
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    family: str = "gauss_legendre"
-    nodes: int = 32
-    left_exponent: float = 0.0
-    right_exponent: float = 0.0
-    refine_factor: int = 2
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.nodes < 2:
-            raise DomainError("nodes must be >= 2")
-        if self.refine_factor < 2:
-            raise DomainError("refine_factor must be >= 2")
-        if self.family == "gauss_jacobi" and (
-                self.left_exponent <= -1 or self.right_exponent <= -1):
-            raise InvalidExponentError("Jacobi exponents must be > -1")
+    ``lv`` and ``lv_fine`` are the log values on a rule and on its
+    refinement; the result carries ``lv_fine``, with the relative difference
+    |expm1(lv - lv_fine)| as its error indicator in the units of ``value``
+    (``value`` is inf, and ``err`` stays relative, once lv_fine >= 700).
+    Raises EvaluationError if ``lv_fine`` is not finite.
+    """
+    if not math.isfinite(lv_fine):
+        raise EvaluationError(f"non-finite log value {lv_fine!r}")
+    err_rel = abs(math.expm1(lv - lv_fine))
+    value = math.exp(lv_fine) if lv_fine < 700 else math.inf
+    return KernelValue(value=value, err=err_rel * value if math.isfinite(value) else err_rel,
+                       evals=evals, log_value=lv_fine)
 
 
 # ---------------------------------------------------------------------------
@@ -252,181 +246,6 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional integration
-# ---------------------------------------------------------------------------
-
-def _eval_checked(f: Callable, x: np.ndarray) -> np.ndarray:
-    vals = np.array([f(float(xi)) for xi in x], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][0]
-        raise EvaluationError(f"integrand non-finite at node {bad!r}", location=float(bad))
-    return vals
-
-
-def _fixed_rule_value(spec: QuadratureSpec, f, interval, nodes: int):
-    lo, hi = float(interval[0]), float(interval[1])
-    if spec.family == "gauss_jacobi":
-        x, w = jacobi_rule(nodes, spec.left_exponent, spec.right_exponent, (lo, hi))
-    elif spec.family == "gauss_legendre":
-        xr, wr = _ref_legendre(nodes)
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (hi + lo) + half * xr
-        w = wr * half
-    elif spec.family == "gauss_laguerre":
-        if not math.isinf(hi):
-            raise DomainError("gauss_laguerre expects interval (lo, inf)")
-        s, w = _ref_genlaguerre(nodes, spec.left_exponent)
-        x = lo + s
-    else:
-        raise DomainError(f"family {spec.family} has no fixed rule")
-    vals = _eval_checked(f, x)
-    return float(vals @ w), len(x)
-
-
-def _adaptive_panels(f, lo, hi, tol, nodes, max_depth=24):
-    """Endpoint-free adaptive bisection; Simpson-style accept test on panels."""
-    xr, wr = _ref_legendre(nodes)
-    evals = 0
-
-    def panel(a, b):
-        nonlocal evals
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b) + half * xr
-        vals = _eval_checked(f, x)
-        evals += len(x)
-        return float(vals @ wr) * half
-
-    def recurse(a, b, whole, depth):
-        mid = 0.5 * (a + b)
-        left = panel(a, mid)
-        right = panel(mid, b)
-        err = abs(left + right - whole)
-        if err <= tol * max(1.0, abs(left + right)) or depth >= max_depth:
-            return left + right, err
-        lv, le = recurse(a, mid, left, depth + 1)
-        rv, re = recurse(mid, b, right, depth + 1)
-        return lv + rv, le + re
-
-    first = panel(lo, hi)
-    value, err = recurse(lo, hi, first, 0)
-    return value, err, evals
-
-
-def integrate_1d(spec: QuadratureSpec, f: Callable[[float], float],
-                 interval: tuple[float, float]) -> KernelValue:
-    """Integrate f against the spec's absorbed weight over the interval.
-
-    For gauss_jacobi the absorbed weight is (x-lo)^left (hi-x)^right; for
-    gauss_laguerre it is (u-lo)^left e^{-(u-lo)} on (lo, inf).  f itself is
-    only ever sampled at interior nodes.
-    """
-    if spec.family == "adaptive_simpson":
-        value, err, evals = _adaptive_panels(f, float(interval[0]), float(interval[1]),
-                                             tol=1e-12, nodes=10)
-        return KernelValue(value=value, err=err, evals=evals)
-    coarse, n1 = _fixed_rule_value(spec, f, interval, spec.nodes)
-    fine, n2 = _fixed_rule_value(spec, f, interval, spec.refine_factor * spec.nodes)
-    return KernelValue(value=fine, err=abs(fine - coarse), evals=n1 + n2)
-
-
-# ---------------------------------------------------------------------------
-# nested (tensorized) integration over interlacing boxes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NestedDomain:
-    """Per-level intervals [lo_i, hi_i] with endpoint exponents and tilts.
-
-    Level i integrates y_i over (lo_i, hi_i) against the absorbed weight
-    (y_i - lo_i)^{a_i} (hi_i - y_i)^{b_i}; ``tilts`` give the per-level
-    exponential slope of the remaining integrand (0 = none).
-    """
-
-    levels: tuple[tuple[float, float], ...]
-    exponents: tuple[tuple[float, float], ...]
-    tilts: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.levels:
-            raise DomainError("need at least one level")
-        if len(self.exponents) != len(self.levels):
-            raise DomainError("one exponent pair per level required")
-        for lo, hi in self.levels:
-            if not hi > lo:
-                raise DomainError(f"degenerate level ({lo}, {hi})")
-        if not self.tilts:
-            object.__setattr__(self, "tilts", (0.0,) * len(self.levels))
-        elif len(self.tilts) != len(self.levels):
-            raise DomainError("one tilt per level required")
-
-    @classmethod
-    def from_chamber(cls, X_active: Sequence[float], a_exp: float, b_exp: float,
-                     tilts: Sequence[float] = ()) -> "NestedDomain":
-        """Interlacing levels [x_{i+1}, x_i] below a chamber vector."""
-        x = list(map(float, X_active))
-        levels = tuple((x[i + 1], x[i]) for i in range(len(x) - 1))
-        return cls(levels=levels, exponents=((a_exp, b_exp),) * len(levels),
-                   tilts=tuple(tilts))
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-
-def _nested_fixed(domain: NestedDomain, integrand, node_counts) -> tuple[float, int]:
-    m = domain.depth
-    ys, lws = [], []
-    for i in range(m):
-        lo, hi = domain.levels[i]
-        a, b = domain.exponents[i]
-        y, lw = level_nodes(np.array([lo]), np.array([hi]), a, b,
-                            np.array([domain.tilts[i]]), node_counts[i])
-        ys.append(y[0])
-        lws.append(lw[0])
-    grids = np.meshgrid(*ys, indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.zeros([len(y) for y in ys])
-    for i in range(m):
-        shape = [1] * m
-        shape[i] = len(ys[i])
-        W = W + lws[i].reshape(shape)
-    W = W.ravel()
-    try:
-        vals = np.asarray(integrand(Y), dtype=float)
-        if vals.shape != (Y.shape[0],):
-            raise TypeError
-    except TypeError:
-        vals = np.array([integrand(row) for row in Y], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = Y[~np.isfinite(vals)][0]
-        raise EvaluationError(f"integrand non-finite at node {bad!r}",
-                              location=tuple(bad))
-    return float(np.exp(W) @ vals), Y.shape[0]
-
-
-def integrate_nested(domain: NestedDomain, integrand,
-                     specs: Sequence[QuadratureSpec]) -> KernelValue:
-    """Tensorized iterated integral over the domain's levels.
-
-    ``integrand`` receives the full vector (y_1, ..., y_m) — either one row
-    at a time or, if it accepts an (P, m) array, in a single vectorized call.
-    Raises BudgetExceededError before evaluating anything if the total node
-    product exceeds the global cap.
-    """
-    if len(specs) != domain.depth:
-        raise DomainError("one QuadratureSpec per level required")
-    counts = [s.nodes for s in specs]
-    rf = max(s.refine_factor for s in specs)
-    total = math.prod(counts) + math.prod(rf * c for c in counts)
-    if total > budget_cap():
-        raise BudgetExceededError(
-            f"nested rule needs {total:.3g} evaluations, cap is {budget_cap():.3g}")
-    coarse, n1 = _nested_fixed(domain, integrand, counts)
-    fine, n2 = _nested_fixed(domain, integrand, [rf * c for c in counts])
-    return KernelValue(value=fine, err=abs(fine - coarse), evals=n1 + n2)
-
-
-# ---------------------------------------------------------------------------
 # semi-infinite exponentially weighted integrals (log space)
 # ---------------------------------------------------------------------------
 
@@ -469,10 +288,7 @@ def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
 
     lv_coarse, n1 = run(nodes)
     lv_fine, n2 = run(refine_factor * nodes)
-    err_rel = abs(math.expm1(lv_coarse - lv_fine)) if math.isfinite(lv_fine) else math.inf
-    value = math.exp(lv_fine) if lv_fine < 700 else math.inf
-    return KernelValue(value=value, err=err_rel * value if math.isfinite(value) else err_rel,
-                       evals=n1 + n2, log_value=lv_fine)
+    return refined(lv_coarse, lv_fine, n1 + n2)
 
 
 def log_panel_integral(log_f, lo: float, hi: float, panels_per_decade: int = 4,

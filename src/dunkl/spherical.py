@@ -48,7 +48,7 @@ from .errors import (BudgetExceededError, DegenerateArgumentError, DomainError,
                      EvaluationError)
 from .quad import KernelValue, level_nodes, logsumexp
 from .report import RatioReport, build_ratio_report
-from .rootsys import RootSystemA, ensure_chamber, log_vandermonde
+from .rootsys import RootSystemA, ensure_chamber
 
 DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 
@@ -299,32 +299,31 @@ class SphericalParams:
         object.__setattr__(self, "X", self.rs.check_vector(self.X))
 
 
+def refined_plan(n: int, plan: Sequence[int]) -> tuple[int, ...]:
+    """The plan an error indicator compares ``plan`` with: every rank doubled
+    for n <= 2, only the outermost rank for n >= 3 (inner refinement is
+    priced out by the 2^(n(n+1)/2) blowup)."""
+    if n <= 2:
+        return tuple(2 * q for q in plan)
+    return (2 * plan[0],) + tuple(plan[1:])
+
+
 def spherical_exact(p: SphericalParams, *, with_error: bool = True) -> KernelValue:
     """psi_lambda(e^X) by the rank recursion, with a refinement error bar.
 
     Wall points are evaluated at the collapse-perturbed interior point; the
-    error indicator refines every rank for n <= 2 and the outermost rank for
-    n >= 3 (inner refinement is priced out by the 2^(n(n+1)/2) blowup).
+    error indicator compares with ``refined_plan``.
     """
     rs = p.rs
     plan = p.plan if p.plan is not None else default_node_plan(rs.n)
     X, _ = collapse_walls(rs, p.X)
     lv = spherical_log(rs, p.lam, X, plan)
     evals = int(_predicted_evals(rs.n, plan))
-    err_rel = 0.0
-    if with_error:
-        rf = 2
-        if rs.n <= 2:
-            plan2 = tuple(rf * q for q in plan)
-        else:
-            plan2 = (rf * plan[0],) + tuple(plan[1:])
-        lv2 = spherical_log(rs, p.lam, X, plan2)
-        err_rel = abs(math.expm1(lv - lv2))
-        evals += int(_predicted_evals(rs.n, plan2))
-        lv = lv2
-    value = math.exp(lv) if lv < 700 else math.inf
-    err = err_rel * value if math.isfinite(value) else err_rel
-    return KernelValue(value=value, err=err, evals=evals, log_value=lv)
+    if not with_error:
+        return quad.refined(lv, lv, evals)
+    plan2 = refined_plan(rs.n, plan)
+    return quad.refined(lv, spherical_log(rs, p.lam, X, plan2),
+                        evals + int(_predicted_evals(rs.n, plan2)))
 
 
 def spherical(rs: RootSystemA, lam, X, **kw) -> KernelValue:

@@ -28,9 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .heatkernel import heat_log_for_times, log_heat_envelope
-from .quad import _ref_legendre, logsumexp
-from .quad import KernelValue
+from .heatkernel import heat_log_for_times
+from .quad import KernelValue, _ref_legendre, logsumexp, refined
 from .report import RatioReport, build_ratio_report
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
 from .spherical import default_node_plan
@@ -274,6 +273,23 @@ class StableParams:
     beta: float = 0.0
 
 
+def _u_rule(u_star: float, lo_decades: float, hi_decades: float,
+            panels_per_decade: float, nodes: int, split: bool = False):
+    """Gauss-Legendre nodes u and log-weights on log-spaced panels over
+    [u* 10^-lo_decades, u* 10^hi_decades], at least 4 panels; ``split``
+    makes u* a breakpoint too."""
+    n_pan = max(4, int(panels_per_decade * (lo_decades + hi_decades)))
+    bps = np.geomspace(u_star * 10.0 ** (-lo_decades), u_star * 10.0 ** hi_decades,
+                       n_pan + 1)
+    if split:
+        bps = np.unique(np.concatenate([bps, [u_star]]))
+    xr, wr = _ref_legendre(nodes)
+    mid = 0.5 * (bps[:-1] + bps[1:])
+    half = 0.5 * (bps[1:] - bps[:-1])
+    u = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
+    return u, np.log((half[:, None] * wr[None, :]).ravel())
+
+
 def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
                plan: Sequence[int] | None = None, nodes: int = 12,
                panels_per_decade: int = 3, span_decades: float = 7.0) -> float:
@@ -284,36 +300,25 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
     u^{-1-s/2-d/2-gamma} decay.
     """
     _check_su(s, t)
-    u_star = t ** (2.0 / s)
-    lo = u_star * 10.0 ** (-span_decades)
-    hi = u_star * 10.0 ** (span_decades)
-    n_pan = max(4, int(2 * span_decades * panels_per_decade))
-    bps = np.geomspace(lo, hi, n_pan + 1)
-    # force the boundary u* to be a breakpoint
-    bps = np.unique(np.concatenate([bps, [u_star]]))
-    xr, wr = _ref_legendre(nodes)
-    mid = 0.5 * (bps[:-1] + bps[1:])
-    half = 0.5 * (bps[1:] - bps[:-1])
-    u = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    logw = np.log((half[:, None] * wr[None, :]).ravel())
+    u, logw = _u_rule(t ** (2.0 / s), span_decades, span_decades,
+                      panels_per_decade, nodes, split=True)
     log_p = heat_log_for_times(rs, u, np.asarray(X, float), np.asarray(Y, float), plan)
     log_eta = subordinator_log_density(s, t, u)
     return float(logsumexp(logw + log_p + log_eta))
+
+
+#: the most heat times (psi rows) one ``stable_log`` call evaluates at its
+#: default rule: the split adds a panel unless a breakpoint already equals u*
+LOG_ROWS = _u_rule(2.0, 7.0, 7.0, 3, 12, split=True)[0].size
 
 
 def stable_exact(sp: StableParams, *, with_error: bool = True) -> KernelValue:
     rs = sp.rs
     plan = sp.plan if sp.plan is not None else default_node_plan(rs.n)
     lv = stable_log(rs, sp.s, sp.t, sp.X, sp.Y, plan)
-    err_rel = 0.0
-    if with_error:
-        lv2 = stable_log(rs, sp.s, sp.t, sp.X, sp.Y, plan,
-                         nodes=20, panels_per_decade=4)
-        err_rel = abs(math.expm1(lv - lv2))
-        lv = lv2
-    value = math.exp(lv) if lv < 700 else math.inf
-    err = err_rel * value if math.isfinite(value) else err_rel
-    return KernelValue(value=value, err=err, evals=0, log_value=lv)
+    lv2 = (stable_log(rs, sp.s, sp.t, sp.X, sp.Y, plan, nodes=20, panels_per_decade=4)
+           if with_error else lv)
+    return refined(lv, lv2, evals=0)
 
 
 def log_stable_envelope(rs: RootSystemA, s: float, t: float, X, Y) -> float:
@@ -328,10 +333,6 @@ def log_stable_envelope(rs: RootSystemA, s: float, t: float, X, Y) -> float:
         out -= rs.k * math.log(t ** (2.0 / s) + r2
                                + pairing(rs, root, X) * pairing(rs, root, Y))
     return out
-
-
-def stable_envelope(rs: RootSystemA, s: float, t: float, X, Y) -> float:
-    return math.exp(log_stable_envelope(rs, s, t, X, Y))
 
 
 def log_stable_envelope_reflected(rs: RootSystemA, s: float, t: float, X, Y) -> float:
@@ -416,16 +417,8 @@ def stable_mass(rs: RootSystemA, s: float, t: float, X,
     from .heatkernel import chamber_heat_integral
     _check_su(s, t)
     X = rs.check_vector(np.asarray(X, dtype=float))
-    u_star = t ** (2.0 / s)
-    hi_decades = max(span_decades, 6.0 / (0.5 * s))
-    bps = np.geomspace(u_star * 10.0 ** (-span_decades),
-                       u_star * 10.0 ** hi_decades,
-                       int(3 * (span_decades + hi_decades)) + 1)
-    xr, wr = _ref_legendre(nodes)
-    mid = 0.5 * (bps[:-1] + bps[1:])
-    half = 0.5 * (bps[1:] - bps[:-1])
-    u = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    logw = np.log((half[:, None] * wr[None, :]).ravel())
+    u, logw = _u_rule(t ** (2.0 / s), span_decades, max(span_decades, 6.0 / (0.5 * s)),
+                      3, nodes)
     log_eta = subordinator_log_density(s, t, u)
     log_mass_u = np.array([chamber_heat_integral(rs, [(float(ui), X)], plan=plan)
                            for ui in u])

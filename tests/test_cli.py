@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from dunkl import cli, spherical
 from dunkl.cli import main, read_csv_report
 
 
@@ -180,3 +182,91 @@ def test_certify_plan_and_tspan_overrides(tmp_path):
     assert abs(ts[0] - 0.1) < 1e-12 and abs(ts[-1] - 10.0) < 1e-12
     assert run_cli(["certify", "heat", "--n", "1", "--k", "1",
                     "--plan", "24,zz"]) == 2
+
+
+EVAL_ARGS = {
+    "spherical": ["--n", "1", "--k", "1", "--lambda", "1,0", "--X", "1,0"],
+    "heat": ["--n", "1", "--k", "1", "--t", "0.5", "--X", "1,0", "--Y", "0.5,0.1"],
+    "newton": ["--n", "1", "--k", "1", "--d", "3", "--X", "1.4,0.2,0.3",
+               "--Y", "1.0,0.0,0.1"],
+    "stable": ["--n", "1", "--k", "1", "--s", "1.5", "--X", "1,0", "--Y", "0.5,0.1"],
+}
+
+CERTIFY_ARGS = {
+    "spherical": ["--n", "1", "--k", "1"],
+    "heat": ["--n", "1", "--k", "0.5"],
+    "newton": ["--n", "1", "--k", "1", "--d", "3"],
+    "stable": ["--n", "1", "--k", "1", "--s", "1.5"],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(cli.KERNELS))
+def test_eval_every_kernel(kernel, capsys):
+    assert run_cli(["eval", kernel] + EVAL_ARGS[kernel]) == 0
+    vals = {ln.split(" = ")[0]: float(ln.split(" = ")[1])
+            for ln in capsys.readouterr().out.strip().splitlines()}
+    assert all(math.isfinite(v) for v in vals.values())
+
+
+@pytest.mark.parametrize("kernel", sorted(cli.KERNELS))
+def test_certify_every_kernel_footer_reproduces(kernel, tmp_path):
+    out = tmp_path / "rep.csv"
+    assert run_cli(["certify", kernel] + CERTIFY_ARGS[kernel]
+                   + ["--num", "3", "--out", str(out)]) == 0
+    rows, summary = read_csv_report(str(out))
+    ratios = np.array([r["ratio"] for r in rows])
+    assert summary["count"] == len(rows)
+    assert summary["min_ratio"] == ratios.min()
+    assert summary["max_ratio"] == ratios.max()
+    assert summary["spread"] == float(ratios.max()) / float(ratios.min())
+
+
+@pytest.mark.parametrize("kernel", sorted(cli.KERNELS))
+def test_budget_prices_the_evaluations_a_sweep_makes(kernel, monkeypatch):
+    config = cli.SweepConfig(kernel=kernel, n=1, k=(1.0, 0.5), s=(1.5, 1.0), num=3,
+                             d=3 if kernel == "newton" else None)
+    seen = []
+    predicted = spherical._predicted_evals
+
+    def counting(m, plan, batch=1):
+        seen.append(predicted(m, plan, batch))
+        return seen[-1]
+
+    priced = config.predicted_evals()
+    monkeypatch.setattr(config, "validate_budget", lambda: None)
+    monkeypatch.setattr(spherical, "_predicted_evals", counting)
+    cli.run_certify(config)
+    # exact but for stable, whose split at u* can fall on a breakpoint
+    assert sum(seen) <= priced <= 1.03 * sum(seen)
+
+
+def test_stable_budget_counts_every_heat_time(monkeypatch):
+    # 11 rows of 516 heat times at 48 nodes: ~2.7e5 evaluations
+    monkeypatch.setenv("DUNKL_BUDGET", "1e5")
+    assert run_cli(["certify", "stable", "--n", "1", "--k", "1", "--s", "1.5",
+                    "--num", "11"]) == 3
+
+
+def test_eval_non_finite_kernel_value_exits_2(capsys):
+    # the Kanter subordinator path overflows as s -> 2
+    with np.errstate(all="ignore"):
+        assert run_cli(["eval", "stable", "--s", "1.99", "--X", "1,0",
+                        "--Y", "0.5,0"]) == 2
+    assert "value =" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["heat", "--X", "inf,0", "--Y", "0.5,0"],
+    ["heat", "--X", "1,0", "--Y", "0.5,nan"],
+    ["spherical", "--lambda", "1,-inf", "--X", "1,0"],
+    ["heat", "--t", "inf", "--X", "1,0", "--Y", "0.5,0"],
+    ["stable", "--s", "nan", "--X", "1,0", "--Y", "0.5,0"],
+])
+def test_eval_non_finite_input_rejected_at_parse_time(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["eval"] + args) == 2
+
+
+def test_certify_non_finite_s_rejected_at_parse_time():
+    assert run_cli(["certify", "stable", "--s", "1.5,inf", "--num", "3"]) == 2
