@@ -19,9 +19,9 @@ from scipy.special import gammaln
 
 from . import quad
 from .errors import BudgetExceededError, DomainError
-from .quad import KernelValue, exp_weighted_log_integral, level_nodes, logsumexp
+from .quad import KernelValue, exp_weighted_log_integral, logsumexp
 from .rootsys import RootSystemA, ensure_chamber
-from .spherical import _log_psi, default_node_plan
+from .spherical import default_node_plan, interlacing_grid
 
 
 @dataclass(frozen=True)
@@ -147,86 +147,35 @@ def lemma_a2_ratio(k: float, a: float, b1: float, b2: float, b3: float) -> float
 # the reduction integral I^(n) and its truncation
 # ---------------------------------------------------------------------------
 
-def _log_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None,
-            inner: str, restrict_top: bool) -> float:
-    """log I^(n) (optionally with the y_n range restricted to [M_n, x_n]).
+def _log_In(rs: RootSystemA, lam, X, Q: int, restrict_top: bool) -> float:
+    """log I^(n) on Q nodes a level (optionally with y_n restricted to [M_n, x_n]).
 
-    inner='envelope' propagates the target envelope through the inner
-    factor (the displayed integral); inner='exact' uses the true inner
-    spherical function, making I^(n) a constant multiple of
-    e^{-lambda(X)} pi(X)^{2k-1} psi_lambda(e^X).
+    The inner factor is the target envelope propagated through the
+    integrand: e^{-mu_i (x_i - y_i)} per level and
+    (1 + (lambda_i - lambda_j)(y_i - y_j))^{-k} per pair.
     """
-    if inner not in ("envelope", "exact"):
-        raise DomainError("inner must be 'envelope' or 'exact'")
-    plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     k = rs.k
     lam_a = rs.active(ensure_chamber(rs, lam))
     X_a = rs.active(ensure_chamber(rs, X, strict=True))
     m = rs.n
-    Q = plan[0]
-    predicted = Q ** m * (1 if inner == "envelope"
-                          else math.prod(plan[min(i, len(plan) - 1)] ** (m - i)
-                                         for i in range(1, m)) or 1)
-    if predicted > quad.budget_cap():
-        raise BudgetExceededError(f"I^(n) needs ~{predicted:.3g} evaluations")
+    if Q ** m > quad.budget_cap():
+        raise BudgetExceededError(f"I^(n) needs ~{Q ** m:.3g} evaluations")
     mu = lam_a[:m] - lam_a[m]
-
-    ys, lws = [], []
-    for lvl in range(m):
-        lo = np.array([X_a[lvl + 1]])
-        hi = np.array([X_a[lvl]])
-        a_exp = k - 1.0
-        if restrict_top and lvl == m - 1:
-            lo = np.array([0.5 * (X_a[m - 1] + X_a[m])])  # M_n
-            a_exp = 0.0  # (y_n - x_{n+1})^{k-1} no longer vanishes at lo
-        y, lw = level_nodes(lo, hi, a_exp, k - 1.0, np.array([mu[lvl]]), Q)
-        y, lw = y[0], lw[0]
-        if restrict_top and lvl == m - 1:
-            lw = lw + (k - 1.0) * np.log(y - X_a[m])
-        for j in range(0, lvl):
-            lw = lw + (k - 1.0) * np.log(X_a[j] - y)
-        for j in range(lvl + 2, m + 1):
-            lw = lw + (k - 1.0) * np.log(y - X_a[j])
-        # the e^{-mu_i (x_i - y_i)} factor, written as e^{mu_i y_i} e^{-mu_i x_i}
-        lw = lw + mu[lvl] * y - mu[lvl] * X_a[lvl]
-        ys.append(y)
-        lws.append(lw)
-
-    def shape(i):
-        return (1,) * i + (Q,) + (1,) * (m - 1 - i)
-
-    logf = np.zeros((Q,) * m)
+    top_lo = 0.5 * (X_a[m - 1] + X_a[m]) if restrict_top else None  # M_n
+    ygr, logf = interlacing_grid(k, X_a[None, :], mu, Q, top_lo)
     for i in range(m):
-        logf = logf + lws[i].reshape(shape(i))
-    ygr = [ys[i].reshape(shape(i)) for i in range(m)]
-    for i in range(m):
+        logf = logf + mu[i] * (ygr[i] - X_a[i])
         for j in range(i + 1, m):
-            gap = ygr[i] - ygr[j]
-            if inner == "envelope":
-                logf = logf + np.log(gap) - k * np.log1p((lam_a[i] - lam_a[j]) * gap)
-            else:
-                logf = logf + np.log(gap)
-    if inner == "exact" and m >= 1:
-        Y = np.empty((Q,) * m + (m,))
-        for i in range(m):
-            Y[..., i] = np.broadcast_to(ygr[i], (Q,) * m)
-        lam0 = lam_a[:m] - lam_a[m]
-        counter = [0]
-        inner_plan = plan[1:] if len(plan) > 1 else plan
-        lpsi = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, counter)
-        # remove the envelope's exponential already accounted per level
-        lpsi = lpsi - Y.reshape(-1, m) @ lam0
-        logf = logf + lpsi.reshape((Q,) * m)
+            logf = logf - k * np.log1p((lam_a[i] - lam_a[j]) * (ygr[i] - ygr[j]))
     return float(logsumexp(logf.reshape(-1)))
 
 
-def prop_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
-            inner: str = "envelope") -> KernelValue:
-    """The n-fold reduction integral I^(n), with refinement error indicator."""
-    plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
-    lv = _log_In(rs, lam, X, plan, inner, restrict_top=False)
-    plan2 = tuple(2 * q for q in plan)
-    lv2 = _log_In(rs, lam, X, plan2, inner, restrict_top=False)
+def prop_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None) -> KernelValue:
+    """The n-fold reduction integral I^(n), with refinement error indicator
+    (plan[0] nodes a level against twice as many)."""
+    Q = plan[0] if plan is not None else default_node_plan(rs.n)[0]
+    lv = _log_In(rs, lam, X, Q, restrict_top=False)
+    lv2 = _log_In(rs, lam, X, 2 * Q, restrict_top=False)
     return quad.refined(lv, lv2, evals=0)
 
 
@@ -253,8 +202,9 @@ def prop_truncated_ratio(rs: RootSystemA, lam, X,
     if gaps[-1] < gaps.max() - 1e-12 * max(1.0, float(np.abs(X_a).max())):
         raise DomainError(
             "precondition: x_n - x_{n+1} must be the largest simple-root gap")
-    l_full = _log_In(rs, lam, X, plan, "envelope", restrict_top=False)
-    l_half = _log_In(rs, lam, X, plan, "envelope", restrict_top=True)
+    Q = plan[0] if plan is not None else default_node_plan(rs.n)[0]
+    l_full = _log_In(rs, lam, X, Q, restrict_top=False)
+    l_half = _log_In(rs, lam, X, Q, restrict_top=True)
     return math.exp(l_half - l_full)
 
 
@@ -356,7 +306,8 @@ def sweep_claim(claim_id: str, scale_tolerance: float = 0.05
             for k in (0.5, 1.0, 2.0):
                 rs = rootsystem(n, k)
                 for lam, X in pairing_sweep_grid(rs, span=(1e-2, 1e3), num=7):
-                    lv = _log_In(rs, lam, X, None, "envelope", restrict_top=False)
+                    lv = _log_In(rs, lam, X, default_node_plan(n)[0],
+                                 restrict_top=False)
                     vals.append(math.exp(lv - log_prop_In_target(rs, lam, X)))
         claim = AsympClaim("prop_In", "A_1/A_2, k grid, pairing in [1e-2,1e3]",
                            _bracket(vals), len(vals))

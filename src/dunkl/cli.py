@@ -55,7 +55,7 @@ KERNELS = {
         certify=lambda rs, c, s, mapper: heatkernel.certify_heat_ratio(
             rs, t_span=c.t_span, t_num=c.num, plan=c.plan, mapper=mapper)),
     "newton": Kernel(
-        spread_bound=1e2, needs="Y", psi_rows=64,  # one per node of the default uQ
+        spread_bound=1e2, needs="Y", psi_rows=newton.U_NODES,
         evaluate=lambda rs, a, Y: (
             newton.newton_exact(newton.NewtonParams(rs=rs, X=a.X, Y=Y)),
             newton.log_newton_envelope(rs, a.X, Y)),
@@ -271,7 +271,9 @@ def cmd_eval(args) -> int:
     vec = getattr(args, entry.needs)
     if vec is None:
         raise DomainError(f"eval {args.kernel} requires --{entry.needs}")
-    rs = rootsystem(args.n, float(args.k), args.d, trace_zero=args.trace_zero)
+    if len(args.k) != 1:
+        raise DomainError("eval takes exactly one --k")
+    rs = rootsystem(args.n, float(args.k[0]), args.d, trace_zero=args.trace_zero)
     kv, env = entry.evaluate(rs, args, vec)
     print(f"value = {_fmt(kv.value)}")
     print(f"log_value = {_fmt(kv.log_value)}")
@@ -290,7 +292,7 @@ def cmd_certify(args) -> int:
             raise DomainError(f"malformed node plan {args.plan!r}") from exc
     config = SweepConfig(
         kernel=args.kernel, n=args.n,
-        k=tuple(float(v) for v in args.k.split(",")),
+        k=tuple(float(v) for v in args.k),
         s=tuple(float(v) for v in args.s),
         d=args.d, trace_zero=args.trace_zero, num=args.num,
         span=(args.span_lo, args.span_hi),
@@ -334,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--n", type=int, default=1, help="rank of A_n")
-        p.add_argument("--k", default="1.0", help="multiplicity (list for certify)")
+        p.add_argument("--k", type=_vector, default="1.0",
+                       help="multiplicity (list for certify)")
         p.add_argument("--d", type=int, default=None, help="ambient dimension")
         p.add_argument("--trace-zero", action="store_true",
                        help="trace-zero realization (d = n)")
@@ -354,14 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
     pc.add_argument("--s", type=_vector, default="1.0",
                     help="stability indices (stable only)")
-    pc.add_argument("--num", type=int, default=15, help="grid points per cell")
-    pc.add_argument("--span-lo", type=float, default=1e-3)
-    pc.add_argument("--span-hi", type=float, default=1e4)
-    pc.add_argument("--t-span-lo", type=float, default=1e-2)
-    pc.add_argument("--t-span-hi", type=float, default=1e2)
+    pc.add_argument("--num", type=int, default=15,
+                    help="grid steps per cell (heat evaluates a generic "
+                         "and a wall Y at each step)")
+    pc.add_argument("--span-lo", type=_finite, default=1e-3)
+    pc.add_argument("--span-hi", type=_finite, default=1e4)
+    pc.add_argument("--t-span-lo", type=_finite, default=1e-2)
+    pc.add_argument("--t-span-hi", type=_finite, default=1e2)
     pc.add_argument("--plan", default=None,
                     help="node-count override per rank, e.g. 32,24")
-    pc.add_argument("--spread-bound", type=float, default=None)
+    pc.add_argument("--spread-bound", type=_finite, default=None)
     pc.add_argument("--out", default=None, help="report file path")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.add_argument("--workers", type=int, default=1)

@@ -94,7 +94,6 @@ class HeatParams:
     X: np.ndarray
     Y: np.ndarray
     plan: tuple[int, ...] | None = None
-    c_norm: float | None = None  # override of the mass-identity constant
 
     def __post_init__(self):
         if not self.t > 0:
@@ -103,8 +102,8 @@ class HeatParams:
         object.__setattr__(self, "Y", self.rs.check_vector(self.Y))
 
 
-def heat_log(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None,
-             c_norm_override: float | None = None) -> float:
+def heat_log(rs: RootSystemA, t: float, X, Y,
+             plan: Sequence[int] | None = None) -> float:
     """log p_t^W(X, Y)."""
     if not t > 0:
         raise DomainError("t must be > 0")
@@ -114,8 +113,7 @@ def heat_log(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None,
     lv = spherical_log(rs, X, arg, plan)
     nx = float(X @ X)
     ny = float(np.asarray(Y, float) @ np.asarray(Y, float))
-    c = c_norm(rs) if c_norm_override is None else c_norm_override
-    return (-math.log(c) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
+    return (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
             - (0.5 * rs.d + rs.gamma) * math.log(t)
             - (nx + ny) / (4.0 * t) + float(lv))
 
@@ -141,8 +139,8 @@ def heat_exact(hp: HeatParams, *, with_error: bool = True) -> KernelValue:
     """p_t^W(X,Y) with a node-refinement error indicator."""
     rs = hp.rs
     plan = hp.plan if hp.plan is not None else default_node_plan(rs.n)
-    lv = heat_log(rs, hp.t, hp.X, hp.Y, plan, hp.c_norm)
-    lv2 = (heat_log(rs, hp.t, hp.X, hp.Y, refined_plan(rs.n, plan), hp.c_norm)
+    lv = heat_log(rs, hp.t, hp.X, hp.Y, plan)
+    lv2 = (heat_log(rs, hp.t, hp.X, hp.Y, refined_plan(rs.n, plan))
            if with_error else lv)
     return refined(lv, lv2, evals=1)
 

@@ -31,13 +31,15 @@ from .report import RatioReport, build_ratio_report
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
 from .spherical import collapse_walls, default_node_plan, spherical_log
 
+#: Gauss-Laguerre nodes of the u-rule; newton_exact refines with twice as many
+U_NODES = 64
+
 
 @dataclass(frozen=True)
 class NewtonParams:
     rs: RootSystemA
     X: np.ndarray
     Y: np.ndarray
-    uQ: int = 64
     plan: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -59,7 +61,7 @@ def _check_tail(rs: RootSystemA):
             f"time integral diverges: d/2 + gamma = {0.5 * rs.d + rs.gamma} <= 1")
 
 
-def newton_log(rs: RootSystemA, X, Y, uQ: int = 64,
+def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
                plan: Sequence[int] | None = None) -> float:
     """log N^W(X,Y) by Gauss-Laguerre in u = |X-Y|^2/(4t)."""
     _check_tail(rs)
@@ -83,10 +85,10 @@ def newton_log(rs: RootSystemA, X, Y, uQ: int = 64,
 def newton_exact(p: NewtonParams, *, with_error: bool = True) -> KernelValue:
     rs = p.rs
     plan = p.plan if p.plan is not None else default_node_plan(rs.n)
-    lv = newton_log(rs, p.X, p.Y, p.uQ, plan)
+    lv = newton_log(rs, p.X, p.Y, U_NODES, plan)
     if not with_error:
-        return refined(lv, lv, p.uQ)
-    return refined(lv, newton_log(rs, p.X, p.Y, 2 * p.uQ, plan), 3 * p.uQ)
+        return refined(lv, lv, U_NODES)
+    return refined(lv, newton_log(rs, p.X, p.Y, 2 * U_NODES, plan), 3 * U_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +193,9 @@ def newton_sweep_grid(rs: RootSystemA, num: int = 13,
     return pts
 
 
-def newton_row(rs: RootSystemA, point, uQ: int = 64,
-               plan: Sequence[int] | None = None) -> dict:
+def newton_row(rs: RootSystemA, point, plan: Sequence[int] | None = None) -> dict:
     X, Y = point
-    lv = newton_log(rs, X, Y, uQ, plan)
+    lv = newton_log(rs, X, Y, plan=plan)
     le = log_newton_envelope(rs, X, Y)
     R2 = _dist_sq(X, Y)
     quot = max(pairing(rs, r, X) * pairing(rs, r, Y)
@@ -206,22 +207,22 @@ def newton_row(rs: RootSystemA, point, uQ: int = 64,
     }
 
 
-def certify_newton_ratio(rs: RootSystemA, points=None, *, uQ: int = 64,
+def certify_newton_ratio(rs: RootSystemA, points=None, *,
                          plan: Sequence[int] | None = None, num: int = 13,
                          mapper=map) -> RatioReport:
     if points is None:
         points = newton_sweep_grid(rs, num=num)
-    rows = list(mapper(partial(newton_row, rs, uQ=uQ, plan=plan), points))
+    rows = list(mapper(partial(newton_row, rs, plan=plan), points))
     return build_ratio_report(
         f"newton n={rs.n} k={rs.k} d={rs.d}{' trace0' if rs.trace_zero else ''}",
         rows, drift_key="quotient", tail_cut=math.inf)
 
 
-def homogeneity_residual(rs: RootSystemA, X, Y, c: float, uQ: int = 64,
+def homogeneity_residual(rs: RootSystemA, X, Y, c: float,
                          plan: Sequence[int] | None = None) -> float:
     """| N(cX,cY) c^{d-2+2gamma} / N(X,Y) - 1 |."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    l1 = newton_log(rs, X, Y, uQ, plan)
-    l2 = newton_log(rs, c * X, c * Y, uQ, plan)
+    l1 = newton_log(rs, X, Y, plan=plan)
+    l2 = newton_log(rs, c * X, c * Y, plan=plan)
     return abs(math.expm1(l2 + (rs.d - 2.0 + 2.0 * rs.gamma) * math.log(c) - l1))

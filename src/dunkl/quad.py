@@ -163,7 +163,7 @@ def jacobi_weight_sum(a_exp: float, b_exp: float, interval) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched level rule (shared by the spherical recursion and prop_In)
+# batched level rule (built into a grid by spherical.interlacing_grid)
 # ---------------------------------------------------------------------------
 
 #: switch to the tilted Laguerre rule once |mu|*(hi-lo) exceeds min(30, 2*Q)
@@ -250,8 +250,7 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
-                              scales: Sequence[float] = (),
-                              refine_factor: int = 2) -> KernelValue:
+                              scales: Sequence[float] = ()) -> KernelValue:
     """log-space evaluation of I = int_0^inf u^alpha e^{-u} g(u) du.
 
     ``log_g`` maps an array of u > 0 to log g(u) (g > 0).  When ``scales``
@@ -287,7 +286,7 @@ def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
         return float(logsumexp(np.array(pieces))), evals
 
     lv_coarse, n1 = run(nodes)
-    lv_fine, n2 = run(refine_factor * nodes)
+    lv_fine, n2 = run(2 * nodes)
     return refined(lv_coarse, lv_fine, n1 + n2)
 
 

@@ -187,19 +187,6 @@ def vandermonde(rs: RootSystemA, X) -> float:
     return float(p)
 
 
-def log_vandermonde(rs: RootSystemA, X) -> float:
-    """log pi(X) for chamber X; -inf on walls."""
-    a = rs.active(np.asarray(X, dtype=float))
-    tot = 0.0
-    for i in range(rs.n + 1):
-        for j in range(i + 1, rs.n + 1):
-            g = a[i] - a[j]
-            if g <= 0.0:
-                return -math.inf
-            tot += math.log(g)
-    return tot
-
-
 def reflected_distance_sq(rs: RootSystemA, root: tuple[int, int], X, Y) -> float:
     """|X - sigma_alpha Y|^2 via the identity |X-Y|^2 + 2 alpha(X) alpha(Y)."""
     X = np.asarray(X, dtype=float)

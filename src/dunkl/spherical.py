@@ -181,6 +181,45 @@ def _rank1_level(k: float, lam: np.ndarray, X: np.ndarray, Q: int,
     return lam[1] * (lo + hi) + out
 
 
+def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
+                     top_lo=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level.
+
+    ``X`` holds (B, m+1) active chamber rows, ``mu`` the slope of e^{mu_i y_i}
+    along each of the m levels.  Returns the level node grids, the i-th of
+    shape (B,) + (1,)*i + (Q,) + (1,)*(m-1-i), and ``logf`` on (B,) + (Q,)*m:
+    level log-weights, non-adjacent (k-1)-power factors, log prod_{i<j}(y_i-y_j).
+    ``top_lo`` restricts the last level to [top_lo, x_m], where the factor
+    (y_m - x_{m+1})^{k-1} leaves the weight and is multiplied in explicitly.
+    """
+    B, m = X.shape[0], X.shape[1] - 1
+    ys, lws = [], []
+    for lvl in range(m):
+        top = top_lo is not None and lvl == m - 1
+        lo = np.full(B, top_lo, dtype=float) if top else X[:, lvl + 1]
+        y, lw = level_nodes(lo, X[:, lvl], 0.0 if top else k - 1.0, k - 1.0,
+                            np.full(B, mu[lvl]), Q)
+        # the non-adjacent (and, below top_lo, the lower adjacent) distance factors
+        for j in range(0, lvl):
+            lw = lw + (k - 1.0) * np.log(X[:, j][:, None] - y)
+        for j in range(lvl + 2 - top, m + 1):
+            lw = lw + (k - 1.0) * np.log(y - X[:, j][:, None])
+        ys.append(y)
+        lws.append(lw)
+
+    def grid_shape(i):
+        return (B,) + (1,) * i + (Q,) + (1,) * (m - 1 - i)
+
+    logf = np.zeros((B,) + (Q,) * m)
+    for i in range(m):
+        logf = logf + lws[i].reshape(grid_shape(i))
+    ygrids = [ys[i].reshape(grid_shape(i)) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            logf = logf + np.log(ygrids[i] - ygrids[j])
+    return ygrids, logf
+
+
 def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
              counter: list) -> np.ndarray:
     """log psi_lambda(e^X) for a batch of chamber rows X (active coords only).
@@ -214,29 +253,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
             logpi += np.log(X[:, i] - X[:, j])
     base_term = lam[m] * X.sum(axis=1) + (1 - 2 * k) * logpi
 
-    ys, lws = [], []
-    for lvl in range(m):
-        lo, hi = X[:, lvl + 1], X[:, lvl]
-        y, lw = level_nodes(lo, hi, k - 1.0, k - 1.0, np.full(B, mu[lvl]), Q)
-        # non-adjacent distance factors are separable per level
-        for j in range(0, lvl):
-            lw = lw + (k - 1.0) * np.log(X[:, j][:, None] - y)
-        for j in range(lvl + 2, m + 1):
-            lw = lw + (k - 1.0) * np.log(y - X[:, j][:, None])
-        ys.append(y)
-        lws.append(lw)
-
-    def grid_shape(i):
-        return (B,) + (1,) * i + (Q,) + (1,) * (m - 1 - i)
-
-    logf = np.zeros((B,) + (Q,) * m)
-    for i in range(m):
-        logf = logf + lws[i].reshape(grid_shape(i))
-    ygrids = [ys[i].reshape(grid_shape(i)) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            logf = logf + np.log(ygrids[i] - ygrids[j])
-
+    ygrids, logf = interlacing_grid(k, X, mu, Q)
     Y = np.empty((B,) + (Q,) * m + (m,))
     for i in range(m):
         Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)

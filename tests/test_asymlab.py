@@ -9,7 +9,6 @@ from dunkl.asymlab import (AsympClaim, lemma_A_ratio, lemma_a1_ratio,
                            prop_In, prop_truncated_ratio, sweep_claim)
 from dunkl.errors import DomainError
 from dunkl.rootsys import rootsystem
-from dunkl.spherical import spherical_oracle_k1
 
 # E_1(1), the exponential integral at 1 (cross-checked below by its series)
 E1_AT_1 = 0.21938393439552026256
@@ -137,13 +136,19 @@ def test_lemma_a2_straddle_bracket():
     assert max(vals) / min(vals) < 20.0
 
 
-def test_prop_in_rank1_beta_identity():
-    # lambda = 0, n = 1: I^(1) = Beta(k,k) (x1-x2)^{2k-1}
-    for k in (0.5, 1.3):
-        rs = rootsystem(1, k)
-        kv = prop_In(rs, (0.0, 0.0), (1.4, 0.2))
-        ref = (math.gamma(k) ** 2 / math.gamma(2 * k)) * 1.2 ** (2 * k - 1.0)
-        assert abs(kv.value / ref - 1.0) < 1e-10
+def test_prop_in_dixon_anderson_identity():
+    # lambda = 0: the box integral is the Dixon-Anderson integral,
+    # I^(n) = Gamma(k)^{n+1}/Gamma((n+1)k) pi(X)^{2k-1}
+    for n in (1, 2, 3):
+        X = np.array([1.4, 0.2, -0.3, -1.5])[:n + 1]
+        logpi = sum(math.log(X[i] - X[j])
+                    for i in range(n + 1) for j in range(i + 1, n + 1))
+        for k in (0.5, 1.3, 2.5):
+            rs = rootsystem(n, k)
+            kv = prop_In(rs, np.zeros(n + 1), X)
+            ref = ((n + 1) * math.lgamma(k) - math.lgamma((n + 1) * k)
+                   + (2 * k - 1.0) * logpi)
+            assert abs(kv.log_value - ref) < 1e-12
 
 
 def test_prop_in_rank1_exact_constant_relation():
@@ -157,21 +162,6 @@ def test_prop_in_rank1_exact_constant_relation():
     ref = (math.lgamma(0.7) * 2 - math.lgamma(1.4)
            - float(lam @ X) + (2 * 0.7 - 1.0) * math.log(1.3) + lpsi)
     assert abs(kv.log_value - ref) < 1e-9
-
-
-def test_prop_in_inner_exact_matches_det_oracle():
-    # with the exact inner factor the constant-multiple relation holds at k=1
-    for n in (1, 2):
-        rs = rootsystem(n, 1.0)
-        lam = np.linspace(1.8, 0.0, n + 1)
-        X = np.linspace(0.9, -0.4, n + 1)
-        kv = prop_In(rs, lam, X, inner="exact")
-        psi = spherical_oracle_k1(rs, lam, X)
-        logpi = sum(math.log(X[i] - X[j])
-                    for i in range(n + 1) for j in range(i + 1, n + 1))
-        const = (n + 1) * math.lgamma(1.0) - math.lgamma(float(n + 1))
-        ref = const - float(lam @ X) + logpi + math.log(psi)
-        assert abs(kv.log_value - ref) < 1e-5
 
 
 def test_prop_in_bounded_against_target():

@@ -261,6 +261,7 @@ def test_eval_non_finite_kernel_value_exits_2(capsys):
     ["spherical", "--lambda", "1,-inf", "--X", "1,0"],
     ["heat", "--t", "inf", "--X", "1,0", "--Y", "0.5,0"],
     ["stable", "--s", "nan", "--X", "1,0", "--Y", "0.5,0"],
+    ["spherical", "--k", "inf", "--lambda", "1,0", "--X", "1,0"],
 ])
 def test_eval_non_finite_input_rejected_at_parse_time(args):
     with warnings.catch_warnings():
@@ -270,3 +271,19 @@ def test_eval_non_finite_input_rejected_at_parse_time(args):
 
 def test_certify_non_finite_s_rejected_at_parse_time():
     assert run_cli(["certify", "stable", "--s", "1.5,inf", "--num", "3"]) == 2
+
+
+@pytest.mark.parametrize("option", ["--k", "--span-lo", "--span-hi", "--t-span-lo",
+                                    "--t-span-hi", "--spread-bound"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_certify_non_finite_option_rejected_at_parse_time(option, value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["certify", "spherical", option, value, "--num", "3"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_eval_takes_exactly_one_k(capsys):
+    assert run_cli(["eval", "spherical", "--k", "1,2", "--lambda", "1,0",
+                    "--X", "1,0"]) == 2
+    assert "exactly one --k" in capsys.readouterr().err
