@@ -23,6 +23,9 @@ from .quad import KernelValue, exp_weighted_log_integral, logsumexp
 from .rootsys import RootSystemA, ensure_chamber
 from .spherical import default_node_plan, interlacing_grid
 
+#: the relative drift a lemma ratio may show under (a, b) -> (ca, cb)
+SCALE_TOLERANCE = 0.05
+
 
 @dataclass(frozen=True)
 class AsympClaim:
@@ -46,17 +49,17 @@ class AsympClaim:
 # 1-d lemma ratios
 # ---------------------------------------------------------------------------
 
-def lower_incomplete_gamma(k: float, x: float, nodes: int = 48) -> float:
-    """int_0^x u^{k-1} e^{-u} du by quadrature (head Jacobi / tail Laguerre)."""
+def lower_incomplete_gamma(k: float, x: float) -> float:
+    """int_0^x u^{k-1} e^{-u} du by 48-node quadrature (head Jacobi / tail Laguerre)."""
     if not (k > 0 and x >= 0):
         raise DomainError("need k > 0 and x >= 0")
     if x == 0.0:
         return 0.0
     if x <= 40.0:
-        pts, wts = quad.jacobi_rule(nodes, k - 1.0, 0.0, (0.0, x))
+        pts, wts = quad.jacobi_rule(48, k - 1.0, 0.0, (0.0, x))
         return float(np.exp(-pts) @ wts)
     # gamma(k, x) = Gamma(k) - e^{-x} int_0^inf (x+s)^{k-1} e^{-s} ds
-    s, w = quad._ref_genlaguerre(nodes, 0.0)
+    s, w = quad._ref_genlaguerre(48, 0.0)
     tail = math.exp(-x) * float((np.exp((k - 1.0) * np.log(x + s))) @ w)
     return math.exp(gammaln(k)) - tail
 
@@ -73,9 +76,8 @@ def lemma_A_ratio(k: float, x: float) -> float:
     return lower_incomplete_gamma(k, x) * ((1.0 + x) / x) ** k
 
 
-def _ratio_integral(k: float, N: float, a: float, b: Sequence[float],
-                    nodes: int = 64) -> float:
-    """log of int_0^inf u^N e^{-u} prod (a + b_i u)^{-k} du."""
+def _ratio_integral(k: float, N: float, a: float, b: Sequence[float]) -> float:
+    """log of int_0^inf u^N e^{-u} prod (a + b_i u)^{-k} du (64-node rule)."""
     b = [float(bi) for bi in b]
     if a < 0 or any(bi < 0 for bi in b):
         raise DomainError("need a >= 0 and b_i >= 0")
@@ -87,7 +89,7 @@ def _ratio_integral(k: float, N: float, a: float, b: Sequence[float],
         if alpha <= -1:
             raise DomainError(f"integral diverges at 0: N={N} <= k*m-1={k * len(b) - 1}")
         const = -k * sum(math.log(bi) for bi in b)
-        kv = exp_weighted_log_integral(lambda u: np.zeros_like(u), alpha, nodes)
+        kv = exp_weighted_log_integral(lambda u: np.zeros_like(u), alpha, 64)
         return kv.log_value + const
     scales = [a / bi for bi in b if bi > 0]
 
@@ -97,7 +99,7 @@ def _ratio_integral(k: float, N: float, a: float, b: Sequence[float],
             out = out - k * np.log(a + bi * u)
         return out
 
-    kv = exp_weighted_log_integral(log_g, N, nodes, scales=scales)
+    kv = exp_weighted_log_integral(log_g, N, 64, scales=scales)
     return kv.log_value
 
 
@@ -223,8 +225,7 @@ def _bracket(vals) -> tuple[float, float]:
     return (min(vals), max(vals))
 
 
-def sweep_claim(claim_id: str, scale_tolerance: float = 0.05
-                ) -> tuple[AsympClaim, bool, str]:
+def sweep_claim(claim_id: str) -> tuple[AsympClaim, bool, str]:
     """Run the default bounded-ratio sweep for one claim.
 
     Returns the recorded bracket, whether it passed (finite positive bracket,
@@ -259,11 +260,11 @@ def sweep_claim(claim_id: str, scale_tolerance: float = 0.05
                     vals.append(base)
                     for c in (1e-3, 1e3):
                         scaled = lemma_ai_ratio(k, N, c * a, [c * bi for bi in b])
-                        if abs(scaled / base - 1.0) > scale_tolerance:
+                        if abs(scaled / base - 1.0) > SCALE_TOLERANCE:
                             ok = False
         claim = AsympClaim("lemma_ai", "k,m,a,b grid + (a,b)->(ca,cb)",
                            _bracket(vals), len(vals))
-        return claim, ok, f"scale drift within {scale_tolerance:.0%}" if ok else "scale drift"
+        return claim, ok, f"scale drift within {SCALE_TOLERANCE:.0%}" if ok else "scale drift"
 
     if claim_id == "lemma_a1":
         vals = []
@@ -274,7 +275,7 @@ def sweep_claim(claim_id: str, scale_tolerance: float = 0.05
             vals.append(lemma_a1_ratio(k, 1.0, 0.0))
         base = lemma_a1_ratio(1.0, 1.0, 1.0)
         for c in (1e-3, 1e3):
-            if abs(lemma_a1_ratio(1.0, c, c) / base - 1.0) > scale_tolerance:
+            if abs(lemma_a1_ratio(1.0, c, c) / base - 1.0) > SCALE_TOLERANCE:
                 ok = False
         claim = AsympClaim("lemma_a1", "k grid, b/a in [0, 1e6]",
                            _bracket(vals), len(vals))
@@ -292,7 +293,7 @@ def sweep_claim(claim_id: str, scale_tolerance: float = 0.05
             for c in (1e-3, 1e3):
                 scaled = lemma_a2_ratio(k, c * 1.0, c * 0.5, c * 1.0, c * 8.0)
                 base = lemma_a2_ratio(k, 1.0, 0.5, 1.0, 8.0)
-                if abs(scaled / base - 1.0) > scale_tolerance:
+                if abs(scaled / base - 1.0) > SCALE_TOLERANCE:
                     ok = False
         claim = AsympClaim("lemma_a2", "k grid, ordered b straddling a",
                            _bracket(vals), len(vals))

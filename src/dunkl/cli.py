@@ -14,9 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
-from typing import Callable
 
 import numpy as np
 
@@ -28,47 +27,9 @@ from .rootsys import rootsystem
 from .selftest import run_selftest
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """One row of the kernel table that ``eval`` and ``certify`` dispatch on."""
-
-    spread_bound: float   # default PASS threshold on the certified spread
-    needs: str            # the vector ``eval`` requires besides --X
-    psi_rows: int         # psi rows a sweep evaluates per step of --num
-    evaluate: Callable    # (rs, args, vector) -> (KernelValue, log envelope)
-    certify: Callable     # (rs, config, s, mapper) -> RatioReport
-    over_s: bool = False  # one sweep per stability index in --s
-
-
-KERNELS = {
-    "spherical": Kernel(
-        spread_bound=1e3, needs="lambda", psi_rows=1,
-        evaluate=lambda rs, a, lam: (spherical.spherical(rs, lam, a.X),
-                                     spherical.log_spherical_envelope(rs, lam, a.X)),
-        certify=lambda rs, c, s, mapper: spherical.certify_ratio(
-            rs, span=c.span, num=c.num, plan=c.plan, mapper=mapper)),
-    "heat": Kernel(
-        spread_bound=1e2, needs="Y", psi_rows=2,  # a generic and a wall Y per time
-        evaluate=lambda rs, a, Y: (
-            heatkernel.heat_exact(heatkernel.HeatParams(rs=rs, t=a.t, X=a.X, Y=Y)),
-            heatkernel.log_heat_envelope(rs, a.t, a.X, Y)),
-        certify=lambda rs, c, s, mapper: heatkernel.certify_heat_ratio(
-            rs, t_span=c.t_span, t_num=c.num, plan=c.plan, mapper=mapper)),
-    "newton": Kernel(
-        spread_bound=1e2, needs="Y", psi_rows=newton.U_NODES,
-        evaluate=lambda rs, a, Y: (
-            newton.newton_exact(newton.NewtonParams(rs=rs, X=a.X, Y=Y)),
-            newton.log_newton_envelope(rs, a.X, Y)),
-        certify=lambda rs, c, s, mapper: newton.certify_newton_ratio(
-            rs, num=c.num, plan=c.plan, mapper=mapper)),
-    "stable": Kernel(
-        spread_bound=1e2, needs="Y", psi_rows=stable.LOG_ROWS, over_s=True,
-        evaluate=lambda rs, a, Y: (
-            stable.stable_exact(stable.StableParams(rs=rs, s=a.s, t=a.t, X=a.X, Y=Y)),
-            stable.log_stable_envelope(rs, a.s, a.t, a.X, Y)),
-        certify=lambda rs, c, s, mapper: stable.certify_stable_ratio(
-            rs, s, num=c.num, plan=c.plan, mapper=mapper)),
-}
+#: the kernel table that ``eval`` and ``certify`` dispatch on
+KERNELS = {"spherical": spherical.KERNEL, "heat": heatkernel.KERNEL,
+           "newton": newton.KERNEL, "stable": stable.KERNEL}
 
 
 @dataclass
@@ -87,7 +48,7 @@ class SweepConfig:
     out: str | None = None
     format: str = "csv"
     workers: int = 1
-    version: str = field(default="", repr=False)
+    version: str = field(default=__version__, repr=False)
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -98,17 +59,22 @@ class SweepConfig:
             raise DomainError("grid must have at least one point")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
+        for name in ("span", "t_span"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo < hi:
+                raise DomainError(f"{name} must satisfy 0 < lo < hi, got ({lo:g}, {hi:g})")
+        if self.plan is not None and not (
+                self.plan and all(isinstance(q, int) and q >= 1 for q in self.plan)):
+            raise DomainError(f"node plan entries must be integers >= 1, got {self.plan}")
         if self.spread_bound is None:
             self.spread_bound = KERNELS[self.kernel].spread_bound
-        if not self.version:
-            self.version = __version__
 
     def predicted_evals(self) -> float:
         """Innermost evaluations of the sweep: psi rows x the recursion's
         node product for one row x cells (certification rows do not refine)."""
         entry = KERNELS[self.kernel]
         plan = self.plan if self.plan is not None else spherical.default_node_plan(self.n)
-        cells = max(1, len(self.k)) * (len(self.s) if entry.over_s else 1)
+        cells = max(1, len(self.k)) * (len(self.s) if "s" in entry.args else 1)
         return entry.psi_rows * self.num * spherical._predicted_evals(self.n, plan) * cells
 
     def validate_budget(self):
@@ -243,13 +209,15 @@ def _mapper(workers: int):
 def run_certify(config: SweepConfig) -> tuple[list[RatioReport], bool]:
     config.validate_budget()
     entry = KERNELS[config.kernel]
+    options = {key: getattr(config, name) for key, name in entry.grid_options.items()}
     mapper, pool = _mapper(config.workers)
     reports = []
     try:
         for k in config.k:
             rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
-            for s in config.s if entry.over_s else (None,):
-                reports.append(entry.certify(rs, config, s, mapper))
+            for s in config.s if "s" in entry.args else (None,):
+                reports.append(replace(entry, s=s).certify(rs, plan=config.plan,
+                                                           mapper=mapper, **options))
     finally:
         if pool is not None:
             pool.close()
@@ -268,13 +236,14 @@ def _merge_reports(reports: list[RatioReport]) -> RatioReport:
 
 def cmd_eval(args) -> int:
     entry = KERNELS[args.kernel]
-    vec = getattr(args, entry.needs)
-    if vec is None:
-        raise DomainError(f"eval {args.kernel} requires --{entry.needs}")
+    vals = [getattr(args, name) for name in entry.args]
+    for name, val in zip(entry.args, vals):
+        if val is None:
+            raise DomainError(f"eval {args.kernel} requires --{name}")
     if len(args.k) != 1:
         raise DomainError("eval takes exactly one --k")
     rs = rootsystem(args.n, float(args.k[0]), args.d, trace_zero=args.trace_zero)
-    kv, env = entry.evaluate(rs, args, vec)
+    kv, env = entry.exact(rs, *vals), entry.log_envelope(rs, *vals)
     print(f"value = {_fmt(kv.value)}")
     print(f"log_value = {_fmt(kv.log_value)}")
     print(f"envelope = {_fmt(math.exp(env) if env < 700 else math.inf)}")

@@ -21,8 +21,6 @@ absorbed into generalized Laguerre rules in w = q s^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +29,7 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .quad import (KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp,
                    refined)
-from .report import RatioReport, build_ratio_report
+from .report import Kernel
 from .rootsys import RootSystemA, positive_roots, pairing
 from .spherical import (collapse_walls, default_node_plan, refined_plan,
                         spherical_log)
@@ -46,16 +44,17 @@ def mehta_selberg_constant(rs: RootSystemA) -> float:
     return float(math.exp(0.5 * rs.d * math.log(2 * math.pi) + lg))
 
 
-def gaussian_chamber_integral(rs: RootSystemA, t: float = 1.0, sQ: int = 96) -> float:
-    """|W| int_{a+} e^{-|Y|^2/(4t)} omega_k(Y) dY by quadrature (n <= 2)."""
+def gaussian_chamber_integral(rs: RootSystemA) -> float:
+    """|W| int_{a+} e^{-|Y|^2/4} omega_k(Y) dY by 96-node Laguerre rules per
+    root gap (n <= 2)."""
     if rs.n == 1:
-        q = 1.0 / (8.0 * t)
-        w_nodes, w_weights = _ref_genlaguerre(sQ, rs.k - 0.5)
+        q = 1.0 / 8.0
+        w_nodes, w_weights = _ref_genlaguerre(96, rs.k - 0.5)
         s_int = 0.5 * q ** (-(rs.k + 0.5)) * float(w_weights.sum())
         jac = 1.0 / math.sqrt(2.0)
     elif rs.n == 2:
-        q = 1.0 / (6.0 * t)
-        w_nodes, w_weights = _ref_genlaguerre(sQ, rs.k - 0.5)
+        q = 1.0 / 6.0
+        w_nodes, w_weights = _ref_genlaguerre(96, rs.k - 0.5)
         s = np.sqrt(w_nodes / q)
         s1 = s[:, None]
         s2 = s[None, :]
@@ -68,9 +67,9 @@ def gaussian_chamber_integral(rs: RootSystemA, t: float = 1.0, sQ: int = 96) -> 
     if rs.trace_zero:
         v_part = 1.0
     else:
-        v_part = math.sqrt(4.0 * math.pi * t)
+        v_part = math.sqrt(4.0 * math.pi)
     extra = rs.d - (rs.n + 1) if not rs.trace_zero else 0
-    v_part *= math.sqrt(4.0 * math.pi * t) ** extra
+    v_part *= math.sqrt(4.0 * math.pi) ** extra
     return rs.weyl_order * jac * v_part * s_int
 
 
@@ -83,23 +82,8 @@ def c_norm(rs: RootSystemA) -> float:
     key = (rs.n, rs.d, rs.k, rs.trace_zero)
     if key not in _c_norm_cache:
         _c_norm_cache[key] = (2.0 ** (-(rs.gamma + 0.5 * rs.d))
-                              * gaussian_chamber_integral(rs, t=1.0))
+                              * gaussian_chamber_integral(rs))
     return _c_norm_cache[key]
-
-
-@dataclass(frozen=True)
-class HeatParams:
-    rs: RootSystemA
-    t: float
-    X: np.ndarray
-    Y: np.ndarray
-    plan: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"heat kernel needs t > 0, got {self.t}")
-        object.__setattr__(self, "X", self.rs.check_vector(self.X))
-        object.__setattr__(self, "Y", self.rs.check_vector(self.Y))
 
 
 def heat_log(rs: RootSystemA, t: float, X, Y,
@@ -135,13 +119,13 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
             - (nx + ny) / (4.0 * times) + lv)
 
 
-def heat_exact(hp: HeatParams, *, with_error: bool = True) -> KernelValue:
+def heat_exact(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None,
+               *, with_error: bool = True) -> KernelValue:
     """p_t^W(X,Y) with a node-refinement error indicator."""
-    rs = hp.rs
-    plan = hp.plan if hp.plan is not None else default_node_plan(rs.n)
-    lv = heat_log(rs, hp.t, hp.X, hp.Y, plan)
-    lv2 = (heat_log(rs, hp.t, hp.X, hp.Y, refined_plan(rs.n, plan))
-           if with_error else lv)
+    X = rs.check_vector(X)
+    plan = plan if plan is not None else default_node_plan(rs.n)
+    lv = heat_log(rs, t, X, Y, plan)
+    lv2 = heat_log(rs, t, X, Y, refined_plan(rs.n, plan)) if with_error else lv
     return refined(lv, lv2, evals=1)
 
 
@@ -191,7 +175,7 @@ def _factor_linear_coeffs(rs: RootSystemA, t_f: float, A0: np.ndarray) -> np.nda
 
 
 def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.ndarray]],
-                          sQ: int = 48, plan: Sequence[int] | None = None) -> float:
+                          plan: Sequence[int] | None = None) -> float:
     """log of |W| int_{a+} prod_f p_{t_f}^W(A_f, Y) omega_k(Y) dY (n <= 2).
 
     Requires the standard realization d == n+1 (or trace-zero).  The mean
@@ -200,7 +184,8 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     a few widths of the origin (every t_f ~ gap^2 case), generalized
     Laguerre rules absorb the s^{2k} wall factors; once the peak escapes
     (t_f << gap^2, the kernel concentrates at Y ~ A), a shifted
-    Gauss-Hermite rule centered at s* takes over.
+    Gauss-Hermite rule centered at s* takes over.  Both rules have 48 nodes
+    per gap.
     """
     if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
@@ -240,7 +225,7 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
 
     if peak <= 16.0:
         # near-origin regime: absorb s^{2k} e^{-q s^2} per axis
-        w_nodes, w_weights = _ref_genlaguerre(sQ, rs.k - 0.5)
+        w_nodes, w_weights = _ref_genlaguerre(48, rs.k - 0.5)
         s = np.sqrt(w_nodes / q)
         if rs.n == 1:
             s_grid = s[:, None]
@@ -260,7 +245,7 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
             logvals = logvals + spherical_log(rs, A0, rows, plan, batch=True)
     else:
         # concentrated regime: Gauss-Hermite centered at the peak s*
-        h, wh = _ref_hermite(sQ)
+        h, wh = _ref_hermite(48)
         L = np.linalg.cholesky(M)
         if rs.n == 1:
             offs = (h / L[0, 0])[:, None]
@@ -291,21 +276,20 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
             + rule_pref + total)
 
 
-def heat_mass(rs: RootSystemA, t: float, X, sQ: int = 48,
-              plan: Sequence[int] | None = None) -> float:
+def heat_mass(rs: RootSystemA, t: float, X, plan: Sequence[int] | None = None) -> float:
     """|W| int_{a+} p_t^W(X, Y) omega_k(Y) dY; equals 1 for the true kernel."""
     X = rs.check_vector(np.asarray(X, dtype=float))
-    return math.exp(chamber_heat_integral(rs, [(t, X)], sQ=sQ, plan=plan))
+    return math.exp(chamber_heat_integral(rs, [(t, X)], plan=plan))
 
 
 def chapman_kolmogorov_check(rs: RootSystemA, t: float, s: float, X, Z,
-                             sQ: int = 48, plan: Sequence[int] | None = None) -> float:
+                             plan: Sequence[int] | None = None) -> float:
     """Relative residual of |W| int p_t(X,Y) p_s(Y,Z) omega dY = p_{t+s}(X,Z)."""
     if rs.n > 2:
         raise DomainError("Chapman-Kolmogorov check restricted to A_1 and A_2")
     X = rs.check_vector(np.asarray(X, dtype=float))
     Z = rs.check_vector(np.asarray(Z, dtype=float))
-    log_conv = chamber_heat_integral(rs, [(t, X), (s, Z)], sQ=sQ, plan=plan)
+    log_conv = chamber_heat_integral(rs, [(t, X), (s, Z)], plan=plan)
     log_direct = heat_log(rs, t + s, X, Z, plan)
     return abs(math.expm1(log_conv - log_direct))
 
@@ -368,28 +352,21 @@ def heat_sweep_grid(rs: RootSystemA, t_span=(1e-2, 1e2), t_num: int = 9
     return pts
 
 
-def heat_row(rs: RootSystemA, point, plan: Sequence[int] | None = None) -> dict:
-    t, X, Y = point
-    lv = heat_log(rs, t, X, Y, plan)
-    le = log_heat_envelope(rs, t, X, Y)
+def _heat_columns(rs: RootSystemA, t: float, X, Y) -> dict:
     aa = max(pairing(rs, r, X) * pairing(rs, r, Y) for r in positive_roots(rs))
-    return {
-        "n": rs.n, "k": rs.k, "t": t, "max_pairing": aa,
-        "regime": "t>=aa" if t >= aa else "t<aa",
-        "log_exact": lv, "log_envelope": le, "log_ratio": lv - le,
-        "err_indicator": 0.0,
-    }
+    return {"t": t, "max_pairing": aa, "regime": "t>=aa" if t >= aa else "t<aa"}
 
 
-def certify_heat_ratio(rs: RootSystemA, points=None, *,
-                       plan: Sequence[int] | None = None,
-                       t_span=(1e-2, 1e2), t_num: int = 9, mapper=map) -> RatioReport:
-    """heat_exact/heat_envelope sweep; spread is reported modulo the single
-    global constant per (n,k), which cancels in max/min."""
-    if points is None:
-        points = heat_sweep_grid(rs, t_span=t_span, t_num=t_num)
-    rows = list(mapper(partial(heat_row, rs, plan=plan), points))
-    return build_ratio_report(f"heat n={rs.n} k={rs.k}", rows)
+#: heat_exact/heat_envelope sweep, two psi rows a step (a generic and a wall
+#: Y per time); spread is reported modulo the single global constant per
+#: (n,k), which cancels in max/min
+KERNEL = Kernel(
+    label="heat n={rs.n} k={rs.k}", args=("t", "X", "Y"),
+    grid=heat_sweep_grid, grid_options={"t_span": "t_span", "t_num": "num"},
+    exact=heat_exact, log_value=heat_log, log_envelope=log_heat_envelope,
+    columns=_heat_columns, spread_bound=1e2, psi_rows=2)
+heat_row = KERNEL.row
+certify_heat_ratio = KERNEL.certify
 
 
 def parabolic_rescale_residual(rs: RootSystemA, t: float, X, Y, c: float,

@@ -18,8 +18,6 @@ log-corrected d=2 forms (A_1, and A_2 on the trace-zero plane).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,26 +25,12 @@ import numpy as np
 from .errors import DivergentTailError, DomainError, SingularityError
 from .heatkernel import c_norm
 from .quad import KernelValue, _ref_genlaguerre, logsumexp, refined
-from .report import RatioReport, build_ratio_report
+from .report import Kernel
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
-from .spherical import collapse_walls, default_node_plan, spherical_log
+from .spherical import collapse_walls, spherical_log
 
 #: Gauss-Laguerre nodes of the u-rule; newton_exact refines with twice as many
 U_NODES = 64
-
-
-@dataclass(frozen=True)
-class NewtonParams:
-    rs: RootSystemA
-    X: np.ndarray
-    Y: np.ndarray
-    plan: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", self.rs.check_vector(self.X))
-        object.__setattr__(self, "Y", self.rs.check_vector(self.Y))
-        if _dist_sq(self.X, self.Y) == 0.0:
-            raise SingularityError("Newton kernel is singular at X == Y")
 
 
 def _dist_sq(X, Y) -> float:
@@ -82,13 +66,14 @@ def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
     return pref + total
 
 
-def newton_exact(p: NewtonParams, *, with_error: bool = True) -> KernelValue:
-    rs = p.rs
-    plan = p.plan if p.plan is not None else default_node_plan(rs.n)
-    lv = newton_log(rs, p.X, p.Y, U_NODES, plan)
+def newton_exact(rs: RootSystemA, X, Y, plan: Sequence[int] | None = None,
+                 *, with_error: bool = True) -> KernelValue:
+    """N^W(X,Y) with a u-rule refinement error indicator."""
+    X = rs.check_vector(X)
+    lv = newton_log(rs, X, Y, U_NODES, plan)
     if not with_error:
         return refined(lv, lv, U_NODES)
-    return refined(lv, newton_log(rs, p.X, p.Y, 2 * U_NODES, plan), 3 * U_NODES)
+    return refined(lv, newton_log(rs, X, Y, 2 * U_NODES, plan), 3 * U_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +153,12 @@ def log_newton_envelope(rs: RootSystemA, X, Y) -> float:
 # certification
 # ---------------------------------------------------------------------------
 
-def newton_sweep_grid(rs: RootSystemA, num: int = 13,
-                      eps_span=(3e-2, 3e2)) -> list[tuple[np.ndarray, np.ndarray]]:
+def newton_sweep_grid(rs: RootSystemA, num: int = 13
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(X, Y) pairs with alpha(X)alpha(Y)/|X-Y|^2 sweeping several decades.
 
-    Y = X + eps*D along a fixed chamber-interior direction D; small eps gives
-    large quotient, large eps small quotient.
+    Y = X + eps*D along a fixed chamber-interior direction D, eps log-spaced
+    over [3e-2, 3e2]; small eps gives large quotient, large eps small quotient.
     """
     m = rs.n + 1
     idx = np.array(rs.active_coords) - 1
@@ -188,34 +173,26 @@ def newton_sweep_grid(rs: RootSystemA, num: int = 13,
         free = np.setdiff1d(np.arange(rs.coord_len), idx)
         D[free] = 0.3
     pts = []
-    for eps in np.geomspace(eps_span[0], eps_span[1], num):
+    for eps in np.geomspace(3e-2, 3e2, num):
         pts.append((X.copy(), X + eps * D))
     return pts
 
 
-def newton_row(rs: RootSystemA, point, plan: Sequence[int] | None = None) -> dict:
-    X, Y = point
-    lv = newton_log(rs, X, Y, plan=plan)
-    le = log_newton_envelope(rs, X, Y)
-    R2 = _dist_sq(X, Y)
+def _quotient_columns(rs: RootSystemA, X, Y) -> dict:
     quot = max(pairing(rs, r, X) * pairing(rs, r, Y)
-               for r in positive_roots(rs)) / R2
-    return {
-        "n": rs.n, "k": rs.k, "d": rs.d, "quotient": quot,
-        "log_exact": lv, "log_envelope": le, "log_ratio": lv - le,
-        "err_indicator": 0.0,
-    }
+               for r in positive_roots(rs)) / _dist_sq(X, Y)
+    return {"d": rs.d, "quotient": quot}
 
 
-def certify_newton_ratio(rs: RootSystemA, points=None, *,
-                         plan: Sequence[int] | None = None, num: int = 13,
-                         mapper=map) -> RatioReport:
-    if points is None:
-        points = newton_sweep_grid(rs, num=num)
-    rows = list(mapper(partial(newton_row, rs, plan=plan), points))
-    return build_ratio_report(
-        f"newton n={rs.n} k={rs.k} d={rs.d}{' trace0' if rs.trace_zero else ''}",
-        rows, drift_key="quotient", tail_cut=math.inf)
+#: N^W over its envelope; no tail fit, the drift slope spans the whole sweep
+KERNEL = Kernel(
+    label="newton n={rs.n} k={rs.k} d={rs.d}{trace0}", args=("X", "Y"),
+    grid=newton_sweep_grid, grid_options={"num": "num"},
+    exact=newton_exact, log_value=newton_log, log_envelope=log_newton_envelope,
+    columns=_quotient_columns, spread_bound=1e2, psi_rows=U_NODES,
+    drift_key="quotient", tail_cut=math.inf)
+newton_row = KERNEL.row
+certify_newton_ratio = KERNEL.certify
 
 
 def homogeneity_residual(rs: RootSystemA, X, Y, c: float,

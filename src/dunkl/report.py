@@ -5,13 +5,18 @@ bracket [min, max], its spread, where the extremes happened, and (when the
 grid is parameterized by a pairing product) the least-squares drift slope of
 log10(ratio) against log10(pairing) over the saturated tail.  A bounded
 spread with a flat tail is the numerical certificate of an "asymp" claim.
+
+``Kernel`` declares one kernel for the sweeps and the CLI; its ``row`` and
+``certify`` are the only certification row and sweep.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,3 +106,52 @@ def build_ratio_report(grid: str, rows: Sequence[dict], *,
         slope_full=slope_full,
         slope_tail=slope_tail,
     )
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """One kernel, declared once for its sweeps and the CLI.  Its functions
+    take ``rs``, then the arguments ``args`` names as CLI options; a grid
+    point holds those arguments, without ``s`` on a record that sets ``s``."""
+
+    label: str               # report title, formatted with rs, s and trace0
+    args: tuple[str, ...]
+    grid: Callable           # (rs, [s,] **options) -> grid points
+    grid_options: dict[str, str]  # grid keyword -> the SweepConfig field giving it
+    exact: Callable          # (rs, *args, plan=None, *, with_error=True) -> KernelValue
+    log_value: Callable      # (rs, *args, plan=None) -> log value of one row
+    log_envelope: Callable   # (rs, *args) -> log envelope
+    columns: Callable        # (rs, *args) -> the row's inputs after n and k
+    spread_bound: float      # default PASS threshold on the certified spread
+    psi_rows: int            # psi rows a sweep evaluates per step of --num
+    drift_key: str | None = None
+    tail_cut: float = 1e2
+    canonical: Callable | None = None  # (rs, *args) -> the args a row is taken at
+    s: float | None = None
+
+    def row(self, rs, point, plan: Sequence[int] | None = None) -> dict:
+        """One certification row: inputs, log exact/envelope/ratio at a point."""
+        args = (*point,) if self.s is None else (self.s, *point)
+        if self.canonical is not None:
+            args = self.canonical(rs, *args)
+        # the log value as its module binds it now, so that a wrapper put on
+        # the module (a tracer, a test double) also sees the rows' calls
+        log_value = getattr(sys.modules[self.log_value.__module__], self.log_value.__name__)
+        lv = log_value(rs, *args, plan=plan)
+        le = self.log_envelope(rs, *args)
+        return {"n": rs.n, "k": rs.k, **self.columns(rs, *args),
+                "log_exact": lv, "log_envelope": le, "log_ratio": lv - le,
+                "err_indicator": 0.0}
+
+    def certify(self, rs, points=None, *, plan: Sequence[int] | None = None,
+                mapper=map, **options) -> RatioReport:
+        """Ratio sweep over ``points`` (default: the grid built with
+        ``options``); the drift is fitted against ``drift_key`` over the rows
+        with drift_key >= tail_cut."""
+        if points is None:
+            points = self.grid(rs, *(() if self.s is None else (self.s,)), **options)
+        rows = list(mapper(partial(self.row, rs, plan=plan), points))
+        title = self.label.format(rs=rs, s=self.s,
+                                  trace0=" trace0" if rs.trace_zero else "")
+        return build_ratio_report(title, rows, drift_key=self.drift_key,
+                                  tail_cut=self.tail_cut)

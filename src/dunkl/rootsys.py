@@ -116,9 +116,9 @@ class ChamberPoint:
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
-    def is_interior(self, tol: float = CHAMBER_TOL) -> bool:
+    def is_interior(self) -> bool:
         a = self.rs.active(self.coords)
-        return bool(np.all(a[:-1] - a[1:] > tol))
+        return bool(np.all(a[:-1] - a[1:] > CHAMBER_TOL))
 
 
 def ensure_chamber(rs: RootSystemA, X, *, strict: bool = False) -> np.ndarray:

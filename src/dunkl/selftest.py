@@ -45,20 +45,20 @@ def _check_jacobi():
 def _check_psi0():
     for n, k, X in ((1, 0.5, (1.0, 0.0)), (2, 2.5, (1.3, 0.2, -0.9))):
         rs = rootsys.rootsystem(n, k)
-        kv = spherical.spherical(rs, np.zeros(n + 1), X, with_error=False)
+        kv = spherical.spherical_exact(rs, np.zeros(n + 1), X, with_error=False)
         assert abs(kv.value - 1.0) < 1e-8, f"psi_0 = {kv.value}"
     return "psi_0 == 1 (A_1, A_2)"
 
 
 def _check_oracle_k1():
     rs1 = rootsys.rootsystem(1, 1.0)
-    v = spherical.spherical(rs1, (1.0, 0.0), (1.0, 0.0), with_error=False).value
+    v = spherical.spherical_exact(rs1, (1.0, 0.0), (1.0, 0.0), with_error=False).value
     ref = math.e - 1.0
     assert abs(v / ref - 1.0) < 1e-10
     assert abs(spherical.spherical_oracle_k1(rs1, (1.0, 0.0), (1.0, 0.0)) / ref - 1.0) < 1e-12
     rs2 = rootsys.rootsystem(2, 1.0)
     lam, X = (2.0, 1.0, 0.0), (1.0, 0.0, -1.0)
-    v = spherical.spherical(rs2, lam, X, with_error=False).value
+    v = spherical.spherical_exact(rs2, lam, X, with_error=False).value
     ref = spherical.spherical_oracle_k1(rs2, lam, X)
     assert abs(v / ref - 1.0) < 1e-8
     return "k=1 determinant oracle (A_1, A_2)"

@@ -36,8 +36,7 @@ the right-hand side of the sharp two-sided estimate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ from . import quad
 from .errors import (BudgetExceededError, DegenerateArgumentError, DomainError,
                      EvaluationError)
 from .quad import KernelValue, level_nodes, logsumexp
-from .report import RatioReport, build_ratio_report
+from .report import Kernel, RatioReport
 from .rootsys import RootSystemA, ensure_chamber
 
 DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
@@ -302,20 +301,6 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
     return float(out[0])
 
 
-@dataclass(frozen=True)
-class SphericalParams:
-    """Arguments of psi_lambda(e^X): both in the closed positive chamber."""
-
-    rs: RootSystemA
-    lam: np.ndarray
-    X: np.ndarray
-    plan: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", ensure_chamber(self.rs, self.lam))
-        object.__setattr__(self, "X", self.rs.check_vector(self.X))
-
-
 def refined_plan(n: int, plan: Sequence[int]) -> tuple[int, ...]:
     """The plan an error indicator compares ``plan`` with: every rank doubled
     for n <= 2, only the outermost rank for n >= 3 (inner refinement is
@@ -325,28 +310,24 @@ def refined_plan(n: int, plan: Sequence[int]) -> tuple[int, ...]:
     return (2 * plan[0],) + tuple(plan[1:])
 
 
-def spherical_exact(p: SphericalParams, *, with_error: bool = True) -> KernelValue:
+def spherical_exact(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
+                    *, with_error: bool = True) -> KernelValue:
     """psi_lambda(e^X) by the rank recursion, with a refinement error bar.
 
-    Wall points are evaluated at the collapse-perturbed interior point; the
-    error indicator compares with ``refined_plan``.
+    lambda must lie in the closed chamber.  Wall points X are evaluated at the
+    collapse-perturbed interior point; the error indicator compares with
+    ``refined_plan``.
     """
-    rs = p.rs
-    plan = p.plan if p.plan is not None else default_node_plan(rs.n)
-    X, _ = collapse_walls(rs, p.X)
-    lv = spherical_log(rs, p.lam, X, plan)
+    lam = ensure_chamber(rs, lam)
+    plan = plan if plan is not None else default_node_plan(rs.n)
+    X, _ = collapse_walls(rs, X)
+    lv = spherical_log(rs, lam, X, plan)
     evals = int(_predicted_evals(rs.n, plan))
     if not with_error:
         return quad.refined(lv, lv, evals)
     plan2 = refined_plan(rs.n, plan)
-    return quad.refined(lv, spherical_log(rs, p.lam, X, plan2),
+    return quad.refined(lv, spherical_log(rs, lam, X, plan2),
                         evals + int(_predicted_evals(rs.n, plan2)))
-
-
-def spherical(rs: RootSystemA, lam, X, **kw) -> KernelValue:
-    """Convenience wrapper building SphericalParams."""
-    return spherical_exact(SphericalParams(rs=rs, lam=np.asarray(lam, float),
-                                           X=np.asarray(X, float)), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +413,28 @@ def pairing_sweep_grid(rs: RootSystemA, span: tuple[float, float] = (1e-3, 1e4),
     return pts
 
 
-def spherical_row(rs: RootSystemA, point, plan: Sequence[int] | None = None) -> dict:
-    """One certification row: inputs, log exact/envelope/ratio for (lam, X)."""
-    lam, X = point
-    Xc, _ = collapse_walls(rs, X)
-    lv = spherical_log(rs, lam, Xc, plan)
-    le = log_spherical_envelope(rs, lam, Xc)
-    lam_a, X_a = rs.active(lam), rs.active(Xc)
+def _collapse(rs: RootSystemA, lam, X) -> tuple:
+    """A row at a closed-chamber X is taken at the wall-collapsed X."""
+    return lam, collapse_walls(rs, X)[0]
+
+
+def _pairing_columns(rs: RootSystemA, lam, X) -> dict:
+    lam_a, X_a = rs.active(lam), rs.active(X)
     pairs = [(lam_a[i] - lam_a[j]) * (X_a[i] - X_a[j])
              for i in range(rs.n + 1) for j in range(i + 1, rs.n + 1)]
-    return {
-        "n": rs.n, "k": rs.k,
-        "min_pairing": min(pairs), "max_pairing": max(pairs),
-        "log_exact": lv, "log_envelope": le,
-        "log_ratio": lv - le, "err_indicator": 0.0,
-    }
+    return {"min_pairing": min(pairs), "max_pairing": max(pairs)}
 
 
-def certify_ratio(rs: RootSystemA, points=None, *, plan: Sequence[int] | None = None,
-                  span: tuple[float, float] = (1e-3, 1e4), num: int = 15,
-                  tail_cut: float = 1e2, mapper=map) -> RatioReport:
-    """exact/envelope ratio sweep for psi; drift fitted against the minimum
-    pairing product over its saturated tail (pairing >= tail_cut)."""
-    if points is None:
-        points = pairing_sweep_grid(rs, span=span, num=num)
-    rows = list(mapper(partial(spherical_row, rs, plan=plan), points))
-    return build_ratio_report(f"spherical n={rs.n} k={rs.k}", rows,
-                              drift_key="min_pairing", tail_cut=tail_cut)
+#: psi's certification: drift fitted against the minimum pairing product
+#: over its saturated tail (pairing >= tail_cut)
+KERNEL = Kernel(
+    label="spherical n={rs.n} k={rs.k}", args=("lambda", "X"),
+    grid=pairing_sweep_grid, grid_options={"span": "span", "num": "num"},
+    exact=spherical_exact, log_value=spherical_log,
+    log_envelope=log_spherical_envelope, columns=_pairing_columns,
+    spread_bound=1e3, psi_rows=1, drift_key="min_pairing", canonical=_collapse)
+spherical_row = KERNEL.row
+
+
+def certify_ratio(rs: RootSystemA, points=None, *, tail_cut: float = 1e2, **kw) -> RatioReport:
+    return replace(KERNEL, tail_cut=tail_cut).certify(rs, points, **kw)

@@ -20,41 +20,36 @@ Euclidean stable bound divided by prod (t^{2/s} + |X-Y|^2 + alpha(X)alpha(Y))^k.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, EvaluationError
 from .heatkernel import heat_log_for_times
 from .quad import KernelValue, _ref_legendre, logsumexp, refined
-from .report import RatioReport, build_ratio_report
+from .report import Kernel, RatioReport
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
-from .spherical import default_node_plan
 
 # ---------------------------------------------------------------------------
 # subordinator density
 # ---------------------------------------------------------------------------
 
-_PHI_MESH: dict = {}
-
-
-def _phi_nodes(nodes: int = 12, jmax: int = 42):
-    """Fixed phi-quadrature on (0, pi), dyadically refined toward both ends."""
-    key = (nodes, jmax)
-    if key not in _PHI_MESH:
-        left = [math.pi * 2.0 ** (-j) for j in range(jmax, 1, -1)]
-        right = [math.pi - math.pi * 2.0 ** (-j) for j in range(2, jmax + 1)]
-        bps = np.array(sorted(set([0.0] + left + right + [math.pi])))
-        xr, wr = _ref_legendre(nodes)
-        mid = 0.5 * (bps[:-1] + bps[1:])
-        half = 0.5 * (bps[1:] - bps[:-1])
-        phi = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-        w = (half[:, None] * wr[None, :]).ravel()
-        _PHI_MESH[key] = (phi, w)
-    return _PHI_MESH[key]
+@functools.cache
+def _phi_nodes():
+    """Fixed phi-quadrature on (0, pi): 12 Gauss-Legendre nodes a panel, on
+    panels dyadically refined toward both ends down to pi 2^-42."""
+    left = [math.pi * 2.0 ** (-j) for j in range(42, 1, -1)]
+    right = [math.pi - math.pi * 2.0 ** (-j) for j in range(2, 43)]
+    bps = np.array(sorted(set([0.0] + left + right + [math.pi])))
+    xr, wr = _ref_legendre(12)
+    mid = 0.5 * (bps[:-1] + bps[1:])
+    half = 0.5 * (bps[1:] - bps[:-1])
+    phi = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
+    w = (half[:, None] * wr[None, :]).ravel()
+    return phi, w
 
 
 def _check_su(s: float, t: float):
@@ -120,17 +115,17 @@ def subordinator_density(s: float, t: float, u, method: str = "auto"):
     return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
-def subordinator_inversion(s: float, t: float, u: float,
-                           nodes: int = 16, max_zero_panels: int = 6000) -> float:
+def subordinator_inversion(s: float, t: float, u: float) -> float:
     """The rotated-contour inversion integral, exactly as a Bromwich rotation:
 
         eta_t(u) = (1/pi) int_0^inf e^{-ux - t x^b cos(pi b)}
                                      sin(t x^b sin(pi b)) dx,  b = s/2.
 
-    Panels follow the sine zeros merged with a geometric mesh at the e^{-ux}
-    decay scale.  Raises AccuracyError when float64 cancellation headroom is
-    exhausted (growing envelope for b > 1/2, or the essential singularity at
-    small u where the result is ~e^{-30} below the integrand scale).
+    16-node Gauss-Legendre panels follow the sine zeros (at most 6000) merged
+    with a geometric mesh at the e^{-ux} decay scale.  Raises AccuracyError
+    when float64 cancellation headroom is exhausted (growing envelope for
+    b > 1/2, or the essential singularity at small u where the result is
+    ~e^{-30} below the integrand scale).
     """
     _check_su(s, t)
     if not u > 0:
@@ -155,14 +150,14 @@ def subordinator_inversion(s: float, t: float, u: float,
     while True:
         xm = (m * math.pi / (t * sb)) ** (1.0 / b)
         zeros.append(xm)
-        if (xm > 500.0 / u and m > 4) or m > max_zero_panels:
+        if (xm > 500.0 / u and m > 4) or m > 6000:
             break
         m += 1
     geo = np.geomspace(1e-3 / u, 500.0 / u, 40)
     bps = np.array(sorted({0.0, *zeros, *geo}))
     hi_cut = max(500.0 / u, zeros[min(4, len(zeros) - 1)])
     bps = bps[bps <= hi_cut]
-    xr, wr = _ref_legendre(nodes)
+    xr, wr = _ref_legendre(16)
     total = 0.0
     for lo, hi in zip(bps[:-1], bps[1:]):
         half = 0.5 * (hi - lo)
@@ -183,12 +178,6 @@ class SubordinatorBounds:
         # the bound holds whenever the ratio is finite (0 = deep underflow,
         # where the density sits far below the bound)
         return math.isfinite(self.upper_ratio)
-
-    @property
-    def asymp_ok(self) -> bool | None:
-        if self.asymp_ratio is None:
-            return None
-        return math.isfinite(self.asymp_ratio) and self.asymp_ratio > 0
 
 
 def subordinator_bounds_check(s: float, t: float, u: float) -> SubordinatorBounds:
@@ -253,24 +242,9 @@ def euclid_forms_max_ratio(d: int, s: float) -> float:
 # subordinated kernel and envelope
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StableParams:
-    rs: RootSystemA
-    s: float
-    t: float
-    X: np.ndarray
-    Y: np.ndarray
-    plan: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        _check_su(self.s, self.t)
-        if self.rs.n > 2:
-            raise DomainError("stable_exact restricted to A_1 and A_2 (cost)")
-        object.__setattr__(self, "X", self.rs.check_vector(self.X))
-        object.__setattr__(self, "Y", self.rs.check_vector(self.Y))
-        object.__setattr__(self, "beta", 0.5 * self.s)
-
-    beta: float = 0.0
+#: decades of u/u* the u-rule spans each side of u* = t^{2/s} (``stable_mass``
+#: extends the upper side)
+SPAN_DECADES = 7.0
 
 
 def _u_rule(u_star: float, lo_decades: float, hi_decades: float,
@@ -292,31 +266,41 @@ def _u_rule(u_star: float, lo_decades: float, hi_decades: float,
 
 def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
                plan: Sequence[int] | None = None, nodes: int = 12,
-               panels_per_decade: int = 3, span_decades: float = 7.0) -> float:
+               panels_per_decade: int = 3) -> float:
     """log h_t^W(X,Y) = log int_0^inf p_u^W(X,Y) eta_t(u) du.
 
-    Log-spaced panels on each side of the regime boundary u* = t^{2/s}; the
-    head is killed by the subordinator's essential singularity, the tail by
-    u^{-1-s/2-d/2-gamma} decay.
+    Log-spaced panels on each side of the regime boundary u* = t^{2/s}, over
+    SPAN_DECADES decades each way; the head is killed by the subordinator's
+    essential singularity, the tail by u^{-1-s/2-d/2-gamma} decay.  Raises
+    EvaluationError where the integrand is not finite (the Kanter path as
+    s -> 2).
     """
     _check_su(s, t)
-    u, logw = _u_rule(t ** (2.0 / s), span_decades, span_decades,
+    u, logw = _u_rule(t ** (2.0 / s), SPAN_DECADES, SPAN_DECADES,
                       panels_per_decade, nodes, split=True)
     log_p = heat_log_for_times(rs, u, np.asarray(X, float), np.asarray(Y, float), plan)
     log_eta = subordinator_log_density(s, t, u)
-    return float(logsumexp(logw + log_p + log_eta))
+    out = float(logsumexp(logw + log_p + log_eta))
+    if not math.isfinite(out):
+        raise EvaluationError(f"non-finite stable value {out!r} at s={s:g}, t={t:.6g}",
+                              location=(s, t))
+    return out
 
 
 #: the most heat times (psi rows) one ``stable_log`` call evaluates at its
 #: default rule: the split adds a panel unless a breakpoint already equals u*
-LOG_ROWS = _u_rule(2.0, 7.0, 7.0, 3, 12, split=True)[0].size
+LOG_ROWS = _u_rule(2.0, SPAN_DECADES, SPAN_DECADES, 3, 12, split=True)[0].size
 
 
-def stable_exact(sp: StableParams, *, with_error: bool = True) -> KernelValue:
-    rs = sp.rs
-    plan = sp.plan if sp.plan is not None else default_node_plan(rs.n)
-    lv = stable_log(rs, sp.s, sp.t, sp.X, sp.Y, plan)
-    lv2 = (stable_log(rs, sp.s, sp.t, sp.X, sp.Y, plan, nodes=20, panels_per_decade=4)
+def stable_exact(rs: RootSystemA, s: float, t: float, X, Y,
+                 plan: Sequence[int] | None = None, *,
+                 with_error: bool = True) -> KernelValue:
+    """h_t^W(X,Y) with a u-rule refinement error indicator (n <= 2)."""
+    if rs.n > 2:
+        raise DomainError("stable_exact restricted to A_1 and A_2 (cost)")
+    X = rs.check_vector(X)
+    lv = stable_log(rs, s, t, X, Y, plan)
+    lv2 = (stable_log(rs, s, t, X, Y, plan, nodes=20, panels_per_decade=4)
            if with_error else lv)
     return refined(lv, lv2, evals=0)
 
@@ -354,9 +338,10 @@ def stable_forms_max_log_ratio(rs: RootSystemA) -> float:
     return rs.k * rs.num_positive_roots * math.log(2.0)
 
 
-def stable_sweep_grid(rs: RootSystemA, s: float, num: int = 11,
-                      decades: float = 2.5) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """(t, X, Y) with t^{2/s}/|X-Y|^2 log-spaced across the min-form crossover."""
+def stable_sweep_grid(rs: RootSystemA, s: float, num: int = 11
+                      ) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(t, X, Y) with t^{2/s}/|X-Y|^2 log-spaced over 10^[-2.5, 2.5], across
+    the min-form crossover."""
     m = rs.n + 1
     idx = np.array(rs.active_coords) - 1
     X = np.zeros(rs.coord_len)
@@ -365,34 +350,32 @@ def stable_sweep_grid(rs: RootSystemA, s: float, num: int = 11,
     Y[idx] = np.linspace(1.0, 0.0, m) * 0.6
     r2 = float((X - Y) @ (X - Y))
     pts = []
-    for j in np.linspace(-decades, decades, num):
+    for j in np.linspace(-2.5, 2.5, num):
         t = (r2 * 10.0 ** j) ** (0.5 * s)
         pts.append((float(t), X.copy(), Y.copy()))
     return pts
 
 
-def stable_row(rs: RootSystemA, s: float, point,
-               plan: Sequence[int] | None = None) -> dict:
-    t, X, Y = point
-    lv = stable_log(rs, s, t, X, Y, plan)
-    le = log_stable_envelope(rs, s, t, X, Y)
+def _crossover_columns(rs: RootSystemA, s: float, t: float, X, Y) -> dict:
     r2 = float(((np.asarray(X, float) - np.asarray(Y, float)) ** 2).sum())
-    return {
-        "n": rs.n, "k": rs.k, "s": s, "t": t,
-        "crossover": t ** (2.0 / s) / r2,
-        "regime": "t^(2/s)>=R2" if t ** (2.0 / s) >= r2 else "t^(2/s)<R2",
-        "log_exact": lv, "log_envelope": le, "log_ratio": lv - le,
-        "err_indicator": 0.0,
-    }
+    return {"s": s, "t": t, "crossover": t ** (2.0 / s) / r2,
+            "regime": "t^(2/s)>=R2" if t ** (2.0 / s) >= r2 else "t^(2/s)<R2"}
 
 
-def certify_stable_ratio(rs: RootSystemA, s: float, points=None, *,
-                         plan: Sequence[int] | None = None, num: int = 11,
-                         mapper=map) -> RatioReport:
-    if points is None:
-        points = stable_sweep_grid(rs, s, num=num)
-    rows = list(mapper(partial(stable_row, rs, s, plan=plan), points))
-    return build_ratio_report(f"stable n={rs.n} k={rs.k} s={s}", rows)
+#: h^W over its envelope; ``replace(KERNEL, s=s)`` sweeps one stability index
+KERNEL = Kernel(
+    label="stable n={rs.n} k={rs.k} s={s}", args=("s", "t", "X", "Y"),
+    grid=stable_sweep_grid, grid_options={"num": "num"},
+    exact=stable_exact, log_value=stable_log, log_envelope=log_stable_envelope,
+    columns=_crossover_columns, spread_bound=1e2, psi_rows=LOG_ROWS)
+
+
+def stable_row(rs: RootSystemA, s: float, point, plan: Sequence[int] | None = None) -> dict:
+    return replace(KERNEL, s=s).row(rs, point, plan)
+
+
+def certify_stable_ratio(rs: RootSystemA, s: float, points=None, **kw) -> RatioReport:
+    return replace(KERNEL, s=s).certify(rs, points, **kw)
 
 
 def stable_scaling_residual(rs: RootSystemA, s: float, t: float, X, Y, c: float,
@@ -406,19 +389,18 @@ def stable_scaling_residual(rs: RootSystemA, s: float, t: float, X, Y, c: float,
 
 
 def stable_mass(rs: RootSystemA, s: float, t: float, X,
-                plan: Sequence[int] | None = None, nodes: int = 10,
-                span_decades: float = 7.0) -> float:
+                plan: Sequence[int] | None = None) -> float:
     """|W| int_{a+} h_t^W(X,Y) omega_k(Y) dY; 1 for the true kernel.
 
     The subordinator tail decays only like u^{-1-s/2}, so the upper
     truncation must reach ~10^{6/beta} above t^{2/s} to keep the missing
-    mass below 1e-6.
+    mass below 1e-6.  The u-rule has 10 Gauss-Legendre nodes a panel.
     """
     from .heatkernel import chamber_heat_integral
     _check_su(s, t)
     X = rs.check_vector(np.asarray(X, dtype=float))
-    u, logw = _u_rule(t ** (2.0 / s), span_decades, max(span_decades, 6.0 / (0.5 * s)),
-                      3, nodes)
+    u, logw = _u_rule(t ** (2.0 / s), SPAN_DECADES, max(SPAN_DECADES, 6.0 / (0.5 * s)),
+                      3, 10)
     log_eta = subordinator_log_density(s, t, u)
     log_mass_u = np.array([chamber_heat_integral(rs, [(float(ui), X)], plan=plan)
                            for ui in u])

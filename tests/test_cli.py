@@ -148,7 +148,10 @@ def test_selftest_fault_injection(capsys):
 
 
 def test_console_script_entrypoint():
-    env = dict(os.environ)
+    # the subprocess imports the dunkl this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "dunkl.cli", "eval",
                            "spherical", "--n", "1", "--k", "1",
                            "--lambda", "0,0", "--X", "1,0"],
@@ -287,3 +290,27 @@ def test_eval_takes_exactly_one_k(capsys):
     assert run_cli(["eval", "spherical", "--k", "1,2", "--lambda", "1,0",
                     "--X", "1,0"]) == 2
     assert "exactly one --k" in capsys.readouterr().err
+
+
+def test_certify_non_finite_stable_row_exits_2(capsys):
+    # a non-finite stable row is a typed error, not a NaN handed to the report
+    with np.errstate(all="ignore"):
+        assert run_cli(["certify", "stable", "--s", "1.99", "--num", "3"]) == 2
+    assert "non-finite stable value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spherical", "--span-lo", "-1"], "span must satisfy 0 < lo < hi"),
+    (["spherical", "--span-lo", "0"], "span must satisfy 0 < lo < hi"),
+    (["spherical", "--span-lo", "10", "--span-hi", "1"], "span must satisfy 0 < lo < hi"),
+    (["heat", "--t-span-lo", "0"], "t_span must satisfy 0 < lo < hi"),
+    (["heat", "--t-span-lo", "5", "--t-span-hi", "5"], "t_span must satisfy 0 < lo < hi"),
+    (["heat", "--plan", "0"], "node plan entries must be integers >= 1"),
+    (["spherical", "--plan", "-2"], "node plan entries must be integers >= 1"),
+    (["spherical", "--n", "2", "--plan", "8,0"], "node plan entries must be integers >= 1"),
+])
+def test_certify_span_and_plan_validated(args, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["certify"] + args + ["--num", "3"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dunkl.errors import DomainError
-from dunkl.heatkernel import (HeatParams, c_norm, certify_heat_ratio,
+from dunkl.heatkernel import (c_norm, certify_heat_ratio,
                               chamber_heat_integral, chapman_kolmogorov_check,
                               generator_check, heat_envelope, heat_exact,
                               heat_log, heat_log_for_times, heat_mass,
@@ -35,7 +35,7 @@ def test_heat_positive_t_required():
     with pytest.raises(DomainError):
         heat_log(rs, 0.0, np.zeros(2), np.zeros(2))
     with pytest.raises(DomainError):
-        HeatParams(rs=rs, t=-1.0, X=np.zeros(2), Y=np.zeros(2))
+        heat_exact(rs, -1.0, np.zeros(2), np.zeros(2))
 
 
 def test_mass_identity_grid_a1():

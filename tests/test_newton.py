@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dunkl.errors import DivergentTailError, DomainError, SingularityError
-from dunkl.newton import (NewtonParams, certify_newton_ratio,
+from dunkl.newton import (certify_newton_ratio,
                           homogeneity_residual, log_newton_envelope,
                           newton_envelope_d2_a1, newton_envelope_d2_a2,
                           newton_envelope_d3, newton_exact, newton_log,
@@ -41,7 +41,7 @@ def test_singular_diagonal_raises():
     rs = rootsystem(1, 1.0, d=3)
     X = np.array([1.0, 0.0, 0.5])
     with pytest.raises(SingularityError):
-        NewtonParams(rs=rs, X=X, Y=X)
+        newton_exact(rs, X, X)
     with pytest.raises(SingularityError):
         newton_envelope_d3(rs, X, X)
 
@@ -114,8 +114,7 @@ def test_newton_exact_scaling_a2():
 
 def test_newton_error_indicator():
     rs = rootsystem(1, 1.0, d=3)
-    kv = newton_exact(NewtonParams(rs=rs, X=np.array([1.4, 0.2, 0.3]),
-                                   Y=np.array([1.0, 0.0, 0.1])))
+    kv = newton_exact(rs, np.array([1.4, 0.2, 0.3]), np.array([1.0, 0.0, 0.1]))
     assert kv.rel_err < 1e-3
     assert kv.value > 0
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from dunkl import spherical as sph
 from dunkl.errors import (BudgetExceededError, DegenerateArgumentError,
                           DomainError)
 from dunkl.rootsys import rootsystem
-from dunkl.spherical import (SphericalParams, certify_ratio, collapse_walls,
+from dunkl.spherical import (certify_ratio, collapse_walls,
                              log_spherical_envelope, pairing_sweep_grid,
-                             spherical, spherical_exact, spherical_log,
+                             spherical_exact, spherical_log,
                              spherical_envelope, spherical_oracle_k1)
 
 
@@ -24,13 +25,13 @@ def test_psi_at_lambda_zero_is_one():
     for n, k in ((1, 0.25), (1, 1.0), (2, 0.5), (2, 2.5)):
         rs = rootsystem(n, k)
         X = np.linspace(1.0, -1.0, n + 1) * 1.3
-        kv = spherical(rs, np.zeros(n + 1), X, with_error=False)
+        kv = spherical_exact(rs, np.zeros(n + 1), X, with_error=False)
         assert abs(kv.value - 1.0) < 1e-6
 
 
 def test_a1_k1_closed_value():
     rs = rootsystem(1, 1.0)
-    kv = spherical(rs, (1.0, 0.0), (1.0, 0.0))
+    kv = spherical_exact(rs, (1.0, 0.0), (1.0, 0.0))
     assert abs(kv.value - (math.e - 1.0)) < 1e-9
     assert kv.err < 1e-9
     assert kv.evals > 0
@@ -44,7 +45,7 @@ def test_a2_k1_det_example():
     M = np.exp(np.outer(lam, X))
     direct = 2.0 * np.linalg.det(M) / (2.0 * 2.0)
     assert abs(ref - direct) < 1e-12
-    kv = spherical(rs, lam, X, with_error=False)
+    kv = spherical_exact(rs, lam, X, with_error=False)
     assert abs(kv.value / ref - 1.0) < 1e-8
 
 
@@ -211,8 +212,7 @@ def test_wall_collapse_continuity():
     X_wall = np.array([1.0, 0.3, 0.3])
     Xc, moved = collapse_walls(rs, X_wall)
     assert moved
-    kv = spherical_exact(SphericalParams(rs=rs, lam=lam, X=X_wall),
-                         with_error=False)
+    kv = spherical_exact(rs, lam, X_wall, with_error=False)
     v_eps = spherical_log(rs, lam, np.array([1.0, 0.3 + 1e-6, 0.3 - 1e-6]))
     assert abs(kv.log_value - v_eps) < 1e-4
 
@@ -220,7 +220,7 @@ def test_wall_collapse_continuity():
 def test_chamber_validation_on_params():
     rs = rootsystem(1, 1.0)
     with pytest.raises(DomainError):
-        SphericalParams(rs=rs, lam=np.array([0.0, 1.0]), X=np.array([1.0, 0.0]))
+        spherical_exact(rs, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         spherical_log(rs, (1.0, 0.0), (0.0, 1.0))
 
@@ -252,6 +252,25 @@ def test_certify_single_point_spread_one():
     assert rep.min_ratio > 0
 
 
+def test_certify_wall_point_taken_at_collapsed_x():
+    # a row at a wall X takes value, envelope and pairings at the one
+    # collapsed X, so the drift fit sees a small positive pairing
+    rs = rootsystem(2, 1.0)
+    lam = np.array([3.0, 2.0, 0.0])
+    wall = np.array([1.0, 1.0, 0.0])
+    pts = [(lam, np.array([1.0, 0.5, 0.0])), (100.0 * lam, np.array([1.0, 0.5, 0.0])),
+           (lam, wall)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = certify_ratio(rs, points=pts)
+    row = rep.rows[2]
+    Xc, moved = collapse_walls(rs, wall)
+    assert moved and 0.0 < row["min_pairing"] < 1e-6
+    assert row["log_exact"] == spherical_log(rs, lam, Xc)
+    assert row["log_envelope"] == log_spherical_envelope(rs, lam, Xc)
+    assert rep.count == 3 and rep.slope_full is not None
+
+
 def test_certify_a1_k1_bracket():
     rs = rootsystem(1, 1.0)
     rep = certify_ratio(rs, num=11)
@@ -274,16 +293,15 @@ def test_pairing_grid_spans_requested_range():
 
 def test_error_indicator_present():
     rs = rootsystem(2, 1.0)
-    kv = spherical(rs, (1.0, 0.3, 0.0), (0.8, 0.1, -0.5))
+    kv = spherical_exact(rs, (1.0, 0.3, 0.0), (0.8, 0.1, -0.5))
     assert kv.err >= 0.0
     assert kv.log_value is not None
 
 
 def test_psi0_a3_light_plan():
     rs = rootsystem(3, 0.5)
-    kv = spherical_exact(SphericalParams(rs=rs, lam=np.zeros(4),
-                                         X=np.array([1.5, 0.6, -0.2, -1.1]),
-                                         plan=(12, 10, 10)), with_error=False)
+    kv = spherical_exact(rs, np.zeros(4), np.array([1.5, 0.6, -0.2, -1.1]),
+                         plan=(12, 10, 10), with_error=False)
     assert abs(kv.value - 1.0) < 1e-6
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dunkl.errors import AccuracyError, DomainError
+from dunkl.errors import AccuracyError, DomainError, EvaluationError
 from dunkl.heatkernel import heat_log
 from dunkl.quad import log_panel_integral
 from dunkl.rootsys import rootsystem
-from dunkl.stable import (StableParams, certify_stable_ratio,
+from dunkl.stable import (certify_stable_ratio,
                           euclid_forms_max_ratio, euclid_stable_envelope,
                           euclid_stable_min_form, log_stable_envelope,
                           log_stable_envelope_reflected, stable_exact,
@@ -240,11 +240,17 @@ def test_certify_single_point_and_regimes():
 def test_params_validation():
     rs = rootsystem(1, 1.0)
     with pytest.raises(DomainError):
-        StableParams(rs=rs, s=2.5, t=1.0, X=np.zeros(2), Y=np.zeros(2))
+        stable_exact(rs, 2.5, 1.0, np.zeros(2), np.zeros(2))
     with pytest.raises(DomainError):
-        StableParams(rs=rootsystem(3, 1.0), s=1.0, t=1.0, X=np.zeros(4),
-                     Y=np.zeros(4))
-    kv = stable_exact(StableParams(rs=rs, s=1.0, t=1.0,
-                                   X=np.array([1.0, 0.0]),
-                                   Y=np.array([0.5, 0.1])), with_error=True)
+        stable_exact(rootsystem(3, 1.0), 1.0, 1.0, np.zeros(4), np.zeros(4))
+    kv = stable_exact(rs, 1.0, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]),
+                      with_error=True)
     assert kv.rel_err < 1e-6
+
+
+@pytest.mark.parametrize("s", [1.95, 1.99])
+def test_stable_log_raises_where_kanter_overflows(s):
+    # the Kanter subordinator path overflows as s -> 2: inf at 1.95, nan at 1.99
+    rs = rootsystem(1, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite"):
+        stable_log(rs, s, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]))
