@@ -14,8 +14,11 @@ evaluation paths:
                   stable down to the essential singularity at u -> 0.
 
 ``stable_exact`` integrates heat kernels against eta_t over u with log-spaced
-panels split at the regime boundary u = t^{2/s}; the envelope is the
+panels about the regime boundary u* = t^{2/s}; the envelope is the
 Euclidean stable bound divided by prod (t^{2/s} + |X-Y|^2 + alpha(X)alpha(Y))^k.
+The u-rule is scale free: eta_t(u* v) = f_beta(v) / u* with f_beta = eta_1, so
+the rule is built once in v = u/u* and log f_beta on its nodes is cached per
+(s, rule); each row evaluates only its heat kernels at u = u* v.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ def _check_su(s: float, t: float):
         raise DomainError(f"t must be > 0, got {t}")
 
 
+#: rows of x a block of ``_kanter_logpdf`` sums at once (one 1 MB temporary)
+KANTER_BLOCK = 128
+
+
 def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
     """log density of the standard one-sided beta-stable law at x > 0.
 
@@ -67,23 +74,38 @@ def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
     A(phi) = sin(beta phi)^{beta/(1-beta)} sin((1-beta) phi) sin(phi)^{-1/(1-beta)};
     A is increasing with A(0+) = beta^{beta/(1-beta)} (1-beta), which is
     factored out so the result stays finite in log space for tiny x.
+
+    As beta -> 1 the mesh no longer resolves the integrand and the result
+    turns inf or nan; that is left to the caller's finite check, without
+    floating-point warnings.  The phi sum runs KANTER_BLOCK rows of x at a
+    time, each row summed on its own, so a value does not depend on the
+    other entries of x.
     """
     x = np.asarray(x, dtype=float)
     phi, w = _phi_nodes()
     r = beta / (1.0 - beta)
-    logA = (r * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi))
-            - (1.0 + r) * np.log(np.sin(phi)))
-    A = np.exp(logA)
-    A0 = beta ** r * (1.0 - beta)
-    c = x ** (-r)
-    # A >= A0 = A(0+); rounding can push the difference to ~-1e-16, which a
-    # huge c would blow up into a fake positive exponent.  Overflow of the
-    # product to -inf is harmless under the -745 clamp.
-    with np.errstate(over="ignore"):
-        expo = -c[:, None] * np.maximum(A[None, :] - A0, 0.0)
-    inner = (np.exp(np.maximum(expo, -745.0)) * (w * A)[None, :]).sum(axis=1)
-    return (math.log(beta / (1.0 - beta)) - np.log(x) / (1.0 - beta)
-            - c * A0 + np.log(np.maximum(inner, 1e-300)) - math.log(math.pi))
+    with np.errstate(all="ignore"):
+        logA = (r * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi))
+                - (1.0 + r) * np.log(np.sin(phi)))
+        A = np.exp(logA)
+        A0 = beta ** r * (1.0 - beta)
+        # A >= A0 = A(0+); rounding can push the difference to ~-1e-16, which
+        # a huge c would blow up into a fake positive exponent.  Overflow of
+        # the product to -inf is harmless under the -745 clamp.
+        dA = np.maximum(A - A0, 0.0)
+        wA = w * A
+        c = x ** (-r)
+        inner = np.empty_like(c)
+        buf = np.empty((min(c.size, KANTER_BLOCK), dA.size))
+        for lo in range(0, c.size, KANTER_BLOCK):
+            blk = buf[:c.size - lo]
+            np.multiply(-c[lo:lo + KANTER_BLOCK, None], dA, out=blk)
+            np.maximum(blk, -745.0, out=blk)
+            np.exp(blk, out=blk)
+            blk *= wA
+            inner[lo:lo + KANTER_BLOCK] = blk.sum(axis=1)
+        return (math.log(beta / (1.0 - beta)) - np.log(x) / (1.0 - beta)
+                - c * A0 + np.log(np.maximum(inner, 1e-300)) - math.log(math.pi))
 
 
 def subordinator_log_density(s: float, t: float, u, method: str = "auto") -> np.ndarray:
@@ -242,26 +264,38 @@ def euclid_forms_max_ratio(d: int, s: float) -> float:
 # subordinated kernel and envelope
 # ---------------------------------------------------------------------------
 
-#: decades of u/u* the u-rule spans each side of u* = t^{2/s} (``stable_mass``
-#: extends the upper side)
+#: decades of v = u/u* the u-rule spans each side of u* = t^{2/s}
+#: (``stable_mass`` extends the upper side)
 SPAN_DECADES = 7.0
 
 
-def _u_rule(u_star: float, lo_decades: float, hi_decades: float,
-            panels_per_decade: float, nodes: int, split: bool = False):
-    """Gauss-Legendre nodes u and log-weights on log-spaced panels over
-    [u* 10^-lo_decades, u* 10^hi_decades], at least 4 panels; ``split``
-    makes u* a breakpoint too."""
+def _u_rule(lo_decades: float, hi_decades: float, panels_per_decade: float,
+            nodes: int):
+    """The u-rule at u* = 1: Gauss-Legendre nodes v and log-weights on
+    log-spaced panels over [10^-lo_decades, 10^hi_decades], at least 4
+    panels.  On the symmetric spans of ``stable_log`` the panel count is
+    even, so v = 1 (u = u*) is a breakpoint."""
     n_pan = max(4, int(panels_per_decade * (lo_decades + hi_decades)))
-    bps = np.geomspace(u_star * 10.0 ** (-lo_decades), u_star * 10.0 ** hi_decades,
-                       n_pan + 1)
-    if split:
-        bps = np.unique(np.concatenate([bps, [u_star]]))
+    bps = np.geomspace(10.0 ** (-lo_decades), 10.0 ** hi_decades, n_pan + 1)
     xr, wr = _ref_legendre(nodes)
     mid = 0.5 * (bps[:-1] + bps[1:])
     half = 0.5 * (bps[1:] - bps[:-1])
-    u = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    return u, np.log((half[:, None] * wr[None, :]).ravel())
+    v = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
+    return v, np.log((half[:, None] * wr[None, :]).ravel())
+
+
+@functools.lru_cache(maxsize=64)
+def _scale_free_rule(s: float, lo_decades: float, hi_decades: float,
+                     panels_per_decade: float, nodes: int):
+    """The u-rule at u* = 1 with log f_beta(v) = log eta_1(v) on its nodes,
+    as read-only arrays (v, log w_v, log f_beta).  For every t,
+    eta_t(u* v) = f_beta(v) / u* with u* = t^{2/s}, so one evaluation of the
+    subordinator per (s, rule) serves every row."""
+    v, log_w = _u_rule(lo_decades, hi_decades, panels_per_decade, nodes)
+    log_f = subordinator_log_density(s, 1.0, v)
+    for a in (v, log_w, log_f):
+        a.flags.writeable = False
+    return v, log_w, log_f
 
 
 def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
@@ -269,27 +303,29 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
                panels_per_decade: int = 3) -> float:
     """log h_t^W(X,Y) = log int_0^inf p_u^W(X,Y) eta_t(u) du.
 
-    Log-spaced panels on each side of the regime boundary u* = t^{2/s}, over
-    SPAN_DECADES decades each way; the head is killed by the subordinator's
-    essential singularity, the tail by u^{-1-s/2-d/2-gamma} decay.  Raises
+    Log-spaced panels over SPAN_DECADES decades each side of the regime
+    boundary u* = t^{2/s}, one of their breakpoints; the head is killed by
+    the subordinator's essential singularity, the tail by
+    u^{-1-s/2-d/2-gamma} decay.  The rule is the cached scale-free one:
+    u = u* v, log w = log w_v + log u* and log eta_t(u) = log f_beta(v) -
+    log u*, so the two log u* terms cancel in the sum.  Raises
     EvaluationError where the integrand is not finite (the Kanter path as
     s -> 2).
     """
     _check_su(s, t)
-    u, logw = _u_rule(t ** (2.0 / s), SPAN_DECADES, SPAN_DECADES,
-                      panels_per_decade, nodes, split=True)
-    log_p = heat_log_for_times(rs, u, np.asarray(X, float), np.asarray(Y, float), plan)
-    log_eta = subordinator_log_density(s, t, u)
-    out = float(logsumexp(logw + log_p + log_eta))
+    v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES, SPAN_DECADES,
+                                       panels_per_decade, nodes)
+    log_p = heat_log_for_times(rs, t ** (2.0 / s) * v, np.asarray(X, float),
+                               np.asarray(Y, float), plan)
+    out = float(logsumexp(log_w + log_p + log_f))
     if not math.isfinite(out):
         raise EvaluationError(f"non-finite stable value {out!r} at s={s:g}, t={t:.6g}",
                               location=(s, t))
     return out
 
 
-#: the most heat times (psi rows) one ``stable_log`` call evaluates at its
-#: default rule: the split adds a panel unless a breakpoint already equals u*
-LOG_ROWS = _u_rule(2.0, SPAN_DECADES, SPAN_DECADES, 3, 12, split=True)[0].size
+#: heat times (psi rows) one ``stable_log`` call evaluates at its default rule
+LOG_ROWS = _u_rule(SPAN_DECADES, SPAN_DECADES, 3, 12)[0].size
 
 
 def stable_exact(rs: RootSystemA, s: float, t: float, X, Y,
@@ -394,14 +430,15 @@ def stable_mass(rs: RootSystemA, s: float, t: float, X,
 
     The subordinator tail decays only like u^{-1-s/2}, so the upper
     truncation must reach ~10^{6/beta} above t^{2/s} to keep the missing
-    mass below 1e-6.  The u-rule has 10 Gauss-Legendre nodes a panel.
+    mass below 1e-6.  The u-rule is the cached scale-free one of
+    ``stable_log`` over that span, with 10 Gauss-Legendre nodes a panel.
     """
     from .heatkernel import chamber_heat_integral
     _check_su(s, t)
     X = rs.check_vector(np.asarray(X, dtype=float))
-    u, logw = _u_rule(t ** (2.0 / s), SPAN_DECADES, max(SPAN_DECADES, 6.0 / (0.5 * s)),
-                      3, 10)
-    log_eta = subordinator_log_density(s, t, u)
-    log_mass_u = np.array([chamber_heat_integral(rs, [(float(ui), X)], plan=plan)
-                           for ui in u])
-    return float(np.exp(logsumexp(logw + log_eta + log_mass_u)))
+    u_star = t ** (2.0 / s)
+    v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES,
+                                       max(SPAN_DECADES, 6.0 / (0.5 * s)), 3, 10)
+    log_mass_u = np.array([chamber_heat_integral(rs, [(u_star * float(vi), X)], plan=plan)
+                           for vi in v])
+    return float(np.exp(logsumexp(log_w + log_f + log_mass_u)))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dunkl.errors import AccuracyError, DomainError, EvaluationError
-from dunkl.heatkernel import heat_log
-from dunkl.quad import log_panel_integral
+from dunkl.heatkernel import heat_log, heat_log_for_times
+from dunkl.quad import log_panel_integral, logsumexp
 from dunkl.rootsys import rootsystem
-from dunkl.stable import (certify_stable_ratio,
+from dunkl.stable import (KANTER_BLOCK, LOG_ROWS, SPAN_DECADES, _kanter_logpdf,
+                          _scale_free_rule, _u_rule, certify_stable_ratio,
                           euclid_forms_max_ratio, euclid_stable_envelope,
                           euclid_stable_min_form, log_stable_envelope,
                           log_stable_envelope_reflected, stable_exact,
@@ -195,15 +196,21 @@ def test_dual_path_consistency_s1():
 
     import dunkl.stable as st
     orig = st.subordinator_log_density
+    methods = []
 
     def kanter_only(s, tt, u, method="auto"):
+        methods.append("kanter")
         return orig(s, tt, u, method="kanter")
 
+    # the cached rule would otherwise answer without calling the density
+    st._scale_free_rule.cache_clear()
     st.subordinator_log_density = kanter_only
     try:
         alt = stable_log(rs, 1.0, t, X, Y)
     finally:
         st.subordinator_log_density = orig
+        st._scale_free_rule.cache_clear()
+    assert methods == ["kanter"]
     assert abs(math.expm1(base - alt)) < 1e-6
 
 
@@ -254,3 +261,57 @@ def test_stable_log_raises_where_kanter_overflows(s):
     rs = rootsystem(1, 1.0)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite"):
         stable_log(rs, s, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1.0), (2, 0.5)])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 1.9])
+def test_stable_log_equals_direct_sum(n, k, s):
+    # the cached scale-free rule against the subordinator evaluated at u = u* v
+    rs = rootsystem(n, k)
+    v, log_w, _ = _scale_free_rule(s, SPAN_DECADES, SPAN_DECADES, 3, 12)
+    X = np.array([1.0, 0.0, -1.0][:n + 1]) * 0.7 + 0.4
+    Y = np.array([0.5, 0.1, -0.3][:n + 1])
+    for t in (1e-3, 1.0, 1e3):
+        u_star = t ** (2.0 / s)
+        u = u_star * v
+        direct = float(logsumexp(log_w + math.log(u_star)
+                                 + heat_log_for_times(rs, u, X, Y)
+                                 + subordinator_log_density(s, t, u)))
+        assert abs(stable_log(rs, s, t, X, Y) - direct) <= 1e-13
+
+
+def test_scale_free_rule_cold_equals_warm_and_is_read_only():
+    rs = rootsystem(1, 1.0)
+    X, Y = np.array([1.0, 0.0]), np.array([0.5, 0.1])
+    _scale_free_rule.cache_clear()
+    cold = stable_log(rs, 1.5, 0.7, X, Y)
+    warm = stable_log(rs, 1.5, 0.7, X, Y)
+    assert cold == warm
+    assert _scale_free_rule.cache_info().hits >= 1
+    for a in _scale_free_rule(1.5, SPAN_DECADES, SPAN_DECADES, 3, 12):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_kanter_blocks_equal_elementwise_calls():
+    x = np.geomspace(1e-3, 1e4, 3 * KANTER_BLOCK + 17)
+    for beta in (0.25, 0.75):
+        whole = _kanter_logpdf(beta, x)
+        single = np.array([_kanter_logpdf(beta, x[i:i + 1])[0] for i in range(x.size)])
+        assert np.array_equal(whole, single)
+
+
+@pytest.mark.parametrize("nodes, panels_per_decade", [(12, 3), (20, 4)])
+def test_v_rule_has_log_rows_nodes_and_a_breakpoint_at_one(nodes, panels_per_decade):
+    v, log_w = _u_rule(SPAN_DECADES, SPAN_DECADES, panels_per_decade, nodes)
+    assert v.size == log_w.size == panels_per_decade * 14 * nodes
+    if (nodes, panels_per_decade) == (12, 3):
+        assert v.size == LOG_ROWS == 504
+    assert np.all(np.isfinite(log_w))
+    panels = v.reshape(-1, nodes)
+    assert np.all(np.diff(panels[:, 0]) > 0)
+    # u = u* is a breakpoint: the middle panel boundary sits at v = 1
+    half = panels.shape[0] // 2
+    assert panels[half - 1, -1] < 1.0 < panels[half, 0]
+    assert abs(np.exp(log_w[:half * nodes]).sum() - (1.0 - 1e-7)) < 1e-14
