@@ -18,14 +18,17 @@ absorb the adjacent (k-1)-power factors into Jacobi weights, switching to
 the exponential substitution rule once the level's tilt is too steep for a
 polynomial rule.
 
-The rank-1 level, where almost all nodes live, is fused: instead of
-building log-weights and a log-sum-exp per node, it sums the same level rule
-directly, ``_RANK1_BLOCK`` rows at a time.  A Jacobi row is the weighted
-mean of e^{mu y} over the nodes, taken relative to its cold end; a tilted row
-cancels the Laguerre weight's e^{s} against e^{mu y} analytically and sums
-w_j (1 - s_j/|u|)^{k-1} over the kept nodes.  The nodes still pass through
-the single-coordinate terminal case, so the evaluation count stays the node
-product of the plan.
+The rank-1 level, where almost all nodes live, is evaluated on the whole
+grid of the rank-2 level above it (``_rank1_grid``), without per-node
+log-weights or a log-sum-exp.  A Jacobi row is the weighted mean of e^{mu y}
+over its nodes, and e^{mu y} splits into a factor along y_1 and one along
+y_2, so the Jacobi rows of one rank-2 row are a small matrix product of two
+factor grids; only these grids pass through the single-coordinate terminal
+case, which makes the evaluation count 2 Q_{n-2} Q_{n-1} per rank-2 row
+(``_predicted_evals``).  A tilted row cancels the Laguerre weight's e^{s}
+against e^{mu y} analytically and sums w_j (1 - s_j/|u|)^{k-1} over the kept
+nodes, a block of rows at a time.  When all entries of lambda are equal,
+psi_lambda(e^X) = e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
@@ -53,8 +56,8 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 
 #: batch rows are chunked so the innermost tensors stay ~tens of MB
 _CHUNK = 400_000
-#: rows per block of the fused rank-1 level: numpy's per-call cost is spread
-#: over many nodes, and at 16 nodes a block's 0.5 MB work arrays stay in L2
+#: tilted rank-1 pairs per block: numpy's per-call cost is spread over many
+#: nodes, and at 16 nodes a block's 0.5 MB work arrays stay in L2
 _RANK1_BLOCK = 4096
 
 
@@ -66,12 +69,19 @@ def default_node_plan(n: int) -> tuple[int, ...]:
 
 
 def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
+    """Terminal evaluations the recursion makes for ``batch`` rank-m rows.
+
+    Each level of rank >= 3 multiplies the rows by its grid, Q_d^(m-d); each
+    rank-2 row then evaluates its rank-1 level on two factor grids,
+    2 Q_{m-2} Q_{m-1} terminal rows, and an A_1 row on 2 Q.
+    """
+    def q(depth):
+        return plan[min(depth, len(plan) - 1)]
+
     total = float(batch)
-    prod = 1.0
-    for depth in range(m):
-        q = plan[min(depth, len(plan) - 1)]
-        prod *= q ** (m - depth)
-    return total * prod
+    for depth in range(m - 2):
+        total *= q(depth) ** (m - depth)
+    return total * 2 * q(m - 1) * (q(m - 2) if m >= 2 else 1)
 
 
 def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
@@ -103,81 +113,87 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
 # the recursion (batched, log space)
 # ---------------------------------------------------------------------------
 
-def _rank1_jacobi(k, lam0, lo, hi, y, counter):
-    """log psi_{(mu, 0)}(e^X) on rows with |u| <= switch, by the Jacobi rule.
+def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                c: np.ndarray, Q: int, counter: list) -> np.ndarray:
+    """log psi_lam(e^{(hi_i, lo_j)}) for A_1, at every pair of one rank-2 grid.
 
-    The rule's constant Gamma(2k)/Gamma(k)^2 L^{1-2k} half^{2k-1} is 1/sum(w),
-    so with normalised weights the value is the weighted mean of e^{mu y}:
-    shift + log1p(w @ (exp(mu y - shift) - 1)), shift = mu y at the cold-end
-    node.  Every term is >= 0, and mu = 0 gives exactly 0.  ``y`` is a
-    (nodes, rows) work array that receives the nodes.
-    """
-    Q = y.shape[0]
-    x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
-    np.multiply.outer(x, 0.5 * (hi - lo), out=y)
-    y += 0.5 * (hi + lo)
-    t = _log_psi(k, lam0, y.reshape(-1, 1), (Q,), counter).reshape(y.shape)
-    shift = t[0 if lam0[0] >= 0 else -1].copy()
-    t -= shift
-    np.exp(t, out=t)
-    t -= 1.0
-    return shift + np.log1p((w / w.sum()) @ t)
+    ``hi`` (B, I) and ``lo`` (B, J) hold the coordinates of each row b, with
+    lo[b] <= c[b] <= hi[b]; the result has shape (B, I, J).  psi factors as
+    e^{l2 (hi+lo)} psi_{(mu, 0)}, mu = l1 - l2, and the second factor is
+    the rule ``level_nodes`` builds for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy.
 
-
-def _rank1_tilted(k, lam0, lo, hi, y, counter):
-    """log psi_{(mu, 0)}(e^X) on rows with |u| > switch, by the tilted rule.
-
-    The rule's nodes are y = hot -+ s_j/|mu|.  The e^{s} in its log-weight
-    cancels e^{mu y} = e^{mu hot - s}, which leaves
+    A Jacobi pair (|u| = |mu| (hi - lo) <= min(TILT_SWITCH, 2Q)) is the
+    weighted mean of e^{mu y_q} over its nodes y_q = hi p_q + lo (1 - p_q),
+    and e^{mu (y_q - c)} = e^{mu (hi - c) p_q} e^{mu (lo - c)(1 - p_q)}, so
+    the pairs of row b are the (I, Q) diag(w) (Q, J) product of two factor
+    grids: (I + J) Q terminal evaluations instead of I J Q.  Each factor's
+    exponent is at most |u|, so one that over- or underflows feeds only
+    tilted pairs.  A tilted pair cancels the Laguerre weight's e^{s} against
+    e^{mu y} analytically:
     log Gamma(2k)/Gamma(k)^2 + mu hot - k log|u| + log sum_j w_j (1 - s_j/|u|)^{k-1}
-    over the nodes ``level_nodes`` keeps (s_j < DROP_FRAC |u|).  ``y`` is a
-    (nodes, rows) work array that receives the nodes.
+    over the nodes ``level_nodes`` keeps (s_j < DROP_FRAC |u|), summed
+    ``_RANK1_BLOCK`` pairs at a time.  Both kinds hold log psi_{(mu, 0)} - mu c
+    until mu c + l2 (hi + lo) is added to every pair; mu = 0 gives exactly
+    l2 (hi + lo).
     """
-    Q = y.shape[0]
-    s, w = quad._ref_genlaguerre(Q, k - 1.0)
-    mu = float(lam0[0])
-    u = abs(mu) * (hi - lo)
-    hot = hi if mu > 0 else lo
-    np.add.outer(-math.copysign(1.0, mu) * s / abs(mu), hot, out=y)
-    g = _log_psi(k, lam0, y.reshape(-1, 1), (Q,), counter).reshape(y.shape)
-    np.multiply.outer(s, -1.0 / u, out=g)  # the terminal values only count nodes
-    g += 1.0
-    np.maximum(g, 1e-300, out=g)  # dropped nodes may reach <= 0; masked below
-    np.log(g, out=g)
-    g *= k - 1.0
-    np.exp(g, out=g)
-    kept = np.searchsorted(s, quad.DROP_FRAC * u)  # nodes with s_j < DROP_FRAC u
-    if kept.min() < Q:
-        g *= np.arange(Q)[:, None] < kept
-    logpref = float(gammaln(2 * k) - 2 * gammaln(k))
-    return logpref + mu * hot - k * np.log(u) + np.log(w @ g)
+    B, I, J = hi.shape[0], hi.shape[1], lo.shape[1]
+    mu = float(lam[0] - lam[1])
+    x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
+    p = 0.5 * (1.0 + x)
+    # the terminal case on the factor grids, laid out (Q, B, I) and (Q, B, J)
+    term = np.array([mu])
+    fa = _log_psi(k, term, np.multiply.outer(p, hi - c[:, None]).reshape(-1, 1),
+                  (Q,), counter).reshape(Q, B, I)
+    fb = _log_psi(k, term, np.multiply.outer(1.0 - p, lo - c[:, None]).reshape(-1, 1),
+                  (Q,), counter).reshape(Q, B, J)
+    if mu == 0.0:
+        return lam[1] * (hi[:, :, None] + lo[:, None, :])
+    switch = min(quad.TILT_SWITCH, 2.0 * Q)
+    tilted = None
+    if abs(mu) * (hi.max() - lo.min()) > switch:  # else no pair is tilted
+        u = hi[:, :, None] - lo[:, None, :]
+        u *= abs(mu)
+        tilted = u > switch
+    if tilted is None or not tilted.all():
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.exp(fa, out=fa)
+            fa *= (w / w.sum())[:, None, None]
+            np.exp(fb, out=fb)
+            out = np.matmul(fa.transpose(1, 2, 0), fb.transpose(1, 0, 2))
+            np.log(out, out=out)
+    else:
+        out = np.empty((B, I, J))
+    del fa, fb
 
-
-def _rank1_level(k: float, lam: np.ndarray, X: np.ndarray, Q: int,
-                 counter: list) -> np.ndarray:
-    """log psi for A_1 rows: one fused, row-blocked pass of the level rule.
-
-    psi_lambda(e^X) = e^{l2 (x1+x2)} psi_{(mu, 0)}(e^X), mu = l1 - l2, and the
-    second factor is the rule ``level_nodes`` builds for
-    int_{x2}^{x1} e^{mu y} ((x1-y)(y-x2))^{k-1} dy, summed in blocks of
-    ``_RANK1_BLOCK`` rows without log-weights.  Every node still goes through
-    the terminal case of ``_log_psi``, so ``counter`` grows by B*Q.
-    """
-    B = X.shape[0]
-    lam0 = lam[:1] - lam[1]
-    lo, hi = X[:, 1], X[:, 0]
-    tilted = abs(float(lam0[0])) * (hi - lo) > min(quad.TILT_SWITCH, 2.0 * Q)
-    out = np.empty(B)
-    work = np.empty(Q * min(B, _RANK1_BLOCK))  # the nodes of one block, (Q, rows)
-    for level, rows in ((_rank1_jacobi, ~tilted), (_rank1_tilted, tilted)):
-        idx = np.flatnonzero(rows)
+    if tilted is not None:
+        # log psi_{(mu, 0)} - mu c at the tilted pairs, blocks of _RANK1_BLOCK
+        s, wl = quad._ref_genlaguerre(Q, k - 1.0)
+        logpref = float(gammaln(2 * k) - 2 * gammaln(k))
+        hot = (hi if mu > 0 else lo) - c[:, None]
+        idx = np.flatnonzero(tilted)
         for start in range(0, idx.size, _RANK1_BLOCK):
             sel = idx[start:start + _RANK1_BLOCK]
-            y = work[:Q * sel.size].reshape(Q, sel.size)
-            if idx.size == B:  # all rows of one kind: slice, no gather
-                sel = slice(start, start + sel.size)
-            out[sel] = level(k, lam0, lo[sel], hi[sel], y, counter)
-    return lam[1] * (lo + hi) + out
+            bi, j = np.divmod(sel, J)  # bi = b I + i
+            ub = u.reshape(-1)[sel]
+            g = np.multiply.outer(s, -1.0 / ub)
+            g += 1.0
+            drop = quad.DROP_FRAC * ub.min() <= s[-1]
+            if drop:
+                np.maximum(g, 1e-300, out=g)  # dropped nodes may reach <= 0
+            np.log(g, out=g)
+            g *= k - 1.0
+            np.exp(g, out=g)
+            g *= np.where(s[:, None] < quad.DROP_FRAC * ub, wl[:, None], 0.0) if drop \
+                else wl[:, None]
+            # numpy sums the columns of a block in node order but a lone column
+            # pairwise; cumsum keeps node order, so no pair's bits depend on
+            # the size of its block
+            total = g.sum(axis=0) if sel.size > 1 else np.cumsum(g, axis=0)[-1]
+            hot_c = hot.reshape(-1)[bi if mu > 0 else bi // I * J + j]
+            np.put(out, sel, logpref + mu * hot_c - k * np.log(ub) + np.log(total))
+    out += (lam[1] * hi + mu * c[:, None])[:, :, None]
+    out += (lam[1] * lo)[:, None, :]
+    return out
 
 
 def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
@@ -231,8 +247,6 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     if m == 0:
         counter[0] += B
         return lam[0] * X[:, 0]
-    if m == 1:
-        return _rank1_level(k, lam, X, plan[0], counter)
     Q = plan[0]
     P = Q ** m
     if B * P > _CHUNK and B > 1:
@@ -242,6 +256,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
             if len(sl):
                 out[sl] = _log_psi(k, lam, X[sl], plan, counter)
         return out
+    if m == 1:  # A_1 rows: a 1 x 1 grid
+        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], X[:, 1], Q, counter).reshape(B)
 
     lam0 = lam[:m] - lam[m]
     mu = np.sort(lam0)[::-1]  # slope seen by y_i once Y is sorted decreasing
@@ -253,12 +269,16 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     base_term = lam[m] * X.sum(axis=1) + (1 - 2 * k) * logpi
 
     ygrids, logf = interlacing_grid(k, X, mu, Q)
-    Y = np.empty((B,) + (Q,) * m + (m,))
-    for i in range(m):
-        Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
     inner_plan = plan[1:] if len(plan) > 1 else plan
-    inner = _log_psi(k, lam0, Y.reshape(-1, m), inner_plan, counter)
-    logf = logf + inner.reshape((B,) + (Q,) * m)
+    if m == 2:
+        logf += _rank1_grid(k, lam0, ygrids[0].reshape(B, Q), ygrids[1].reshape(B, Q),
+                            X[:, 1], inner_plan[0], counter)
+    else:
+        Y = np.empty((B,) + (Q,) * m + (m,))
+        for i in range(m):
+            Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
+        logf += _log_psi(k, lam0, Y.reshape(-1, m), inner_plan,
+                         counter).reshape(logf.shape)
     return logpref + base_term + logsumexp(logf.reshape(B, -1), axis=1)
 
 
@@ -286,13 +306,15 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
         raise BudgetExceededError(
             f"recursion needs ~{predicted:.3g} evaluations, cap is "
             f"{quad.budget_cap():.3g} (set DUNKL_BUDGET to raise)")
-    counter = [0]
-    out = _log_psi(rs.k, lam_a, rows_a, plan, counter)
-    # inactive coordinates contribute the plain pairing exponential
-    if rs.coord_len > rs.n + 1:
-        mask = np.ones(rs.coord_len, dtype=bool)
-        mask[idx] = False
-        out = out + rows[:, mask] @ lam[mask]
+    if np.all(lam_a == lam_a[0]):
+        out = rows @ lam  # psi_lambda(e^X) = e^{lambda_1 sum x}, exactly
+    else:
+        out = _log_psi(rs.k, lam_a, rows_a, plan, [0])
+        # inactive coordinates contribute the plain pairing exponential
+        if rs.coord_len > rs.n + 1:
+            mask = np.ones(rs.coord_len, dtype=bool)
+            mask[idx] = False
+            out = out + rows[:, mask] @ lam[mask]
     if not np.all(np.isfinite(out)):
         bad = rows[int(np.where(~np.isfinite(out))[0][0])]
         raise EvaluationError("non-finite spherical value", location=tuple(bad))

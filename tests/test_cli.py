@@ -34,6 +34,14 @@ def test_eval_lambda_zero(capsys):
     assert abs(float(out.splitlines()[0].split(" = ")[1]) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("n,k,X", [(2, "0.25", "1.3,0,-1.3"),
+                                   (3, "0.5", "1.5,0.6,-0.2,-1.1")])
+def test_eval_lambda_zero_is_exactly_one(n, k, X, capsys):
+    assert run_cli(["eval", "spherical", "--n", str(n), "--k", k,
+                    "--lambda", ",".join(["0"] * (n + 1)), "--X", X]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value = 1"
+
+
 def test_eval_malformed_vector_exits_2(capsys):
     assert run_cli(["eval", "spherical", "--n", "1", "--k", "1",
                     "--lambda", "1,0", "--X", "1,zz"]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, hyp1f1, ive
 
+from dunkl import quad
 from dunkl import spherical as sph
 from dunkl.errors import (BudgetExceededError, DegenerateArgumentError,
                           DomainError)
@@ -26,7 +27,7 @@ def test_psi_at_lambda_zero_is_one():
         rs = rootsystem(n, k)
         X = np.linspace(1.0, -1.0, n + 1) * 1.3
         kv = spherical_exact(rs, np.zeros(n + 1), X, with_error=False)
-        assert abs(kv.value - 1.0) < 1e-6
+        assert kv.value == 1.0
 
 
 def test_a1_k1_closed_value():
@@ -164,10 +165,13 @@ def test_a2_argument_swap_at_k_not_one():
     (1, (48,), 5000),
     (2, (32, 24), 500),
     (3, (6, 6, 6), 2000),
+    (2, (12, 16), 3000),
 ])
 def test_counter_equals_predicted_evals(n, plan, rows):
-    # the counter the recursion fills is the node product, also when a batch
-    # is chunked or split into rank-1 blocks and when rows are tilted
+    # the counter the recursion fills is its terminal evaluations, also when
+    # a batch is chunked or split into rank-1 blocks and when rows are tilted;
+    # the A_2 rank-1 pairs mix Jacobi, tilted and node-dropping ones, and
+    # (12, 16) puts a rank-2 grid coarser than the rank-1 rule over them
     rng = np.random.default_rng(n)
     gaps = rng.uniform(0.05, 1.0, size=(rows, n))
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
@@ -177,6 +181,84 @@ def test_counter_equals_predicted_evals(n, plan, rows):
     out = sph._log_psi(0.7, lam, X, plan, counter)
     assert np.all(np.isfinite(out))
     assert counter[0] == sph._predicted_evals(n, plan, batch=rows)
+
+
+def rank1_row_reference(k, lam, hi, lo, Q):
+    """log psi_lam(e^{(hi, lo)}) on A_1 by the per-row level rule: the
+    weighted mean of e^{mu y} over the Jacobi nodes, taken relative to its
+    cold end, or the tilted Laguerre sum over the kept nodes."""
+    mu = lam[0] - lam[1]
+    u = abs(mu) * (hi - lo)
+    if u <= min(quad.TILT_SWITCH, 2.0 * Q):
+        x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
+        t = mu * (0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
+        shift = t[0 if mu >= 0 else -1]
+        val = shift + math.log1p((w / w.sum()) @ np.expm1(t - shift))
+    else:
+        s, w = quad._ref_genlaguerre(Q, k - 1.0)
+        kept = s < quad.DROP_FRAC * u
+        g = (1.0 - s[kept] / u) ** (k - 1.0)
+        val = (gammaln(2 * k) - 2 * gammaln(k) + mu * (hi if mu > 0 else lo)
+               - k * math.log(u) + math.log(w[kept] @ g))
+    return lam[1] * (hi + lo) + val
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
+@pytest.mark.parametrize("mu", [-23.0, 17.0])
+def test_rank1_grid_matches_per_row_rule(k, mu):
+    # random rank-2 grids whose pairs mix Jacobi rows, tilted rows and tilted
+    # rows that drop nodes
+    rng = np.random.default_rng(int(10 * k) + (mu > 0))
+    B, I, J, Q = 3, 7, 5, 16
+    c = rng.uniform(-1.0, 1.0, B)
+    hi = c[:, None] + rng.uniform(0.0, 2.5, (B, I))
+    lo = c[:, None] - rng.uniform(0.0, 2.5, (B, J))
+    lam = np.array([mu + 0.4, 0.4])
+    got = sph._rank1_grid(k, lam, hi, lo, c, Q, [0])
+    u = abs(mu) * (hi[:, :, None] - lo[:, None, :])
+    tilted = u > min(quad.TILT_SWITCH, 2.0 * Q)
+    drops = quad.DROP_FRAC * u <= quad._ref_genlaguerre(Q, k - 1.0)[0][-1]
+    assert (~tilted).any() and (tilted & drops).any() and (tilted & ~drops).any()
+    for b, i, j in np.ndindex(got.shape):
+        ref = rank1_row_reference(k, lam, hi[b, i], lo[b, j], Q)
+        assert abs(got[b, i, j] - ref) <= 1e-13 * max(1.0, abs(ref)), (b, i, j)
+
+
+def test_rank1_grid_overflowing_factors_raise_no_warning():
+    # at pairing 1e4 the factor e^{mu (y1 - x2) p_q} of an A_2 row overflows;
+    # it feeds only tilted pairs, which the Laguerre sum overwrites, also when
+    # the batch holds a row whose pairs take the product (pairing 1)
+    rs = rootsystem(2, 0.5)
+    lam, X = pairing_sweep_grid(rs, span=(1e-3, 1e4), num=3)[-1]
+    assert (lam[0] - lam[1]) * (X[0] - X[1]) > 2000.0
+    rows = np.stack([X, 1e-4 * X])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = spherical_log(rs, lam, rows, batch=True)
+        alone = [spherical_log(rs, lam, x) for x in rows]
+        swapped = spherical_log(rs, X, lam)
+    assert np.all(np.isfinite(both)) and list(both) == alone
+    assert abs(both[0] - swapped) < 1e-9 * abs(both[0])
+
+
+@pytest.mark.parametrize("n,rows,lam", [
+    (1, 9000, (31.0, 0.0)),
+    (2, 700, (60.0, 20.0, 0.0)),
+])
+def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
+    # one row alone and inside a chunked batch of random rows gives the same
+    # bits (no reduction order depends on the block or chunk a row sits in);
+    # the rank-1 pairs mix Jacobi and tilted ones
+    rs = rootsystem(n, 0.6)
+    rng = np.random.default_rng(7)
+    X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
+    assert rows * sph.default_node_plan(n)[0] ** n > sph._CHUNK
+    batch = spherical_log(rs, np.array(lam), X, batch=True)
+    tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0  # tilted rows on A_1
+    picks = np.concatenate([np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4],
+                            [rows // 3, rows - 1]])
+    for r in picks:
+        assert batch[r] == spherical_log(rs, np.array(lam), X[r]), r
 
 
 def test_envelope_values():
@@ -302,7 +384,7 @@ def test_psi0_a3_light_plan():
     rs = rootsystem(3, 0.5)
     kv = spherical_exact(rs, np.zeros(4), np.array([1.5, 0.6, -0.2, -1.1]),
                          plan=(12, 10, 10), with_error=False)
-    assert abs(kv.value - 1.0) < 1e-6
+    assert kv.value == 1.0
 
 
 def test_a4_batch_mode_with_raised_budget(monkeypatch):
