@@ -10,12 +10,15 @@ The kernel is evaluated through the spherical function,
 with the normalization constant c fixed operationally by the mass identity
 |W| int_{a+} p_t^W(X,Y) omega_k(Y) dY = 1 at (t=1, X=0) and cross-checked
 against the Macdonald-Mehta-Selberg product
-(2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k).
+(2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k).  Only
+``heat_log_for_times`` evaluates it, at a batch of times: ``heat_log`` is
+its one-time case, and the Newton and s-stable kernels integrate its rows.
 
-Chamber integrals (mass, Chapman-Kolmogorov, subordination mass) decompose
-Y into its mean direction (a Gaussian integrated in closed form) and the
-simple-root gaps s_i > 0, where omega_k and the Gaussian envelope are
-absorbed into generalized Laguerre rules in w = q s^2.
+Chamber integrals (mass, Chapman-Kolmogorov, subordination mass) split Y
+into its mean direction (a Gaussian integrated in closed form) and Y0 = B s
+over the simple-root gaps s_i > 0; the gap basis B holds the fundamental
+coweights, and one tensor rule (``_gap_rule``) absorbs omega_k and the
+Gaussian envelope into generalized Laguerre rules in w = q s^2.
 """
 
 from __future__ import annotations
@@ -45,32 +48,15 @@ def mehta_selberg_constant(rs: RootSystemA) -> float:
 
 
 def gaussian_chamber_integral(rs: RootSystemA) -> float:
-    """|W| int_{a+} e^{-|Y|^2/4} omega_k(Y) dY by 96-node Laguerre rules per
-    root gap (n <= 2)."""
-    if rs.n == 1:
-        q = 1.0 / 8.0
-        w_nodes, w_weights = _ref_genlaguerre(96, rs.k - 0.5)
-        s_int = 0.5 * q ** (-(rs.k + 0.5)) * float(w_weights.sum())
-        jac = 1.0 / math.sqrt(2.0)
-    elif rs.n == 2:
-        q = 1.0 / 6.0
-        w_nodes, w_weights = _ref_genlaguerre(96, rs.k - 0.5)
-        s = np.sqrt(w_nodes / q)
-        s1 = s[:, None]
-        s2 = s[None, :]
-        inner = np.exp(-q * s1 * s2 + 2.0 * rs.k * np.log(s1 + s2))
-        s_int = (0.5 * q ** (-(rs.k + 0.5))) ** 2 * float(
-            (w_weights[:, None] * w_weights[None, :] * inner).sum())
-        jac = 1.0 / math.sqrt(3.0)
-    else:
+    """|W| int_{a+} e^{-|Y|^2/4} omega_k(Y) dY (n <= 2): the 96-node gap rule
+    with psi = 1, the gap basis Jacobian 1/sqrt(n+1), and a Gaussian over
+    each of the d - n directions off the trace-zero plane."""
+    if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
-    if rs.trace_zero:
-        v_part = 1.0
-    else:
-        v_part = math.sqrt(4.0 * math.pi)
-    extra = rs.d - (rs.n + 1) if not rs.trace_zero else 0
-    v_part *= math.sqrt(4.0 * math.pi) ** extra
-    return rs.weyl_order * jac * v_part * s_int
+    B = _gap_basis(rs.n)
+    _, logw = _gap_rule(rs, B.T @ B / 4.0, 96)
+    return (rs.weyl_order / math.sqrt(rs.n + 1.0)
+            * math.sqrt(4.0 * math.pi) ** (rs.d - rs.n) * float(np.exp(logw).sum()))
 
 
 def c_norm(rs: RootSystemA) -> float:
@@ -88,35 +74,32 @@ def c_norm(rs: RootSystemA) -> float:
 
 def heat_log(rs: RootSystemA, t: float, X, Y,
              plan: Sequence[int] | None = None) -> float:
-    """log p_t^W(X, Y)."""
-    if not t > 0:
-        raise DomainError("t must be > 0")
-    X = np.asarray(X, dtype=float)
-    Yc, _ = collapse_walls(rs, np.asarray(Y, dtype=float))
-    arg = Yc / (2.0 * t)
-    lv = spherical_log(rs, X, arg, plan)
-    nx = float(X @ X)
-    ny = float(np.asarray(Y, float) @ np.asarray(Y, float))
-    return (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-            - (0.5 * rs.d + rs.gamma) * math.log(t)
-            - (nx + ny) / (4.0 * t) + float(lv))
+    """log p_t^W(X, Y): the one-time case of ``heat_log_for_times``."""
+    return float(heat_log_for_times(rs, [t], X, Y, plan)[0])
 
 
 def heat_log_for_times(rs: RootSystemA, times, X, Y,
                        plan: Sequence[int] | None = None) -> np.ndarray:
-    """log p_u^W(X, Y) for an array of times u (one batched psi call)."""
+    """log p_t^W(X, Y) for an array of times t (one batched psi call).
+
+    Raises DomainError unless every t > 0 and |X|^2, |Y|^2,
+    (|X|^2+|Y|^2)/(4t) and Y/(2t) are finite.
+    """
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
+    if not np.all(times > 0):
         raise DomainError("times must be > 0")
     X = np.asarray(X, dtype=float)
-    Yc, _ = collapse_walls(rs, np.asarray(Y, dtype=float))
-    rows = Yc[None, :] / (2.0 * times[:, None])
+    Y = np.asarray(Y, dtype=float)
+    # an overflow here (|Y|^2 in collapse_walls too) leaves a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss = (float(X @ X) + float(Y @ Y)) / (4.0 * times)
+        rows = collapse_walls(rs, Y)[0][None, :] / (2.0 * times[:, None])
+    if not (np.all(np.isfinite(gauss)) and np.all(np.isfinite(rows))):
+        raise DomainError("heat kernel argument overflows: |X|^2, |Y|^2, "
+                          "(|X|^2+|Y|^2)/(4t) and Y/(2t) must be finite")
     lv = spherical_log(rs, X, rows, plan, batch=True)
-    nx = float(X @ X)
-    ny = float(np.asarray(Y, float) @ np.asarray(Y, float))
     return (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-            - (0.5 * rs.d + rs.gamma) * np.log(times)
-            - (nx + ny) / (4.0 * times) + lv)
+            - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss + lv)
 
 
 def heat_exact(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None,
@@ -157,21 +140,44 @@ def _trace_split(rs: RootSystemA, A: np.ndarray) -> tuple[float, np.ndarray]:
     return abar, A - abar
 
 
-def _y0_rows(rs: RootSystemA, s_grid: np.ndarray) -> np.ndarray:
-    """Trace-zero chamber vectors from simple-root gaps (batched)."""
-    if rs.n == 1:
-        s = s_grid[:, 0]
-        return np.stack([s / 2.0, -s / 2.0], axis=-1)
-    s1, s2 = s_grid[:, 0], s_grid[:, 1]
-    return np.stack([(2 * s1 + s2) / 3.0, (s2 - s1) / 3.0, -(s1 + 2 * s2) / 3.0],
-                    axis=-1)
+def _gap_basis(n: int) -> np.ndarray:
+    """The (n+1, n) gap basis B: Y0 = B s is the trace-zero chamber vector
+    with simple-root gaps s.  Column i is the fundamental coweight
+    (1/m)(m-i, ..., m-i, -i, ..., -i), m = n+1, with i entries m-i."""
+    m = n + 1
+    i = np.arange(1, m)
+    return np.where(np.arange(m)[:, None] < i, m - i, -i) / m
 
 
-def _factor_linear_coeffs(rs: RootSystemA, t_f: float, A0: np.ndarray) -> np.ndarray:
-    """Coefficients of s in <A0, Y0(s)>/(2 t_f) (the psi growth direction)."""
-    if rs.n == 1:
-        return np.array([(A0[0] - A0[1]) / (4.0 * t_f)])
-    return np.array([A0[0] / (2.0 * t_f), -A0[2] / (2.0 * t_f)])
+def _tensor_rule(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-fold tensor product of a 1-d rule: nodes (len(x)^n, n), log-weights."""
+    idx = np.indices((len(x),) * n).reshape(n, -1).T
+    return x[idx], np.log(w)[idx].sum(axis=1)
+
+
+def _log_omega(rs: RootSystemA, s: np.ndarray, simple: bool = True) -> np.ndarray:
+    """log omega_k(B s) = 2k sum_{alpha>0} log alpha(B s), where
+    alpha_ij(B s) = s_i + ... + s_{j-1}; the simple roots only if ``simple``."""
+    out = np.zeros(len(s))
+    for i, j in positive_roots(rs):
+        if simple or j > i + 1:
+            out += 2.0 * rs.k * np.log(s[:, i - 1:j - 1].sum(axis=1))
+    return out
+
+
+def _gap_rule(rs: RootSystemA, M: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor rule over root gaps s > 0 for the weight e^{-s'Ms} omega_k(B s).
+
+    Axis i is a generalized Laguerre rule in w = q s_i^2, q = M_ii, that
+    absorbs s_i^{2k} e^{-q s_i^2}; M's cross terms and the non-simple roots
+    are in the log-weights.  Returns the gaps (N, n) and log-weights (N,).
+    """
+    w, logw = _tensor_rule(*_ref_genlaguerre(nodes, rs.k - 0.5), rs.n)
+    q = np.diag(M)
+    s = np.sqrt(w / q)
+    logw += float(np.sum(math.log(0.5) - (rs.k + 0.5) * np.log(q)))
+    logw -= 2.0 * ((s @ np.triu(M, 1)) * s).sum(axis=1)
+    return s, logw + _log_omega(rs, s, simple=False)
 
 
 def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.ndarray]],
@@ -179,13 +185,14 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     """log of |W| int_{a+} prod_f p_{t_f}^W(A_f, Y) omega_k(Y) dY (n <= 2).
 
     Requires the standard realization d == n+1 (or trace-zero).  The mean
-    direction of Y is integrated in closed form.  Over the root gaps s the
-    combined Gaussian is exp(-s'Ms + lin.s): while its peak s* stays within
-    a few widths of the origin (every t_f ~ gap^2 case), generalized
-    Laguerre rules absorb the s^{2k} wall factors; once the peak escapes
-    (t_f << gap^2, the kernel concentrates at Y ~ A), a shifted
-    Gauss-Hermite rule centered at s* takes over.  Both rules have 48 nodes
-    per gap.
+    direction of Y is integrated in closed form; the rest is Y0 = B s over
+    the root gaps s (``_gap_basis``), where the Gaussians combine into
+    exp(-s'Ms + lin.s), M = (sum_f 1/t_f) B'B/4, lin = sum_f B'A0_f/(2 t_f).
+    While its peak s* stays within a few widths of the origin (every
+    t_f ~ gap^2 case), ``_gap_rule`` absorbs the s^{2k} wall factors; once
+    the peak escapes (t_f << gap^2, the kernel concentrates at Y ~ A), a
+    shifted Gauss-Hermite rule centered at s* takes over, with omega_k in
+    its log-weights.  Both rules have 48 nodes per gap.
     """
     if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
@@ -205,90 +212,41 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
         Ccoef = float((vf ** 2 / (4.0 * ts)).sum())
         const += 0.5 * math.log(math.pi / Acoef) + Bcoef ** 2 / (4.0 * Acoef) - Ccoef
     lc = -math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-    A0s = []
-    for t_f, A in zip(ts, As):
-        _, A0 = _trace_split(rs, A)
-        A0s.append(A0)
+    A0s = [_trace_split(rs, A)[1] for A in As]
+    for t_f, A0 in zip(ts, A0s):
         const += (lc - (0.5 * rs.d + rs.gamma) * math.log(t_f)
                   - float(A0 @ A0) / (4.0 * t_f))
 
-    if rs.n == 1:
-        q = float((1.0 / (8.0 * ts)).sum())
-        M = np.array([[q]])
-    else:
-        q = float((1.0 / (6.0 * ts)).sum())
-        M = q * np.array([[1.0, 0.5], [0.5, 1.0]])
-    lin_f = [_factor_linear_coeffs(rs, t_f, A0) for t_f, A0 in zip(ts, A0s)]
-    lin = np.sum(lin_f, axis=0)
+    B = _gap_basis(rs.n)
+    M = float((1.0 / ts).sum()) * (B.T @ B) / 4.0
+    lin = sum(B.T @ A0 / (2.0 * t_f) for t_f, A0 in zip(ts, A0s))
     s_star = np.linalg.solve(2.0 * M, lin)
     peak = float(s_star @ M @ s_star)
-
     if peak <= 16.0:
-        # near-origin regime: absorb s^{2k} e^{-q s^2} per axis
-        w_nodes, w_weights = _ref_genlaguerre(48, rs.k - 0.5)
-        s = np.sqrt(w_nodes / q)
-        if rs.n == 1:
-            s_grid = s[:, None]
-            logw = np.log(w_weights)
-            rule_pref = math.log(0.5) - (rs.k + 0.5) * math.log(q)
-        else:
-            s1 = np.repeat(s, len(s))
-            s2 = np.tile(s, len(s))
-            s_grid = np.stack([s1, s2], axis=-1)
-            logw = (np.log(w_weights)[:, None] + np.log(w_weights)[None, :]).ravel()
-            logw = logw - q * s1 * s2 + 2.0 * rs.k * np.log(s1 + s2)
-            rule_pref = 2 * (math.log(0.5) - (rs.k + 0.5) * math.log(q))
-        Y0 = _y0_rows(rs, s_grid)
-        logvals = logw.copy()
-        for t_f, A0 in zip(ts, A0s):
-            rows = Y0 / (2.0 * t_f)
-            logvals = logvals + spherical_log(rs, A0, rows, plan, batch=True)
+        s, logw = _gap_rule(rs, M, 48)
     else:
-        # concentrated regime: Gauss-Hermite centered at the peak s*
-        h, wh = _ref_hermite(48)
-        L = np.linalg.cholesky(M)
-        if rs.n == 1:
-            offs = (h / L[0, 0])[:, None]
-            logw = np.log(wh)
-            rule_pref = -0.5 * math.log(np.linalg.det(M))
-        else:
-            o1 = np.repeat(h, len(h))
-            o2 = np.tile(h, len(h))
-            offs = np.linalg.solve(L.T, np.stack([o1, o2]))
-            offs = offs.T
-            logw = (np.log(wh)[:, None] + np.log(wh)[None, :]).ravel()
-            rule_pref = -0.5 * math.log(np.linalg.det(M))
-        s_grid = s_star[None, :] + offs
-        keep = np.all(s_grid > 0.0, axis=1)
-        s_grid = s_grid[keep]
-        logw = logw[keep]
-        logw = logw + 2.0 * rs.k * np.log(s_grid).sum(axis=1)
-        if rs.n == 2:
-            logw = logw + 2.0 * rs.k * np.log(s_grid.sum(axis=1))
-        Y0 = _y0_rows(rs, s_grid)
-        logvals = logw + peak
-        for t_f, A0, lf in zip(ts, A0s, lin_f):
-            rows = Y0 / (2.0 * t_f)
-            growth = s_grid @ lf
-            logvals = logvals + spherical_log(rs, A0, rows, plan, batch=True) - growth
-    total = float(logsumexp(logvals))
+        # -s'Ms + lin.s = peak - |h|^2 at s = s* + L'^{-1} h, M = L L'
+        h, logw = _tensor_rule(*_ref_hermite(48), rs.n)
+        s = s_star + np.linalg.solve(np.linalg.cholesky(M).T, h.T).T
+        keep = np.all(s > 0.0, axis=1)
+        s, logw = s[keep], logw[keep]
+        logw += (peak - 0.5 * math.log(np.linalg.det(M)) - s @ lin
+                 + _log_omega(rs, s))
+    Y0 = s @ B.T
+    for t_f, A0 in zip(ts, A0s):
+        logw = logw + spherical_log(rs, A0, Y0 / (2.0 * t_f), plan, batch=True)
     return (math.log(rs.weyl_order) - 0.5 * math.log(m) + const
-            + rule_pref + total)
+            + float(logsumexp(logw)))
 
 
 def heat_mass(rs: RootSystemA, t: float, X, plan: Sequence[int] | None = None) -> float:
     """|W| int_{a+} p_t^W(X, Y) omega_k(Y) dY; equals 1 for the true kernel."""
-    X = rs.check_vector(np.asarray(X, dtype=float))
     return math.exp(chamber_heat_integral(rs, [(t, X)], plan=plan))
 
 
 def chapman_kolmogorov_check(rs: RootSystemA, t: float, s: float, X, Z,
                              plan: Sequence[int] | None = None) -> float:
     """Relative residual of |W| int p_t(X,Y) p_s(Y,Z) omega dY = p_{t+s}(X,Z)."""
-    if rs.n > 2:
-        raise DomainError("Chapman-Kolmogorov check restricted to A_1 and A_2")
-    X = rs.check_vector(np.asarray(X, dtype=float))
-    Z = rs.check_vector(np.asarray(Z, dtype=float))
     log_conv = chamber_heat_integral(rs, [(t, X), (s, Z)], plan=plan)
     log_direct = heat_log(rs, t + s, X, Z, plan)
     return abs(math.expm1(log_conv - log_direct))

@@ -1,15 +1,14 @@
 """W-invariant Newton kernel N^W = int_0^inf p_t^W dt and its sharp envelopes.
 
-The time integral is computed in the variable u = |X-Y|^2/(4t) (the same
-substitution the d >= 3 proof uses), where the integrand acquires a clean
-u^{d/2+gamma-2} e^{-u} profile:
+The time integral runs over heat rows: ``heat_log_for_times`` evaluates
+p_t^W at t = R^2/(4u), R = |X-Y|, for the nodes u of one generalized
+Gauss-Laguerre rule (the substitution the d >= 3 proof uses).  With the
+Jacobian dt = R^2/(4u^2) du the integrand is
 
-    N^W(X,Y) = (2^{gamma+d/2} c)^(-1) (R^2/4)^{1-d/2-gamma}
-               int_0^inf u^{d/2+gamma-2} e^{-u}
-                         [e^{u - u(|X|^2+|Y|^2)/R^2} psi_X(2uY/R^2)] du,
+    p_{R^2/(4u)}^W(X,Y) R^2/(4u^2) = u^{d/2+gamma-2} e^{-u} g(u),
 
-R = |X-Y|; the bracket is slowly varying (its log decays like the envelope
-denominators), so a generalized Gauss-Laguerre rule converges fast.
+where the rule keeps u^{d/2+gamma-2} e^{-u} and g(u) is slowly varying (its
+log decays like the envelope denominators), so the rule converges fast.
 
 Envelopes: |X-Y|^{2-d} / prod |X - sigma_a Y|^{2k} for d >= 3, and the two
 log-corrected d=2 forms (A_1, and A_2 on the trace-zero plane).
@@ -23,19 +22,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergentTailError, DomainError, SingularityError
-from .heatkernel import c_norm
+from .heatkernel import heat_log_for_times
 from .quad import KernelValue, _ref_genlaguerre, logsumexp, refined
 from .report import Kernel
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
-from .spherical import collapse_walls, spherical_log
 
 #: Gauss-Laguerre nodes of the u-rule; newton_exact refines with twice as many
 U_NODES = 64
 
 
 def _dist_sq(X, Y) -> float:
-    d = np.asarray(X, float) - np.asarray(Y, float)
-    return float(d @ d)
+    """|X-Y|^2; raises DomainError where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(X, float) - np.asarray(Y, float)
+        out = float(d @ d)
+    if not math.isfinite(out):
+        raise DomainError("|X-Y|^2 is not finite")
+    return out
 
 
 def _check_tail(rs: RootSystemA):
@@ -47,23 +50,18 @@ def _check_tail(rs: RootSystemA):
 
 def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
                plan: Sequence[int] | None = None) -> float:
-    """log N^W(X,Y) by Gauss-Laguerre in u = |X-Y|^2/(4t)."""
+    """log N^W(X,Y) = log int_0^inf p_t^W(X,Y) dt, by Gauss-Laguerre in
+    u = |X-Y|^2/(4t) over one batch of heat rows."""
     _check_tail(rs)
-    X = np.asarray(X, dtype=float)
-    Yc, _ = collapse_walls(rs, np.asarray(Y, dtype=float))
     R2 = _dist_sq(X, Y)
     if R2 == 0.0:
         raise SingularityError("Newton kernel is singular at X == Y")
     alpha = 0.5 * rs.d + rs.gamma - 2.0
     u, w = _ref_genlaguerre(uQ, alpha)
-    rows = (2.0 / R2) * u[:, None] * Yc[None, :]
-    lv = spherical_log(rs, X, rows, plan, batch=True)
-    norm_fac = (float(X @ X) + float(np.asarray(Y, float) @ np.asarray(Y, float))) / R2
-    log_g = u - u * norm_fac + lv
-    total = float(logsumexp(np.log(w) + log_g))
-    pref = (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-            + (1.0 - 0.5 * rs.d - rs.gamma) * math.log(R2 / 4.0))
-    return pref + total
+    log_p = heat_log_for_times(rs, R2 / (4.0 * u), X, Y, plan)
+    # the rule's weight carries u^alpha e^{-u}, dt = R^2/(4u^2) du
+    return (float(logsumexp(np.log(w) + log_p + u - (alpha + 2.0) * np.log(u)))
+            + math.log(R2 / 4.0))
 
 
 def newton_exact(rs: RootSystemA, X, Y, plan: Sequence[int] | None = None,

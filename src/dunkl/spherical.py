@@ -306,8 +306,8 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
         raise BudgetExceededError(
             f"recursion needs ~{predicted:.3g} evaluations, cap is "
             f"{quad.budget_cap():.3g} (set DUNKL_BUDGET to raise)")
-    if np.all(lam_a == lam_a[0]):
-        out = rows @ lam  # psi_lambda(e^X) = e^{lambda_1 sum x}, exactly
+    if np.all(lam_a == lam_a[0]) or not len(rows):
+        out = rows @ lam  # e^{lambda_1 sum x} exactly; an empty batch stays empty
     else:
         out = _log_psi(rs.k, lam_a, rows_a, plan, [0])
         # inactive coordinates contribute the plain pairing exponential

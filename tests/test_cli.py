@@ -325,3 +325,20 @@ def test_certify_span_and_plan_validated(args, message, capsys):
         warnings.simplefilter("error")
         assert run_cli(["certify"] + args + ["--num", "3"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["heat", "--X", "1e200,0", "--Y", "0.5,0"], "heat kernel argument overflows"),
+    (["heat", "--X", "1e5,0", "--Y", "1e5,0", "--t", "1e-300"],
+     "heat kernel argument overflows"),
+    (["heat", "--X", "1,0", "--Y", "0.5,0", "--t", "1e-320"],
+     "heat kernel argument overflows"),
+    (["newton", "--d", "3", "--X", "1e200,0,0", "--Y", "0.5,0,0"],
+     "|X-Y|^2 is not finite"),
+])
+def test_eval_overflowing_arguments_exit_2(args, message, capsys):
+    # a typed error before numpy overflows, so this holds under python -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["eval"] + args) == 2
+    assert f"error: {message}" in capsys.readouterr().err

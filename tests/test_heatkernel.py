@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, ive
 
+from dunkl import heatkernel as hk
+from dunkl import quad
 from dunkl.errors import DomainError
 from dunkl.heatkernel import (c_norm, certify_heat_ratio,
                               chamber_heat_integral, chapman_kolmogorov_check,
@@ -172,7 +175,9 @@ def test_heat_log_for_times_batch_matches_scalar():
     times = np.array([0.3, 1.7, 12.0])
     batch = heat_log_for_times(rs, times, X, Y)
     for u, lv in zip(times, batch):
-        assert abs(lv - heat_log(rs, float(u), X, Y)) < 1e-12
+        assert lv == heat_log(rs, float(u), X, Y)
+    out = heat_log_for_times(rs, [], X, Y)
+    assert out.shape == (0,) and out.dtype == float
 
 
 def test_heat_ratio_constant_in_t_at_origin():
@@ -181,3 +186,56 @@ def test_heat_ratio_constant_in_t_at_origin():
     vals = [heat_log(rs, t, Z, Z) - log_heat_envelope(rs, t, Z, Z)
             for t in (1e-2, 1e-1, 1.0, 10.0, 100.0)]
     assert max(vals) - min(vals) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gap_basis_has_the_gaps_as_simple_roots(n):
+    s = np.array([0.3, 1.1, 0.7][:n])
+    Y0 = hk._gap_basis(n) @ s
+    assert np.allclose(Y0[:-1] - Y0[1:], s, rtol=0, atol=1e-15)
+    assert abs(Y0.sum()) < 1e-15
+
+
+def _log_psi_a1_bessel(k, lam, x):
+    """log psi_lam(e^x) on A_1: (l1+l2)(x1+x2)/2 + G_k(u), u = |l1-l2|(x1-x2),
+    G_k(u) = log Gamma(k+1/2) + (1/2-k) log(u/4) + log I_{k-1/2}(u/2)."""
+    u = abs(lam[0] - lam[1]) * (x[0] - x[1])
+    g = (gammaln(k + 0.5) + (0.5 - k) * math.log(u / 4.0)
+         + math.log(ive(k - 0.5, u / 2.0)) + u / 2.0)
+    return (lam[0] + lam[1]) * (x[0] + x[1]) / 2.0 + g
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.5])
+def test_a1_heat_kernel_bessel_oracle(k):
+    # c from the Macdonald-Mehta-Selberg product, independent of c_norm
+    rs = rootsystem(1, k)
+    log_c = math.log(2.0 ** (rs.gamma + 1.0) * mehta_selberg_constant(rs))
+    pairs = [((1.1, 0.0), (0.8, -0.4)), ((0.7, -0.3), (0.5, 0.45)),
+             ((2.0, -1.0), (1.5, -1.2)), ((0.3, 0.1), (-0.2, -0.9))]
+    for X, Y in pairs:
+        X, Y = np.array(X), np.array(Y)
+        for t in (1e-2, 0.3, 1.0, 10.0):
+            ref = (-log_c - (1.0 + rs.gamma) * math.log(t) - (X @ X + Y @ Y) / (4 * t)
+                   + _log_psi_a1_bessel(k, X, Y / (2 * t)))
+            assert abs(math.expm1(heat_log(rs, t, X, Y) - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("trace_zero", [False, True])
+def test_concentrated_a2_mass(k, trace_zero, monkeypatch):
+    # t << gap^2 puts the peak s* of the gap integrand far from the walls
+    # (s*'Ms* ~ 64 at t = 0.005): the shifted Gauss-Hermite regime
+    rules = []
+
+    def hermite(nodes):
+        rules.append(nodes)
+        return quad._ref_hermite(nodes)
+
+    monkeypatch.setattr(hk, "_ref_hermite", hermite)
+    rs = rootsystem(2, k, trace_zero=trace_zero)
+    X = np.array([1.1, 0.2, -0.5])
+    if trace_zero:
+        X -= X.mean()
+    for t in (0.002, 0.005):
+        assert abs(heat_mass(rs, t, X) - 1.0) <= 1e-6
+    assert rules == [48, 48]

@@ -9,6 +9,7 @@ from dunkl.newton import (certify_newton_ratio,
                           newton_envelope_d2_a1, newton_envelope_d2_a2,
                           newton_envelope_d3, newton_exact, newton_log,
                           newton_sweep_grid)
+from dunkl.heatkernel import heat_log_for_times
 from dunkl.rootsys import reflected_distance_sq, rootsystem
 
 
@@ -156,3 +157,14 @@ def test_certify_d2_bounded():
     assert rep1.passes(1e2)
     rep2 = certify_newton_ratio(rootsystem(2, 0.8, trace_zero=True), num=7)
     assert rep2.passes(1e2)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.5])
+def test_newton_is_the_time_integral_of_heat_rows(k):
+    # trapezoid in log t over 18 decades: N = int p_t t d(log t)
+    rs = rootsystem(1, k, d=3)
+    X, Y = np.array([1.2, 0.1, 0.3]), np.array([0.7, -0.2, 0.0])
+    log_t = np.linspace(math.log(1e-8), math.log(1e10), 3001)
+    vals = np.exp(heat_log_for_times(rs, np.exp(log_t), X, Y) + log_t)
+    ref = math.log(np.trapezoid(vals, log_t))
+    assert abs(newton_log(rs, X, Y) - ref) < 1e-8

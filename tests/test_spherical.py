@@ -396,3 +396,11 @@ def test_a4_batch_mode_with_raised_budget(monkeypatch):
     lv = spherical_log(rs, lam, X, plan=(6, 6, 6, 6))
     ref = spherical_oracle_k1(rs, lam, X)
     assert abs(math.exp(lv) / ref - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_batch_is_an_empty_array(n):
+    rs = rootsystem(n, 0.7)
+    out = spherical_log(rs, np.arange(n + 1, 0, -1.0), np.empty((0, n + 1)),
+                        batch=True)
+    assert out.shape == (0,) and out.dtype == float
