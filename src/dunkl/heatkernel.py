@@ -90,14 +90,14 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
         raise DomainError("times must be > 0")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    # an overflow here (|Y|^2 in collapse_walls too) leaves a non-finite value
+    # an overflow here leaves a non-finite value (collapse_walls raises on |Y|^2)
     with np.errstate(over="ignore", invalid="ignore"):
         gauss = (float(X @ X) + float(Y @ Y)) / (4.0 * times)
         rows = collapse_walls(rs, Y)[0][None, :] / (2.0 * times[:, None])
     if not (np.all(np.isfinite(gauss)) and np.all(np.isfinite(rows))):
         raise DomainError("heat kernel argument overflows: |X|^2, |Y|^2, "
                           "(|X|^2+|Y|^2)/(4t) and Y/(2t) must be finite")
-    lv = spherical_log(rs, X, rows, plan, batch=True)
+    lv = spherical_log(rs, X, rows, plan)
     return (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
             - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss + lv)
 
@@ -192,7 +192,7 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     t_f ~ gap^2 case), ``_gap_rule`` absorbs the s^{2k} wall factors; once
     the peak escapes (t_f << gap^2, the kernel concentrates at Y ~ A), a
     shifted Gauss-Hermite rule centered at s* takes over, with omega_k in
-    its log-weights.  Both rules have 48 nodes per gap.
+    its log-weights.  Both rules have 48 nodes per gap; each |A_f|^2 must be finite.
     """
     if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
@@ -203,6 +203,9 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     if np.any(ts <= 0):
         raise DomainError("factor times must be > 0")
     As = [rs.check_vector(np.asarray(f[1], dtype=float)) for f in factors]
+    with np.errstate(over="ignore"):
+        if not all(math.isfinite(float(A @ A)) for A in As):
+            raise DomainError("chamber integral argument overflows: |A|^2 must be finite")
     const = 0.0
     if not rs.trace_zero:
         # closed-form Gaussian over the mean direction v
@@ -234,7 +237,7 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
                  + _log_omega(rs, s))
     Y0 = s @ B.T
     for t_f, A0 in zip(ts, A0s):
-        logw = logw + spherical_log(rs, A0, Y0 / (2.0 * t_f), plan, batch=True)
+        logw = logw + spherical_log(rs, A0, Y0 / (2.0 * t_f), plan)
     return (math.log(rs.weyl_order) - 0.5 * math.log(m) + const
             + float(logsumexp(logw)))
 

@@ -1,7 +1,8 @@
 """Quadrature engine: Gauss rules with algebraic endpoint singularities,
 exponentially tilted level rules, and semi-infinite log-space integrals.
 
-Every integral in the package routes through here.  Two regimes matter:
+Every quadrature rule in the package starts here, from scipy's reference rules (cached
+per size and exponent) or ``panel_rule``'s Gauss-Legendre panels.  Two regimes matter:
 
 * endpoint-singular algebraic factors (x-lo)^a (hi-x)^b with a, b > -1 are
   absorbed into Gauss-Jacobi weights so the integrand handed to a rule is
@@ -20,6 +21,7 @@ raises instead of leaving the library.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -102,42 +104,42 @@ def refined(lv: float, lv_fine: float, evals: int) -> KernelValue:
 # cached reference rules
 # ---------------------------------------------------------------------------
 
-_rule_cache: dict = {}
-
-
+@functools.cache
 def _ref_jacobi(nodes: int, a_exp: float, b_exp: float):
     """Reference rule on [-1,1] for weight (1+x)^a_exp (1-x)^b_exp."""
     if a_exp <= -1 or b_exp <= -1:
         raise InvalidExponentError(
             f"Jacobi exponents must be > -1, got ({a_exp}, {b_exp})")
-    key = ("jac", nodes, a_exp, b_exp)
-    if key not in _rule_cache:
-        # scipy weight is (1-x)^alpha (1+x)^beta
-        _rule_cache[key] = roots_jacobi(nodes, b_exp, a_exp)
-    return _rule_cache[key]
+    # scipy weight is (1-x)^alpha (1+x)^beta
+    return roots_jacobi(nodes, b_exp, a_exp)
 
 
+@functools.cache
 def _ref_genlaguerre(nodes: int, alpha: float):
     if alpha <= -1:
         raise InvalidExponentError(f"Laguerre exponent must be > -1, got {alpha}")
-    key = ("lag", nodes, alpha)
-    if key not in _rule_cache:
-        _rule_cache[key] = roots_genlaguerre(nodes, alpha)
-    return _rule_cache[key]
+    return roots_genlaguerre(nodes, alpha)
 
 
+@functools.cache
 def _ref_legendre(nodes: int):
-    key = ("leg", nodes)
-    if key not in _rule_cache:
-        _rule_cache[key] = roots_legendre(nodes)
-    return _rule_cache[key]
+    return roots_legendre(nodes)
 
 
+@functools.cache
 def _ref_hermite(nodes: int):
-    key = ("her", nodes)
-    if key not in _rule_cache:
-        _rule_cache[key] = roots_hermite(nodes)
-    return _rule_cache[key]
+    return roots_hermite(nodes)
+
+
+def panel_rule(breakpoints, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``nodes`` on each panel between
+    consecutive breakpoints, panel by panel in breakpoint order."""
+    bps = np.asarray(breakpoints, dtype=float)
+    xr, wr = _ref_legendre(nodes)
+    mid = 0.5 * (bps[:-1] + bps[1:])
+    half = 0.5 * (bps[1:] - bps[:-1])
+    return ((mid[:, None] + half[:, None] * xr[None, :]).ravel(),
+            (half[:, None] * wr[None, :]).ravel())
 
 
 def jacobi_rule(nodes: int, a_exp: float, b_exp: float,
@@ -173,66 +175,46 @@ DROP_FRAC = 0.95
 
 
 def level_nodes(lo: np.ndarray, hi: np.ndarray, a_exp: float, b_exp: float,
-                mu, nodes: int):
+                mu: float, nodes: int):
     """Batched 1-d rule for int_lo^hi f(y) (y-lo)^a (hi-y)^b dy, f ~ e^{mu y}.
 
-    ``lo``, ``hi`` have shape (B,); ``mu`` is a scalar or (B,) array giving
-    the exponential slope of f along this level.  Returns (y, logw) of shape
+    ``lo``, ``hi`` have shape (B,); ``mu`` is the exponential slope of f
+    along this level, shared by every row.  Returns (y, logw) of shape
     (B, nodes): sum over j of exp(logw[b, j]) * f(y[b, j]) approximates the
     integral for row b.  Dropped tilted nodes get logw = -inf and a midpoint
     coordinate so downstream logs stay finite.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    B = lo.shape[0]
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (B,))
-    L = hi - lo
-    u = mu * L
-    u_switch = min(TILT_SWITCH, 2.0 * nodes)
+    u = mu * (hi - lo)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    y = np.empty((lo.shape[0], nodes))
+    logw = np.empty_like(y)
 
-    y = np.empty((B, nodes))
-    logw = np.empty((B, nodes))
+    jmask = np.abs(u) <= min(TILT_SWITCH, 2.0 * nodes)
+    jac, tilt = np.flatnonzero(jmask), np.flatnonzero(~jmask)
+    if jac.size:
+        x, w = _ref_jacobi(nodes, a_exp, b_exp)
+        y[jac] = mid[jac][:, None] + half[jac][:, None] * x
+        logw[jac] = np.log(w) + (a_exp + b_exp + 1.0) * np.log(half[jac])[:, None]
 
-    jmask = np.abs(u) <= u_switch
-    if jmask.any():
-        xj, wj = _ref_jacobi(nodes, a_exp, b_exp)
-        idx = np.where(jmask)[0]
-        mid = 0.5 * (hi[idx] + lo[idx])
-        half = 0.5 * L[idx]
-        y[idx] = mid[:, None] + half[:, None] * xj[None, :]
-        logw[idx] = np.log(wj)[None, :] + (a_exp + b_exp + 1.0) * np.log(half)[:, None]
-
-    tmask = ~jmask
-    if tmask.any():
-        idx = np.where(tmask)[0]
-        mui = mu[idx]
-        ui = np.abs(u[idx])
-        pos = mui > 0
-        # hot endpoint carries exponent b (at hi) when mu>0, else a (at lo)
-        hot_exp = np.where(pos, b_exp, a_exp)
-        cold_exp = np.where(pos, a_exp, b_exp)
-        yi = np.empty((len(idx), nodes))
-        lw = np.empty((len(idx), nodes))
-        for exp_val in np.unique(hot_exp):
-            sub = hot_exp == exp_val
-            s, w = _ref_genlaguerre(nodes, float(exp_val))
-            rows = np.where(sub)[0]
-            off = s[None, :] / np.abs(mui[rows])[:, None]
-            drop = s[None, :] >= DROP_FRAC * ui[rows][:, None]
-            ys = np.where(pos[rows][:, None], hi[idx][rows][:, None] - off,
-                          lo[idx][rows][:, None] + off)
-            other = np.where(pos[rows][:, None], ys - lo[idx][rows][:, None],
-                             hi[idx][rows][:, None] - ys)
-            lwr = (np.log(w)[None, :] + s[None, :]
-                   - (exp_val + 1.0) * np.log(np.abs(mui[rows]))[:, None]
-                   + cold_exp[rows][:, None] * np.log(np.maximum(other, 1e-300)))
-            lwr[drop] = _NEG_INF
-            mid = (0.5 * (hi[idx][rows] + lo[idx][rows]))[:, None]
-            ys = np.where(drop, np.broadcast_to(mid, ys.shape), ys)
-            yi[rows] = ys
-            lw[rows] = lwr
-        y[idx] = yi
-        logw[idx] = lw
+    if tilt.size:
+        lo_t, hi_t = lo[tilt][:, None], hi[tilt][:, None]
+        # the hot endpoint carries exponent b (at hi) when mu > 0, else a (at lo)
+        hot_exp, cold_exp = (b_exp, a_exp) if mu > 0 else (a_exp, b_exp)
+        s, w = _ref_genlaguerre(nodes, hot_exp)
+        off = s / np.abs(mu)
+        if mu > 0:
+            ys = hi_t - off
+            other = ys - lo_t
+        else:
+            ys = lo_t + off
+            other = hi_t - ys
+        lw = (np.log(w) + s - (hot_exp + 1.0) * np.log(np.abs(mu))
+              + cold_exp * np.log(np.maximum(other, 1e-300)))
+        drop = s >= DROP_FRAC * np.abs(u[tilt])[:, None]
+        y[tilt] = np.where(drop, mid[tilt][:, None], ys)
+        logw[tilt] = np.where(drop, _NEG_INF, lw)
     return y, logw
 
 
@@ -254,7 +236,7 @@ def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
     """log-space evaluation of I = int_0^inf u^alpha e^{-u} g(u) du.
 
     ``log_g`` maps an array of u > 0 to log g(u) (g > 0).  When ``scales``
-    lists small positive structure scales of g (posititions of near-axis
+    lists small positive structure scales of g (positions of near-axis
     poles, e.g. a/b_i), the plain generalized-Laguerre rule is replaced by
     geometric panels resolving those scales, with the u^alpha factor absorbed
     on the head panel.
@@ -296,11 +278,5 @@ def log_panel_integral(log_f, lo: float, hi: float, panels_per_decade: int = 4,
     if not (0 < lo < hi):
         raise DomainError("log_panel_integral needs 0 < lo < hi")
     n_pan = max(2, int(panels_per_decade * math.log10(hi / lo)) + 1)
-    bps = np.geomspace(lo, hi, n_pan + 1)
-    xr, wr = _ref_legendre(nodes)
-    pieces = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b) + half * xr
-        pieces.append(logsumexp(np.log(wr * half) + np.asarray(log_f(x), dtype=float)))
-    return float(logsumexp(np.array(pieces)))
+    x, w = panel_rule(np.geomspace(lo, hi, n_pan + 1), nodes)
+    return float(logsumexp(np.log(w) + np.asarray(log_f(x), dtype=float)))

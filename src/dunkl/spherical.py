@@ -88,12 +88,15 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
     """Perturb X off chamber walls (gap < 1e-13*scale) to 1e-8 spacing.
 
     The recursion holds on the open chamber only; boundary values are taken
-    by continuity at the perturbed point.
+    by continuity at the perturbed point.  |X|^2 must be finite.
     """
     X = np.array(rs.check_vector(X), dtype=float)
     idx = np.array(rs.active_coords) - 1
     a = X[idx]
-    scale = max(1.0, float(np.linalg.norm(X)))
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(X)))
+    if not math.isfinite(scale):
+        raise DomainError("chamber point overflows: |X|^2 must be finite")
     tau = 1e-13 * scale
     gaps = a[:-1] - a[1:]
     if np.all(gaps >= tau):
@@ -213,7 +216,7 @@ def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
         top = top_lo is not None and lvl == m - 1
         lo = np.full(B, top_lo, dtype=float) if top else X[:, lvl + 1]
         y, lw = level_nodes(lo, X[:, lvl], 0.0 if top else k - 1.0, k - 1.0,
-                            np.full(B, mu[lvl]), Q)
+                            float(mu[lvl]), Q)
         # the non-adjacent (and, below top_lo, the lower adjacent) distance factors
         for j in range(0, lvl):
             lw = lw + (k - 1.0) * np.log(X[:, j][:, None] - y)
@@ -282,12 +285,13 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     return logpref + base_term + logsumexp(logf.reshape(B, -1), axis=1)
 
 
-def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
-                  *, batch: bool = False) -> np.ndarray | float:
+def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
+                  ) -> np.ndarray | float:
     """log psi_lambda(e^X); lam in any order, X chamber rows (full vectors).
 
-    With ``batch=True``, ``X`` is an array of row vectors and an array of
-    logs is returned.  Budget is checked against the predicted node product.
+    A 2-d ``X`` holds row vectors and gives an array of logs.  Budget is
+    checked against the predicted node product.  Raises DomainError if
+    (max - min lambda)(max - min x), which bounds every exponent, overflows.
     """
     plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     lam = np.asarray(lam, dtype=float)
@@ -301,6 +305,10 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
     if np.any(rows_a[:, :-1] - rows_a[:, 1:] <= 0):
         raise DomainError("X rows must be strictly inside the open chamber "
                           "(apply collapse_walls first)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (lam_a.max() - lam_a.min()) * (rows_a[:, 0] - rows_a[:, -1])
+    if not np.all(np.isfinite(reach)):
+        raise DomainError("lambda and X overflow: lambda range * X range is not finite")
     predicted = _predicted_evals(rs.n, plan, batch=rows.shape[0])
     if predicted > quad.budget_cap():
         raise BudgetExceededError(
@@ -318,9 +326,7 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
     if not np.all(np.isfinite(out)):
         bad = rows[int(np.where(~np.isfinite(out))[0][0])]
         raise EvaluationError("non-finite spherical value", location=tuple(bad))
-    if batch or X.ndim > 1:
-        return out
-    return float(out[0])
+    return out if X.ndim > 1 else float(out[0])
 
 
 def refined_plan(n: int, plan: Sequence[int]) -> tuple[int, ...]:

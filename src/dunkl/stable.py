@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, EvaluationError
 from .heatkernel import heat_log_for_times
-from .quad import KernelValue, _ref_legendre, logsumexp, refined
+from .quad import KernelValue, logsumexp, panel_rule, refined
 from .report import Kernel, RatioReport
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
 
@@ -46,13 +46,7 @@ def _phi_nodes():
     panels dyadically refined toward both ends down to pi 2^-42."""
     left = [math.pi * 2.0 ** (-j) for j in range(42, 1, -1)]
     right = [math.pi - math.pi * 2.0 ** (-j) for j in range(2, 43)]
-    bps = np.array(sorted(set([0.0] + left + right + [math.pi])))
-    xr, wr = _ref_legendre(12)
-    mid = 0.5 * (bps[:-1] + bps[1:])
-    half = 0.5 * (bps[1:] - bps[:-1])
-    phi = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    w = (half[:, None] * wr[None, :]).ravel()
-    return phi, w
+    return panel_rule(sorted(set([0.0] + left + right + [math.pi])), 12)
 
 
 def _check_su(s: float, t: float):
@@ -179,14 +173,9 @@ def subordinator_inversion(s: float, t: float, u: float) -> float:
     bps = np.array(sorted({0.0, *zeros, *geo}))
     hi_cut = max(500.0 / u, zeros[min(4, len(zeros) - 1)])
     bps = bps[bps <= hi_cut]
-    xr, wr = _ref_legendre(16)
-    total = 0.0
-    for lo, hi in zip(bps[:-1], bps[1:]):
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (hi + lo) + half * xr
-        vals = np.exp(-u * x - t * cb * x ** b) * np.sin(t * sb * x ** b)
-        total += float(vals @ wr) * half
-    return total / math.pi
+    x, w = panel_rule(bps, 16)
+    vals = np.exp(-u * x - t * cb * x ** b) * np.sin(t * sb * x ** b)
+    return float(vals @ w) / math.pi
 
 
 @dataclass(frozen=True)
@@ -276,12 +265,9 @@ def _u_rule(lo_decades: float, hi_decades: float, panels_per_decade: float,
     panels.  On the symmetric spans of ``stable_log`` the panel count is
     even, so v = 1 (u = u*) is a breakpoint."""
     n_pan = max(4, int(panels_per_decade * (lo_decades + hi_decades)))
-    bps = np.geomspace(10.0 ** (-lo_decades), 10.0 ** hi_decades, n_pan + 1)
-    xr, wr = _ref_legendre(nodes)
-    mid = 0.5 * (bps[:-1] + bps[1:])
-    half = 0.5 * (bps[1:] - bps[:-1])
-    v = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    return v, np.log((half[:, None] * wr[None, :]).ravel())
+    v, w = panel_rule(np.geomspace(10.0 ** (-lo_decades), 10.0 ** hi_decades,
+                                   n_pan + 1), nodes)
+    return v, np.log(w)
 
 
 @functools.lru_cache(maxsize=64)

@@ -335,6 +335,11 @@ def test_certify_span_and_plan_validated(args, message, capsys):
      "heat kernel argument overflows"),
     (["newton", "--d", "3", "--X", "1e200,0,0", "--Y", "0.5,0,0"],
      "|X-Y|^2 is not finite"),
+    (["spherical", "--lambda", "1,0", "--X", "1e200,0"], "chamber point overflows"),
+    (["spherical", "--n", "2", "--lambda", "1e300,0,0", "--X", "1e10,0,0"],
+     "lambda and X overflow"),
+    (["spherical", "--n", "1", "--lambda", "1e300,0", "--X", "1e10,0"],
+     "lambda and X overflow"),
 ])
 def test_eval_overflowing_arguments_exit_2(args, message, capsys):
     # a typed error before numpy overflows, so this holds under python -W error

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ def test_chamber_integral_requires_standard_realization():
     rs = rootsystem(1, 1.0, d=3)
     with pytest.raises(DomainError):
         chamber_heat_integral(rs, [(1.0, np.array([1.0, 0.0, 0.0]))])
+
+
+def test_chamber_integrals_raise_on_overflowing_arguments():
+    # a typed error before numpy overflows in the mean-direction Gaussian or
+    # the gap basis products
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            heat_mass(rootsystem(1, 1.0), 1.0, (1e200, 0.0))
+        with pytest.raises(DomainError, match="overflows"):
+            chapman_kolmogorov_check(rootsystem(2, 1.0), 1.0, 0.5,
+                                     (1e200, 0.0, -1e200), (0.5, 0.0, -0.5))
 
 
 def test_heat_log_for_times_batch_matches_scalar():

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dunkl.errors import DomainError, EvaluationError, InvalidExponentError
-from dunkl.quad import (KernelValue, _ref_genlaguerre, budget_cap,
+from dunkl.quad import (TILT_SWITCH, KernelValue, _ref_genlaguerre, budget_cap,
                         exp_weighted_log_integral, jacobi_rule, jacobi_weight_sum,
-                        log_panel_integral, refined)
+                        level_nodes, log_panel_integral, logsumexp, panel_rule,
+                        refined)
 
 
 def gamma_lower_series(k, x, terms=200):
@@ -109,3 +111,49 @@ def test_kernel_value_rel_err():
     kv = KernelValue(value=2.0, err=1e-3, evals=10)
     assert abs(kv.rel_err - 5e-4) < 1e-18
     assert float(kv) == 2.0
+
+
+@pytest.mark.parametrize("Q", [16, 24])
+@pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
+@pytest.mark.parametrize("top_lo", [False, True])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_level_nodes_closed_form(Q, k, top_lo, sign):
+    # int_lo^hi e^{mu y} (y-lo)^a (hi-y)^b dy
+    #   = e^{mu lo} L^{a+b+1} B(a+1, b+1) 1F1(a+1; a+b+2; mu L)
+    mpmath = pytest.importorskip("mpmath")
+    a_exp, b_exp = (0.0 if top_lo else k - 1.0), k - 1.0
+    mu = sign * 7.0
+    u = np.geomspace(0.1, 500.0, 40)
+    lo = np.linspace(-1.0, 1.0, u.size)
+    hi = lo + u / abs(mu)
+    y, logw = level_nodes(lo, hi, a_exp, b_exp, mu, Q)
+    tilted = u > min(TILT_SWITCH, 2.0 * Q)
+    drops = np.isneginf(logw).any(axis=1)
+    assert (~tilted).any() and (tilted & drops).any() and (tilted & ~drops).any()
+    got = logsumexp(logw + mu * y, axis=1)
+    with mpmath.workdps(40):
+        for r in range(u.size):
+            L = mpmath.mpf(hi[r]) - mpmath.mpf(lo[r])
+            ref = float(mu * mpmath.mpf(lo[r]) + (a_exp + b_exp + 1) * mpmath.log(L)
+                        + mpmath.log(mpmath.beta(a_exp + 1, b_exp + 1))
+                        + mpmath.log(mpmath.hyp1f1(a_exp + 1, a_exp + b_exp + 2, mu * L)))
+            assert abs(got[r] - ref) <= 1e-11 * max(1.0, abs(ref)), (r, u[r])
+
+
+@pytest.mark.parametrize("breakpoints, nodes", [
+    (np.geomspace(1e-3, 50.0, 9), 16),
+    ([0.0] + [math.pi * 2.0 ** -j for j in range(42, 1, -1)]
+     + [math.pi - math.pi * 2.0 ** -j for j in range(2, 43)] + [math.pi], 12),
+])
+def test_panel_rule_is_exact_per_panel(breakpoints, nodes):
+    bps = np.asarray(breakpoints, dtype=float)
+    x, w = panel_rule(bps, nodes)
+    assert x.shape == w.shape == ((bps.size - 1) * nodes,)
+    assert abs(w.sum() - (bps[-1] - bps[0])) <= 1e-14 * (bps[-1] - bps[0])
+    # every monomial of degree <= 2 nodes - 1, against the exact rational value
+    for j, (lo, hi) in enumerate(zip(bps[:-1], bps[1:])):
+        xs, ws = x[j * nodes:(j + 1) * nodes], w[j * nodes:(j + 1) * nodes]
+        assert np.all((lo < xs) & (xs < hi))
+        for p in range(2 * nodes):
+            exact = float((Fraction(hi) ** (p + 1) - Fraction(lo) ** (p + 1)) / (p + 1))
+            assert abs(ws @ xs ** p - exact) <= 1e-13 * exact, (j, p)

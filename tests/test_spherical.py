@@ -137,7 +137,7 @@ def test_a1_kummer_oracle_mixed_batch():
     top = rng.uniform(-1.0, 1.0, gaps.size)
     X = np.stack([top, top - gaps], axis=1)
     lam = np.array([-2.0, 40.0])
-    got = spherical_log(rs, lam, X, batch=True)
+    got = spherical_log(rs, lam, X)
     z = (lam[0] - lam[1]) * gaps
     assert (np.abs(z) > 30).any() and (np.abs(z) <= 30).any()
     ref = [lam[0] * x[1] + lam[1] * x[0] + log_kummer_a1(k, zi)
@@ -234,7 +234,7 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
     rows = np.stack([X, 1e-4 * X])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        both = spherical_log(rs, lam, rows, batch=True)
+        both = spherical_log(rs, lam, rows)
         alone = [spherical_log(rs, lam, x) for x in rows]
         swapped = spherical_log(rs, X, lam)
     assert np.all(np.isfinite(both)) and list(both) == alone
@@ -253,7 +253,7 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
     assert rows * sph.default_node_plan(n)[0] ** n > sph._CHUNK
-    batch = spherical_log(rs, np.array(lam), X, batch=True)
+    batch = spherical_log(rs, np.array(lam), X)
     tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0  # tilted rows on A_1
     picks = np.concatenate([np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4],
                             [rows // 3, rows - 1]])
@@ -401,6 +401,5 @@ def test_a4_batch_mode_with_raised_budget(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_empty_batch_is_an_empty_array(n):
     rs = rootsystem(n, 0.7)
-    out = spherical_log(rs, np.arange(n + 1, 0, -1.0), np.empty((0, n + 1)),
-                        batch=True)
+    out = spherical_log(rs, np.arange(n + 1, 0, -1.0), np.empty((0, n + 1)))
     assert out.shape == (0,) and out.dtype == float
