@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from . import quad
 from .errors import BudgetExceededError, DomainError
@@ -49,21 +49,6 @@ class AsympClaim:
 # 1-d lemma ratios
 # ---------------------------------------------------------------------------
 
-def lower_incomplete_gamma(k: float, x: float) -> float:
-    """int_0^x u^{k-1} e^{-u} du by 48-node quadrature (head Jacobi / tail Laguerre)."""
-    if not (k > 0 and x >= 0):
-        raise DomainError("need k > 0 and x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x <= 40.0:
-        pts, wts = quad.jacobi_rule(48, k - 1.0, 0.0, (0.0, x))
-        return float(np.exp(-pts) @ wts)
-    # gamma(k, x) = Gamma(k) - e^{-x} int_0^inf (x+s)^{k-1} e^{-s} ds
-    s, w = quad._ref_genlaguerre(48, 0.0)
-    tail = math.exp(-x) * float((np.exp((k - 1.0) * np.log(x + s))) @ w)
-    return math.exp(gammaln(k)) - tail
-
-
 def lemma_A_ratio(k: float, x: float) -> float:
     """[int_0^x u^{k-1} e^{-u} du] / (x/(1+x))^k; the x=0 limit is 1/k."""
     if not (k > 0 and x >= 0):
@@ -73,7 +58,7 @@ def lemma_A_ratio(k: float, x: float) -> float:
     if x < 1e-8:
         # Taylor head: gamma(k,x) = x^k/k (1 - k x/(k+1) + ...)
         return (1.0 + x) ** k * (1.0 - k * x / (k + 1.0)) / k
-    return lower_incomplete_gamma(k, x) * ((1.0 + x) / x) ** k
+    return math.gamma(k) * gammainc(k, x) * ((1.0 + x) / x) ** k
 
 
 def _ratio_integral(k: float, N: float, a: float, b: Sequence[float]) -> float:
@@ -84,13 +69,11 @@ def _ratio_integral(k: float, N: float, a: float, b: Sequence[float]) -> float:
     if any(a + bi <= 0 for bi in b):
         raise DomainError("need a + b_i > 0 for every i")
     if a == 0.0:
-        # all b_i > 0 here; fold the pure power into the Laguerre exponent
+        # all b_i > 0 here: Gamma(N - k m + 1) prod b_i^{-k}
         alpha = N - k * len(b)
         if alpha <= -1:
             raise DomainError(f"integral diverges at 0: N={N} <= k*m-1={k * len(b) - 1}")
-        const = -k * sum(math.log(bi) for bi in b)
-        kv = exp_weighted_log_integral(lambda u: np.zeros_like(u), alpha, 64)
-        return kv.log_value + const
+        return float(gammaln(alpha + 1.0)) - k * sum(math.log(bi) for bi in b)
     scales = [a / bi for bi in b if bi > 0]
 
     def log_g(u):

@@ -1,16 +1,14 @@
 """W-invariant Dunkl heat kernel for A_n: exact values, sharp envelope,
-and the analytic identities (mass, semigroup, generator) that pin the
-normalization down.
+and the analytic identities (mass, semigroup, generator) that check the values.
 
 The kernel is evaluated through the spherical function,
 
     p_t^W(X,Y) = (2^{gamma+d/2} c)^(-1) t^{-d/2-gamma}
                  e^{-(|X|^2+|Y|^2)/(4t)} psi_X(Y/(2t)),
 
-with the normalization constant c fixed operationally by the mass identity
-|W| int_{a+} p_t^W(X,Y) omega_k(Y) dY = 1 at (t=1, X=0) and cross-checked
-against the Macdonald-Mehta-Selberg product
-(2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k).  Only
+where c = int e^{-|x|^2/2} omega_k(x) dx is the Macdonald-Mehta-Selberg
+product (2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k); the mass
+identity |W| int_{a+} p_t^W(X,Y) omega_k(Y) dY = 1 checks the chamber rule.  Only
 ``heat_log_for_times`` evaluates it, at a batch of times: ``heat_log`` is
 its one-time case, and the Newton and s-stable kernels integrate its rows.
 
@@ -23,6 +21,7 @@ Gaussian envelope into generalized Laguerre rules in w = q s^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -37,39 +36,13 @@ from .rootsys import RootSystemA, positive_roots, pairing
 from .spherical import (collapse_walls, default_node_plan, refined_plan,
                         spherical_log)
 
-_c_norm_cache: dict = {}
 
-
-def mehta_selberg_constant(rs: RootSystemA) -> float:
-    """Closed-form c = (2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k)."""
-    lg = sum(gammaln(1.0 + j * rs.k) - gammaln(1.0 + rs.k)
-             for j in range(1, rs.n + 2))
-    return float(math.exp(0.5 * rs.d * math.log(2 * math.pi) + lg))
-
-
-def gaussian_chamber_integral(rs: RootSystemA) -> float:
-    """|W| int_{a+} e^{-|Y|^2/4} omega_k(Y) dY (n <= 2): the 96-node gap rule
-    with psi = 1, the gap basis Jacobian 1/sqrt(n+1), and a Gaussian over
-    each of the d - n directions off the trace-zero plane."""
-    if rs.n > 2:
-        raise DomainError("chamber integrals implemented for A_1 and A_2 only")
-    B = _gap_basis(rs.n)
-    _, logw = _gap_rule(rs, B.T @ B / 4.0, 96)
-    return (rs.weyl_order / math.sqrt(rs.n + 1.0)
-            * math.sqrt(4.0 * math.pi) ** (rs.d - rs.n) * float(np.exp(logw).sum()))
-
-
-def c_norm(rs: RootSystemA) -> float:
-    """Normalization constant, determined empirically from the mass identity.
-
-    Cached per root system; the cross-check against mehta_selberg_constant
-    lives in the test/selftest suite.
-    """
-    key = (rs.n, rs.d, rs.k, rs.trace_zero)
-    if key not in _c_norm_cache:
-        _c_norm_cache[key] = (2.0 ** (-(rs.gamma + 0.5 * rs.d))
-                              * gaussian_chamber_integral(rs))
-    return _c_norm_cache[key]
+@functools.cache
+def log_mehta_selberg(rs: RootSystemA) -> float:
+    """log c = (d/2) log 2 pi + sum_{j=1}^{n+1} [log Gamma(1+jk) - log Gamma(1+k)]."""
+    return float(0.5 * rs.d * math.log(2 * math.pi)
+                 + sum(gammaln(1.0 + j * rs.k) - gammaln(1.0 + rs.k)
+                       for j in range(1, rs.n + 2)))
 
 
 def heat_log(rs: RootSystemA, t: float, X, Y,
@@ -98,7 +71,7 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
         raise DomainError("heat kernel argument overflows: |X|^2, |Y|^2, "
                           "(|X|^2+|Y|^2)/(4t) and Y/(2t) must be finite")
     lv = spherical_log(rs, X, rows, plan)
-    return (-math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
+    return (-log_mehta_selberg(rs) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
             - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss + lv)
 
 
@@ -165,14 +138,14 @@ def _log_omega(rs: RootSystemA, s: np.ndarray, simple: bool = True) -> np.ndarra
     return out
 
 
-def _gap_rule(rs: RootSystemA, M: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _gap_rule(rs: RootSystemA, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tensor rule over root gaps s > 0 for the weight e^{-s'Ms} omega_k(B s).
 
     Axis i is a generalized Laguerre rule in w = q s_i^2, q = M_ii, that
     absorbs s_i^{2k} e^{-q s_i^2}; M's cross terms and the non-simple roots
     are in the log-weights.  Returns the gaps (N, n) and log-weights (N,).
     """
-    w, logw = _tensor_rule(*_ref_genlaguerre(nodes, rs.k - 0.5), rs.n)
+    w, logw = _tensor_rule(*_ref_genlaguerre(48, rs.k - 0.5), rs.n)
     q = np.diag(M)
     s = np.sqrt(w / q)
     logw += float(np.sum(math.log(0.5) - (rs.k + 0.5) * np.log(q)))
@@ -192,7 +165,8 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     t_f ~ gap^2 case), ``_gap_rule`` absorbs the s^{2k} wall factors; once
     the peak escapes (t_f << gap^2, the kernel concentrates at Y ~ A), a
     shifted Gauss-Hermite rule centered at s* takes over, with omega_k in
-    its log-weights.  Both rules have 48 nodes per gap; each |A_f|^2 must be finite.
+    its log-weights.  Both rules have 48 nodes per gap; |A_f|^2, 1/t_f,
+    A_f/t_f and |A_f|^2/t_f must be finite.
     """
     if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
@@ -206,27 +180,30 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     with np.errstate(over="ignore"):
         if not all(math.isfinite(float(A @ A)) for A in As):
             raise DomainError("chamber integral argument overflows: |A|^2 must be finite")
-    const = 0.0
-    if not rs.trace_zero:
-        # closed-form Gaussian over the mean direction v
-        vf = np.array([math.sqrt(m) * _trace_split(rs, A)[0] for A in As])
-        Acoef = float((1.0 / (4.0 * ts)).sum())
-        Bcoef = float((vf / (2.0 * ts)).sum())
-        Ccoef = float((vf ** 2 / (4.0 * ts)).sum())
-        const += 0.5 * math.log(math.pi / Acoef) + Bcoef ** 2 / (4.0 * Acoef) - Ccoef
-    lc = -math.log(c_norm(rs)) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-    A0s = [_trace_split(rs, A)[1] for A in As]
-    for t_f, A0 in zip(ts, A0s):
-        const += (lc - (0.5 * rs.d + rs.gamma) * math.log(t_f)
-                  - float(A0 @ A0) / (4.0 * t_f))
-
     B = _gap_basis(rs.n)
-    M = float((1.0 / ts).sum()) * (B.T @ B) / 4.0
-    lin = sum(B.T @ A0 / (2.0 * t_f) for t_f, A0 in zip(ts, A0s))
+    A0s = [_trace_split(rs, A)[1] for A in As]
+    lc = -log_mehta_selberg(rs) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        const = 0.0
+        if not rs.trace_zero:
+            # closed-form Gaussian over the mean direction v
+            vf = np.array([math.sqrt(m) * _trace_split(rs, A)[0] for A in As])
+            Acoef = (1.0 / (4.0 * ts)).sum()
+            Bcoef = (vf / (2.0 * ts)).sum()
+            const += (0.5 * np.log(math.pi / Acoef) + Bcoef ** 2 / (4.0 * Acoef)
+                      - (vf ** 2 / (4.0 * ts)).sum())
+        for t_f, A0 in zip(ts, A0s):
+            const += (lc - (0.5 * rs.d + rs.gamma) * math.log(t_f)
+                      - float(A0 @ A0) / (4.0 * t_f))
+        lin = sum(B.T @ A0 / (2.0 * t_f) for t_f, A0 in zip(ts, A0s))
+        M = float((1.0 / ts).sum()) * (B.T @ B) / 4.0
+    if not (np.isfinite(const) and np.all(np.isfinite(lin)) and np.all(np.isfinite(M))):
+        raise DomainError("chamber integral argument overflows: 1/t, A/t and "
+                          "|A|^2/t must be finite")
     s_star = np.linalg.solve(2.0 * M, lin)
     peak = float(s_star @ M @ s_star)
     if peak <= 16.0:
-        s, logw = _gap_rule(rs, M, 48)
+        s, logw = _gap_rule(rs, M)
     else:
         # -s'Ms + lin.s = peak - |h|^2 at s = s* + L'^{-1} h, M = L L'
         h, logw = _tensor_rule(*_ref_hermite(48), rs.n)

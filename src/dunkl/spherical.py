@@ -117,7 +117,7 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                c: np.ndarray, Q: int, counter: list) -> np.ndarray:
+                c: np.ndarray, Q: int) -> np.ndarray:
     """log psi_lam(e^{(hi_i, lo_j)}) for A_1, at every pair of one rank-2 grid.
 
     ``hi`` (B, I) and ``lo`` (B, J) hold the coordinates of each row b, with
@@ -146,9 +146,9 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     # the terminal case on the factor grids, laid out (Q, B, I) and (Q, B, J)
     term = np.array([mu])
     fa = _log_psi(k, term, np.multiply.outer(p, hi - c[:, None]).reshape(-1, 1),
-                  (Q,), counter).reshape(Q, B, I)
+                  (Q,)).reshape(Q, B, I)
     fb = _log_psi(k, term, np.multiply.outer(1.0 - p, lo - c[:, None]).reshape(-1, 1),
-                  (Q,), counter).reshape(Q, B, J)
+                  (Q,)).reshape(Q, B, J)
     if mu == 0.0:
         return lam[1] * (hi[:, :, None] + lo[:, None, :])
     switch = min(quad.TILT_SWITCH, 2.0 * Q)
@@ -238,17 +238,15 @@ def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
     return ygrids, logf
 
 
-def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
-             counter: list) -> np.ndarray:
+def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> np.ndarray:
     """log psi_lambda(e^X) for a batch of chamber rows X (active coords only).
 
     ``lam`` need not be sorted (psi is symmetric in it); rows of X must be
-    strictly decreasing.  ``counter`` accumulates innermost evaluations.
+    strictly decreasing.
     """
     m = lam.shape[0] - 1
     B = X.shape[0]
     if m == 0:
-        counter[0] += B
         return lam[0] * X[:, 0]
     Q = plan[0]
     P = Q ** m
@@ -257,10 +255,10 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
         out = np.empty(B)
         for sl in np.array_split(np.arange(B), nb):
             if len(sl):
-                out[sl] = _log_psi(k, lam, X[sl], plan, counter)
+                out[sl] = _log_psi(k, lam, X[sl], plan)
         return out
     if m == 1:  # A_1 rows: a 1 x 1 grid
-        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], X[:, 1], Q, counter).reshape(B)
+        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], X[:, 1], Q).reshape(B)
 
     lam0 = lam[:m] - lam[m]
     mu = np.sort(lam0)[::-1]  # slope seen by y_i once Y is sorted decreasing
@@ -275,13 +273,12 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     inner_plan = plan[1:] if len(plan) > 1 else plan
     if m == 2:
         logf += _rank1_grid(k, lam0, ygrids[0].reshape(B, Q), ygrids[1].reshape(B, Q),
-                            X[:, 1], inner_plan[0], counter)
+                            X[:, 1], inner_plan[0])
     else:
         Y = np.empty((B,) + (Q,) * m + (m,))
         for i in range(m):
             Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
-        logf += _log_psi(k, lam0, Y.reshape(-1, m), inner_plan,
-                         counter).reshape(logf.shape)
+        logf += _log_psi(k, lam0, Y.reshape(-1, m), inner_plan).reshape(logf.shape)
     return logpref + base_term + logsumexp(logf.reshape(B, -1), axis=1)
 
 
@@ -291,7 +288,7 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
 
     A 2-d ``X`` holds row vectors and gives an array of logs.  Budget is
     checked against the predicted node product.  Raises DomainError if
-    (max - min lambda)(max - min x), which bounds every exponent, overflows.
+    4 len(x) max|lambda| max|x|, which bounds every exponent, overflows.
     """
     plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     lam = np.asarray(lam, dtype=float)
@@ -305,10 +302,10 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
     if np.any(rows_a[:, :-1] - rows_a[:, 1:] <= 0):
         raise DomainError("X rows must be strictly inside the open chamber "
                           "(apply collapse_walls first)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = (lam_a.max() - lam_a.min()) * (rows_a[:, 0] - rows_a[:, -1])
-    if not np.all(np.isfinite(reach)):
-        raise DomainError("lambda and X overflow: lambda range * X range is not finite")
+    with np.errstate(over="ignore"):
+        reach = 4.0 * rs.coord_len * np.abs(lam).max() * np.abs(rows).max(initial=0.0)
+    if not np.isfinite(reach):
+        raise DomainError("lambda and X overflow: 4 len(x) max|lambda| max|x| is not finite")
     predicted = _predicted_evals(rs.n, plan, batch=rows.shape[0])
     if predicted > quad.budget_cap():
         raise BudgetExceededError(
@@ -317,7 +314,7 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
     if np.all(lam_a == lam_a[0]) or not len(rows):
         out = rows @ lam  # e^{lambda_1 sum x} exactly; an empty batch stays empty
     else:
-        out = _log_psi(rs.k, lam_a, rows_a, plan, [0])
+        out = _log_psi(rs.k, lam_a, rows_a, plan)
         # inactive coordinates contribute the plain pairing exponential
         if rs.coord_len > rs.n + 1:
             mask = np.ones(rs.coord_len, dtype=bool)

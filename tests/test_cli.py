@@ -137,21 +137,13 @@ def test_selftest_command(capsys):
     assert "selftest: PASS" in out
 
 
-def test_selftest_fault_injection(capsys):
+def test_selftest_fault_injection(capsys, monkeypatch):
     # a corrupted normalization constant must fail on the mass-identity line
     import dunkl.heatkernel as hk
-    key = (1, 2, 1.0, False)
-    old = dict(hk._c_norm_cache)
-    hk._c_norm_cache.clear()
-    hk._c_norm_cache[key] = hk.mehta_selberg_constant(
-        __import__("dunkl.rootsys", fromlist=["rootsystem"]).rootsystem(1, 1.0)) * 1.05
-    try:
-        rc = run_cli(["selftest"])
-        out = capsys.readouterr().out
-    finally:
-        hk._c_norm_cache.clear()
-        hk._c_norm_cache.update(old)
-    assert rc == 1
+    log_c = hk.log_mehta_selberg
+    monkeypatch.setattr(hk, "log_mehta_selberg", lambda rs: log_c(rs) + math.log(1.05))
+    assert run_cli(["selftest"]) == 1
+    out = capsys.readouterr().out
     assert any(ln.startswith("FAIL heat-mass-identity") for ln in out.splitlines())
 
 
@@ -181,6 +173,21 @@ def test_eval_heat_and_missing_y():
                     "--X", "1,0", "--Y", "0.5,0.1"]) == 0
     assert run_cli(["eval", "heat", "--n", "1", "--k", "1", "--t", "0.5",
                     "--X", "1,0"]) == 2
+
+
+@pytest.mark.parametrize("n,k,X,Y", [
+    # A_3 needs no chamber integral: the constant is a closed form
+    ("3", "1", "1.5,0.8,0.1,-0.7", "1.0,0.2,-0.3,-0.9"),
+    # Gamma(1 + 3k) overflows a float at k = 150, its logarithm does not
+    ("2", "150", "1.1,0.2,-0.5", "0.9,0,-0.3"),
+])
+def test_eval_heat_closed_form_constant(n, k, X, Y, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["eval", "heat", "--n", n, "--k", k, "--t", "0.8",
+                        "--X", X, "--Y", Y]) == 0
+    vals = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines())
+    assert math.isfinite(float(vals["log_value"]))
 
 
 def test_certify_plan_and_tspan_overrides(tmp_path):
@@ -339,6 +346,10 @@ def test_certify_span_and_plan_validated(args, message, capsys):
     (["spherical", "--n", "2", "--lambda", "1e300,0,0", "--X", "1e10,0,0"],
      "lambda and X overflow"),
     (["spherical", "--n", "1", "--lambda", "1e300,0", "--X", "1e10,0"],
+     "lambda and X overflow"),
+    (["spherical", "--lambda", "2e300,1e300", "--X", "1e10,9999999999"],
+     "lambda and X overflow"),
+    (["spherical", "--lambda", "1e300,1e300", "--X", "1e10,0"],
      "lambda and X overflow"),
 ])
 def test_eval_overflowing_arguments_exit_2(args, message, capsys):

@@ -8,28 +8,47 @@ from scipy.special import gammaln, ive
 from dunkl import heatkernel as hk
 from dunkl import quad
 from dunkl.errors import DomainError
-from dunkl.heatkernel import (c_norm, certify_heat_ratio,
+from dunkl.heatkernel import (certify_heat_ratio,
                               chamber_heat_integral, chapman_kolmogorov_check,
                               generator_check, heat_envelope, heat_exact,
                               heat_log, heat_log_for_times, heat_mass,
                               heat_sweep_grid, log_heat_envelope,
-                              mehta_selberg_constant,
-                              parabolic_rescale_residual)
+                              log_mehta_selberg, parabolic_rescale_residual)
 from dunkl.rootsys import rootsystem
 
 
-def test_c_norm_matches_mehta_selberg():
-    for n, d, tz in ((1, 2, False), (2, 3, False), (1, 3, False), (2, 2, True)):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_mehta_selberg_at_k1(n):
+    # at k = 1 each factor Gamma(1+j)/Gamma(2) is j!
+    ref = (0.5 * (n + 1) * math.log(2 * math.pi)
+           + sum(math.log(math.factorial(j)) for j in range(1, n + 2)))
+    assert abs(log_mehta_selberg(rootsystem(n, 1.0)) - ref) <= 1e-15 * ref
+
+
+def test_mass_at_origin_against_the_closed_form_constant():
+    # psi_0 = 1, so the mass at X = 0 is the chamber rule's integral of the
+    # Gaussian weight against the exact constant
+    for n, tz in ((1, False), (2, False), (2, True)):
         for k in (0.5, 1.0, 2.0):
-            rs = rootsystem(n, k, d=d, trace_zero=tz)
-            assert abs(c_norm(rs) / mehta_selberg_constant(rs) - 1.0) < 1e-6
+            rs = rootsystem(n, k, trace_zero=tz)
+            assert abs(heat_mass(rs, 1.0, np.zeros(rs.coord_len)) - 1.0) < 1e-5
+
+
+def test_heat_a3_matches_k1_oracle_route():
+    from dunkl.spherical import spherical_oracle_k1
+    rs = rootsystem(3, 1.0)
+    t = 0.8
+    X, Y = np.array([1.5, 0.8, 0.1, -0.7]), np.array([1.0, 0.2, -0.3, -0.9])
+    ref = (math.log(spherical_oracle_k1(rs, X, Y / (2 * t))) - log_mehta_selberg(rs)
+           - (rs.gamma + 2.0) * math.log(2.0 * t) - (X @ X + Y @ Y) / (4 * t))
+    assert abs(heat_log(rs, t, X, Y) - ref) <= 1e-12 * abs(ref)
 
 
 def test_heat_at_origin_prefactor():
     rs = rootsystem(1, 1.0)
     t = 0.8
     lv = heat_log(rs, t, np.zeros(2), np.zeros(2))
-    expected = (-math.log(c_norm(rs)) - (rs.gamma + 1.0) * math.log(2.0)
+    expected = (-log_mehta_selberg(rs) - (rs.gamma + 1.0) * math.log(2.0)
                 - (1.0 + rs.gamma) * math.log(t))
     assert abs(lv - expected) < 1e-9
 
@@ -68,7 +87,7 @@ def test_heat_exact_vs_k1_oracle_route():
     t, X, Y = 0.7, np.array([1.1, 0.0]), np.array([0.8, -0.4])
     lv = heat_log(rs, t, X, Y)
     psi = spherical_oracle_k1(rs, X, Y / (2 * t))
-    expected = (math.log(psi) - math.log(c_norm(rs))
+    expected = (math.log(psi) - log_mehta_selberg(rs)
                 - (rs.gamma + 1.0) * math.log(2.0)
                 - (1.0 + rs.gamma) * math.log(t)
                 - (X @ X + Y @ Y) / (4 * t))
@@ -179,6 +198,11 @@ def test_chamber_integrals_raise_on_overflowing_arguments():
         with pytest.raises(DomainError, match="overflows"):
             chapman_kolmogorov_check(rootsystem(2, 1.0), 1.0, 0.5,
                                      (1e200, 0.0, -1e200), (0.5, 0.0, -0.5))
+        # a tiny factor time: |A|^2/t, then A/t, overflow
+        with pytest.raises(DomainError, match="overflows"):
+            heat_mass(rootsystem(1, 1.0), 1e-300, (1e5, 0.0))
+        with pytest.raises(DomainError, match="overflows"):
+            heat_mass(rootsystem(1, 1.0), 1e-300, (1.0, 0.0))
 
 
 def test_heat_log_for_times_batch_matches_scalar():
@@ -220,9 +244,10 @@ def _log_psi_a1_bessel(k, lam, x):
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.5])
 def test_a1_heat_kernel_bessel_oracle(k):
-    # c from the Macdonald-Mehta-Selberg product, independent of c_norm
+    # c = 2 pi Gamma(1+2k)/Gamma(1+k), written out independently of the library
     rs = rootsystem(1, k)
-    log_c = math.log(2.0 ** (rs.gamma + 1.0) * mehta_selberg_constant(rs))
+    log_c = ((rs.gamma + 1.0) * math.log(2.0) + math.log(2 * math.pi)
+             + gammaln(1.0 + 2.0 * k) - gammaln(1.0 + k))
     pairs = [((1.1, 0.0), (0.8, -0.4)), ((0.7, -0.3), (0.5, 0.45)),
              ((2.0, -1.0), (1.5, -1.2)), ((0.3, 0.1), (-0.2, -0.9))]
     for X, Y in pairs:

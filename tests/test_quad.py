@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,7 +121,6 @@ def test_kernel_value_rel_err():
 def test_level_nodes_closed_form(Q, k, top_lo, sign):
     # int_lo^hi e^{mu y} (y-lo)^a (hi-y)^b dy
     #   = e^{mu lo} L^{a+b+1} B(a+1, b+1) 1F1(a+1; a+b+2; mu L)
-    mpmath = pytest.importorskip("mpmath")
     a_exp, b_exp = (0.0 if top_lo else k - 1.0), k - 1.0
     mu = sign * 7.0
     u = np.geomspace(0.1, 500.0, 40)

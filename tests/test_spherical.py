@@ -167,20 +167,28 @@ def test_a2_argument_swap_at_k_not_one():
     (3, (6, 6, 6), 2000),
     (2, (12, 16), 3000),
 ])
-def test_counter_equals_predicted_evals(n, plan, rows):
-    # the counter the recursion fills is its terminal evaluations, also when
-    # a batch is chunked or split into rank-1 blocks and when rows are tilted;
-    # the A_2 rank-1 pairs mix Jacobi, tilted and node-dropping ones, and
-    # (12, 16) puts a rank-2 grid coarser than the rank-1 rule over them
+def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
+    # the recursion's terminal (m == 0) rows are the predicted evaluations,
+    # also when a batch is chunked or split into rank-1 blocks and when rows
+    # are tilted; the A_2 rank-1 pairs mix Jacobi, tilted and node-dropping
+    # ones, and (12, 16) puts a rank-2 grid coarser than the rank-1 rule over them
     rng = np.random.default_rng(n)
     gaps = rng.uniform(0.05, 1.0, size=(rows, n))
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
     lam = np.linspace(60.0, 0.0, n + 1)
     assert rows > sph._RANK1_BLOCK if n == 1 else rows * plan[0] ** n > sph._CHUNK
-    counter = [0]
-    out = sph._log_psi(0.7, lam, X, plan, counter)
+    terminal = [0]
+    log_psi = sph._log_psi
+
+    def counting(k, lam, X, plan):
+        if len(lam) == 1:
+            terminal[0] += X.shape[0]
+        return log_psi(k, lam, X, plan)
+
+    monkeypatch.setattr(sph, "_log_psi", counting)
+    out = sph._log_psi(0.7, lam, X, plan)
     assert np.all(np.isfinite(out))
-    assert counter[0] == sph._predicted_evals(n, plan, batch=rows)
+    assert terminal[0] == sph._predicted_evals(n, plan, batch=rows)
 
 
 def rank1_row_reference(k, lam, hi, lo, Q):
@@ -214,7 +222,7 @@ def test_rank1_grid_matches_per_row_rule(k, mu):
     hi = c[:, None] + rng.uniform(0.0, 2.5, (B, I))
     lo = c[:, None] - rng.uniform(0.0, 2.5, (B, J))
     lam = np.array([mu + 0.4, 0.4])
-    got = sph._rank1_grid(k, lam, hi, lo, c, Q, [0])
+    got = sph._rank1_grid(k, lam, hi, lo, c, Q)
     u = abs(mu) * (hi[:, :, None] - lo[:, None, :])
     tilted = u > min(quad.TILT_SWITCH, 2.0 * Q)
     drops = quad.DROP_FRAC * u <= quad._ref_genlaguerre(Q, k - 1.0)[0][-1]
