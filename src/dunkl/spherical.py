@@ -14,9 +14,10 @@ over the interlacing box x_{i+1} <= y_i <= x_i, with the shifted inner
 argument lambda_0 = (lambda_r - lambda_{n+1})_r; the terminal case is a
 single active coordinate where psi = e^{lambda x}.  Everything runs in log
 space (values reach e^{1e4} on certification sweeps) and the per-level rules
-absorb the adjacent (k-1)-power factors into Jacobi weights, switching to
-the exponential substitution rule once the level's tilt is too steep for a
-polynomial rule.
+absorb the adjacent (k-1)-power factors into Jacobi weights, switching the
+levels of rank >= 2 to the exponential substitution rule (``level_nodes``,
+which drops the nodes outside the interval) once the level's tilt is too
+steep for a polynomial rule.
 
 The rank-1 level, where almost all nodes live, is evaluated on the whole
 grid of the rank-2 level above it (``_rank1_grid``), without per-node
@@ -24,11 +25,12 @@ log-weights or a log-sum-exp.  A Jacobi row is the weighted mean of e^{mu y}
 over its nodes, and e^{mu y} splits into a factor along y_1 and one along
 y_2, so the Jacobi rows of one rank-2 row are a small matrix product of two
 factor grids; only these grids pass through the single-coordinate terminal
-case, which makes the evaluation count 2 Q_{n-2} Q_{n-1} per rank-2 row
-(``_predicted_evals``).  A tilted row cancels the Laguerre weight's e^{s}
-against e^{mu y} analytically and sums w_j (1 - s_j/|u|)^{k-1} over the kept
-nodes, a block of rows at a time.  When all entries of lambda are equal,
-psi_lambda(e^X) = e^{lambda_1 sum x} is returned exactly.
+case, which makes the evaluation count 2 Q_{n-2} Q_{n-1} per rank-2 row and
+Q per A_1 row (``_predicted_evals``).  A tilted row takes the rank-one
+kernel in closed form, the Bessel function of DLMF 13.6.9, whose smooth
+remainder is a cached Chebyshev series (``_tilted_series``), a block of rows
+at a time.  When all entries of lambda are equal, psi_lambda(e^X) =
+e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
@@ -38,12 +40,13 @@ the right-hand side of the sharp two-sided estimate
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ive
 
 from . import quad
 from .errors import (BudgetExceededError, DegenerateArgumentError, DomainError,
@@ -57,7 +60,7 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 #: batch rows are chunked so the innermost tensors stay ~tens of MB
 _CHUNK = 400_000
 #: tilted rank-1 pairs per block: numpy's per-call cost is spread over many
-#: nodes, and at 16 nodes a block's 0.5 MB work arrays stay in L2
+#: pairs, and a block's 32 kB work arrays stay in cache
 _RANK1_BLOCK = 4096
 
 
@@ -73,7 +76,8 @@ def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
 
     Each level of rank >= 3 multiplies the rows by its grid, Q_d^(m-d); each
     rank-2 row then evaluates its rank-1 level on two factor grids,
-    2 Q_{m-2} Q_{m-1} terminal rows, and an A_1 row on 2 Q.
+    2 Q_{m-2} Q_{m-1} terminal rows, and an A_1 row on one, Q.  Tilted
+    rank-1 pairs take a closed form and evaluate nothing.
     """
     def q(depth):
         return plan[min(depth, len(plan) - 1)]
@@ -81,7 +85,7 @@ def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
     total = float(batch)
     for depth in range(m - 2):
         total *= q(depth) ** (m - depth)
-    return total * 2 * q(m - 1) * (q(m - 2) if m >= 2 else 1)
+    return total * q(0) if m == 1 else total * 2 * q(m - 1) * q(m - 2)
 
 
 def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
@@ -116,27 +120,79 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
 # the recursion (batched, log space)
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _tilted_series(k: float, u0: float) -> np.ndarray:
+    """Chebyshev coefficients of H_k(u) = G_k(u) - u/2 + k log u on u >= u0,
+    in x = 2 u0/u - 1 in (-1, 1].
+
+    G_k(u) = log Gamma(k+1/2) + (1/2-k) log(u/4) + log I_{k-1/2}(u/2) is
+    log psi_{(mu, 0)}(e^{(a, b)}) - mu (a+b)/2 at u = |mu| (a-b) (DLMF 13.6.9),
+    so H_k = log Gamma(k+1/2) + (2k-1) log 2 + log u/2 + log ive(k-1/2, u/2)
+    is bounded, with H_k(inf) = log Gamma(2k)/Gamma(k).  The e^{-u} part of
+    I_{k-1/2} makes H_k smooth but not analytic at x = -1, so the degree
+    starts at 90/sqrt(u0) (17 at u0 = 30); it doubles, up to 256 (for
+    large k), until the fit matches ``ive`` on a grid 8 times as dense to
+    1e-12 max(1, max|H_k|), and the fit raises EvaluationError if none does.
+    """
+    def h(x):
+        u = 2.0 * u0 / (x + 1.0)
+        return (gammaln(k + 0.5) + (2.0 * k - 1.0) * math.log(2.0)
+                + 0.5 * np.log(u) + np.log(ive(k - 0.5, 0.5 * u)))
+
+    degree = math.ceil(90.0 / math.sqrt(u0))
+    with np.errstate(all="ignore"):  # ive underflows at k >> u0; the check fails then
+        while degree <= 256:
+            theta = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+            coef = np.cos(np.outer(np.arange(degree + 1), theta)) @ h(np.cos(theta))
+            coef *= 2.0 / (degree + 1)
+            coef[0] *= 0.5
+            dense = 8 * (degree + 1)
+            x = np.append(np.cos(np.pi * (np.arange(dense) + 0.5) / dense), 1.0)
+            ref = h(x)
+            if np.max(np.abs(_clenshaw(coef, x) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))):
+                return coef
+            degree *= 2
+    raise EvaluationError(f"no Chebyshev fit of degree <= 256 reaches 1e-12 for the "
+                          f"rank-1 Bessel kernel at k = {k}, u0 = {u0}")
+
+
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j coef_j T_j(x), by the Clenshaw recurrence in three arrays."""
+    x2 = x + x
+    b1, b2, t = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for c in coef[:0:-1].tolist():  # b_j = 2x b_{j+1} - b_{j+2} + c_j, into b_{j+2}
+        np.multiply(x2, b1, t)
+        np.subtract(t, b2, b2)
+        b2 += c
+        b1, b2 = b2, b1
+    np.multiply(x, b1, t)
+    t -= b2
+    t += coef[0]
+    return t
+
+
 def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                c: np.ndarray, Q: int) -> np.ndarray:
+                c: np.ndarray | None, Q: int) -> np.ndarray:
     """log psi_lam(e^{(hi_i, lo_j)}) for A_1, at every pair of one rank-2 grid.
 
     ``hi`` (B, I) and ``lo`` (B, J) hold the coordinates of each row b, with
-    lo[b] <= c[b] <= hi[b]; the result has shape (B, I, J).  psi factors as
-    e^{l2 (hi+lo)} psi_{(mu, 0)}, mu = l1 - l2, and the second factor is
-    the rule ``level_nodes`` builds for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy.
+    lo[b] <= c[b] <= hi[b]; the result has shape (B, I, J).  ``c`` None (A_1
+    rows, J = 1) takes c = lo.  psi factors as e^{l2 (hi+lo)} psi_{(mu, 0)},
+    mu = l1 - l2.
 
-    A Jacobi pair (|u| = |mu| (hi - lo) <= min(TILT_SWITCH, 2Q)) is the
-    weighted mean of e^{mu y_q} over its nodes y_q = hi p_q + lo (1 - p_q),
-    and e^{mu (y_q - c)} = e^{mu (hi - c) p_q} e^{mu (lo - c)(1 - p_q)}, so
-    the pairs of row b are the (I, Q) diag(w) (Q, J) product of two factor
-    grids: (I + J) Q terminal evaluations instead of I J Q.  Each factor's
-    exponent is at most |u|, so one that over- or underflows feeds only
-    tilted pairs.  A tilted pair cancels the Laguerre weight's e^{s} against
-    e^{mu y} analytically:
-    log Gamma(2k)/Gamma(k)^2 + mu hot - k log|u| + log sum_j w_j (1 - s_j/|u|)^{k-1}
-    over the nodes ``level_nodes`` keeps (s_j < DROP_FRAC |u|), summed
-    ``_RANK1_BLOCK`` pairs at a time.  Both kinds hold log psi_{(mu, 0)} - mu c
-    until mu c + l2 (hi + lo) is added to every pair; mu = 0 gives exactly
+    A Jacobi pair (u = |mu| (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the
+    weighted mean of e^{mu y_q} over the nodes y_q = hi p_q + lo (1 - p_q)
+    of the rule for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy, and
+    e^{mu (y_q - c)} = e^{mu (hi - c) p_q} e^{mu (lo - c)(1 - p_q)}, so the
+    pairs of row b are the (I, Q) diag(w) (Q, J) product of two factor
+    grids: (I + J) Q terminal evaluations instead of I J Q.  At c = lo the
+    second factor is e^0, so an A_1 row is the weighted sum of the first
+    alone, Q terminal evaluations.  Each factor's exponent is at most u, so
+    one that over- or underflows feeds only tilted pairs.  A tilted pair
+    takes the Bessel closed form mu (hot - c) + H_k(2 u0/u - 1) - k log u,
+    H_k a cached Chebyshev series (``_tilted_series``), ``_RANK1_BLOCK``
+    pairs at a time.  Both kinds hold log psi_{(mu, 0)} - mu c until
+    mu c + l2 (hi + lo) is added to every pair; mu = 0 gives exactly
     l2 (hi + lo).
     """
     B, I, J = hi.shape[0], hi.shape[1], lo.shape[1]
@@ -145,24 +201,33 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     p = 0.5 * (1.0 + x)
     # the terminal case on the factor grids, laid out (Q, B, I) and (Q, B, J)
     term = np.array([mu])
+    fb = None
+    if c is None:
+        c = lo[:, 0]
+    else:
+        fb = _log_psi(k, term, np.multiply.outer(1.0 - p, lo - c[:, None]).reshape(-1, 1),
+                      (Q,)).reshape(Q, B, J)
     fa = _log_psi(k, term, np.multiply.outer(p, hi - c[:, None]).reshape(-1, 1),
                   (Q,)).reshape(Q, B, I)
-    fb = _log_psi(k, term, np.multiply.outer(1.0 - p, lo - c[:, None]).reshape(-1, 1),
-                  (Q,)).reshape(Q, B, J)
     if mu == 0.0:
         return lam[1] * (hi[:, :, None] + lo[:, None, :])
-    switch = min(quad.TILT_SWITCH, 2.0 * Q)
+    u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     tilted = None
-    if abs(mu) * (hi.max() - lo.min()) > switch:  # else no pair is tilted
+    if abs(mu) * (hi.max() - lo.min()) > u0:  # else no pair is tilted
         u = hi[:, :, None] - lo[:, None, :]
         u *= abs(mu)
-        tilted = u > switch
+        tilted = u > u0
+        del u  # each block forms its u again, so no grid of u outlives the mask
     if tilted is None or not tilted.all():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             np.exp(fa, out=fa)
             fa *= (w / w.sum())[:, None, None]
-            np.exp(fb, out=fb)
-            out = np.matmul(fa.transpose(1, 2, 0), fb.transpose(1, 0, 2))
+            if fb is None:
+                # cumsum adds the nodes in order, so no row's bits depend on its batch
+                out = np.cumsum(fa, axis=0, out=fa)[-1][:, :, None]
+            else:
+                np.exp(fb, out=fb)
+                out = np.matmul(fa.transpose(1, 2, 0), fb.transpose(1, 0, 2))
             np.log(out, out=out)
     else:
         out = np.empty((B, I, J))
@@ -170,30 +235,19 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
 
     if tilted is not None:
         # log psi_{(mu, 0)} - mu c at the tilted pairs, blocks of _RANK1_BLOCK
-        s, wl = quad._ref_genlaguerre(Q, k - 1.0)
-        logpref = float(gammaln(2 * k) - 2 * gammaln(k))
+        coef = _tilted_series(k, u0)
         hot = (hi if mu > 0 else lo) - c[:, None]
         idx = np.flatnonzero(tilted)
         for start in range(0, idx.size, _RANK1_BLOCK):
             sel = idx[start:start + _RANK1_BLOCK]
-            bi, j = np.divmod(sel, J)  # bi = b I + i
-            ub = u.reshape(-1)[sel]
-            g = np.multiply.outer(s, -1.0 / ub)
-            g += 1.0
-            drop = quad.DROP_FRAC * ub.min() <= s[-1]
-            if drop:
-                np.maximum(g, 1e-300, out=g)  # dropped nodes may reach <= 0
-            np.log(g, out=g)
-            g *= k - 1.0
-            np.exp(g, out=g)
-            g *= np.where(s[:, None] < quad.DROP_FRAC * ub, wl[:, None], 0.0) if drop \
-                else wl[:, None]
-            # numpy sums the columns of a block in node order but a lone column
-            # pairwise; cumsum keeps node order, so no pair's bits depend on
-            # the size of its block
-            total = g.sum(axis=0) if sel.size > 1 else np.cumsum(g, axis=0)[-1]
-            hot_c = hot.reshape(-1)[bi if mu > 0 else bi // I * J + j]
-            np.put(out, sel, logpref + mu * hot_c - k * np.log(ub) + np.log(total))
+            bi = sel // J  # b I + i
+            bj = bi // I * J + (sel - bi * J)  # b J + j
+            ub = hi.reshape(-1)[bi] - lo.reshape(-1)[bj]
+            ub *= abs(mu)
+            val = _clenshaw(coef, 2.0 * u0 / ub - 1.0)
+            val -= k * np.log(ub)
+            val += mu * hot.reshape(-1)[bi if mu > 0 else bj]
+            np.put(out, sel, val)
     out += (lam[1] * hi + mu * c[:, None])[:, :, None]
     out += (lam[1] * lo)[:, None, :]
     return out
@@ -258,7 +312,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
                 out[sl] = _log_psi(k, lam, X[sl], plan)
         return out
     if m == 1:  # A_1 rows: a 1 x 1 grid
-        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], X[:, 1], Q).reshape(B)
+        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], None, Q).reshape(B)
 
     lam0 = lam[:m] - lam[m]
     mu = np.sort(lam0)[::-1]  # slope seen by y_i once Y is sorted decreasing

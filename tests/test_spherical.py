@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, hyp1f1, ive
@@ -8,7 +10,7 @@ from scipy.special import gammaln, hyp1f1, ive
 from dunkl import quad
 from dunkl import spherical as sph
 from dunkl.errors import (BudgetExceededError, DegenerateArgumentError,
-                          DomainError)
+                          DomainError, EvaluationError)
 from dunkl.rootsys import rootsystem
 from dunkl.spherical import (certify_ratio, collapse_walls,
                              log_spherical_envelope, pairing_sweep_grid,
@@ -118,14 +120,14 @@ def log_kummer_a1(k, z):
 @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.5])
 def test_a1_kummer_oracle_over_pairings(k):
     # psi_lambda(e^X) = e^{l1 x2 + l2 x1} 1F1(k; 2k; (l1-l2)(x1-x2)) on A_1;
-    # |z| > 30 rows take the tilted Laguerre rule, the others the Jacobi rule
+    # |z| > 30 rows take the Bessel closed form, the others the Jacobi rule
     rs = rootsystem(1, k)
     X = np.array([0.7, -0.3])
     for z in np.geomspace(1e-3, 1e4, 36):
         for lam in (np.array([z, 0.0]), np.array([0.0, z])):
             zz = (lam[0] - lam[1]) * (X[0] - X[1])
             ref = lam[0] * X[1] + lam[1] * X[0] + log_kummer_a1(k, zz)
-            assert abs(spherical_log(rs, lam, X) - ref) < 1e-9, (k, zz)
+            assert abs(spherical_log(rs, lam, X) - ref) < 1e-11, (k, zz)
 
 
 def test_a1_kummer_oracle_mixed_batch():
@@ -142,7 +144,7 @@ def test_a1_kummer_oracle_mixed_batch():
     assert (np.abs(z) > 30).any() and (np.abs(z) <= 30).any()
     ref = [lam[0] * x[1] + lam[1] * x[0] + log_kummer_a1(k, zi)
            for x, zi in zip(X, z)]
-    assert np.max(np.abs(got - ref)) < 1e-9
+    assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_a2_argument_swap_at_k_not_one():
@@ -170,8 +172,9 @@ def test_a2_argument_swap_at_k_not_one():
 def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
     # the recursion's terminal (m == 0) rows are the predicted evaluations,
     # also when a batch is chunked or split into rank-1 blocks and when rows
-    # are tilted; the A_2 rank-1 pairs mix Jacobi, tilted and node-dropping
-    # ones, and (12, 16) puts a rank-2 grid coarser than the rank-1 rule over them
+    # are tilted; the A_2 rank-2 levels drop tilted nodes, their rank-1 pairs
+    # mix Jacobi and closed-form ones, and (12, 16) puts a rank-2 grid
+    # coarser than the rank-1 rule over them
     rng = np.random.default_rng(n)
     gaps = rng.uniform(0.05, 1.0, size=(rows, n))
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
@@ -192,9 +195,10 @@ def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
 
 
 def rank1_row_reference(k, lam, hi, lo, Q):
-    """log psi_lam(e^{(hi, lo)}) on A_1 by the per-row level rule: the
-    weighted mean of e^{mu y} over the Jacobi nodes, taken relative to its
-    cold end, or the tilted Laguerre sum over the kept nodes."""
+    """log psi_lam(e^{(hi, lo)}) on A_1: the per-row Jacobi rule (the
+    weighted mean of e^{mu y} over its nodes, taken relative to its cold
+    end), or the Bessel form of a tilted pair, e^{-u/2} 1F1(k; 2k; u) =
+    Gamma(k+1/2) (u/4)^{1/2-k} I_{k-1/2}(u/2) with u = |mu| (hi - lo)."""
     mu = lam[0] - lam[1]
     u = abs(mu) * (hi - lo)
     if u <= min(quad.TILT_SWITCH, 2.0 * Q):
@@ -203,19 +207,17 @@ def rank1_row_reference(k, lam, hi, lo, Q):
         shift = t[0 if mu >= 0 else -1]
         val = shift + math.log1p((w / w.sum()) @ np.expm1(t - shift))
     else:
-        s, w = quad._ref_genlaguerre(Q, k - 1.0)
-        kept = s < quad.DROP_FRAC * u
-        g = (1.0 - s[kept] / u) ** (k - 1.0)
-        val = (gammaln(2 * k) - 2 * gammaln(k) + mu * (hi if mu > 0 else lo)
-               - k * math.log(u) + math.log(w[kept] @ g))
+        # mu (hi + lo)/2 + u/2 = mu times the hot end
+        val = (mu * (hi if mu > 0 else lo) + gammaln(k + 0.5)
+               + (0.5 - k) * math.log(u / 4.0) + math.log(ive(k - 0.5, u / 2.0)))
     return lam[1] * (hi + lo) + val
 
 
 @pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
 @pytest.mark.parametrize("mu", [-23.0, 17.0])
 def test_rank1_grid_matches_per_row_rule(k, mu):
-    # random rank-2 grids whose pairs mix Jacobi rows, tilted rows and tilted
-    # rows that drop nodes
+    # random rank-2 grids whose pairs mix Jacobi and tilted ones, tilted pairs
+    # just past the switch among them
     rng = np.random.default_rng(int(10 * k) + (mu > 0))
     B, I, J, Q = 3, 7, 5, 16
     c = rng.uniform(-1.0, 1.0, B)
@@ -224,17 +226,66 @@ def test_rank1_grid_matches_per_row_rule(k, mu):
     lam = np.array([mu + 0.4, 0.4])
     got = sph._rank1_grid(k, lam, hi, lo, c, Q)
     u = abs(mu) * (hi[:, :, None] - lo[:, None, :])
-    tilted = u > min(quad.TILT_SWITCH, 2.0 * Q)
-    drops = quad.DROP_FRAC * u <= quad._ref_genlaguerre(Q, k - 1.0)[0][-1]
-    assert (~tilted).any() and (tilted & drops).any() and (tilted & ~drops).any()
+    u0 = min(quad.TILT_SWITCH, 2.0 * Q)
+    assert (u <= u0).any() and ((u > u0) & (u < 1.5 * u0)).any() and (u > 2.0 * u0).any()
     for b, i, j in np.ndindex(got.shape):
         ref = rank1_row_reference(k, lam, hi[b, i], lo[b, j], Q)
         assert abs(got[b, i, j] - ref) <= 1e-13 * max(1.0, abs(ref)), (b, i, j)
 
 
+@pytest.mark.parametrize("Q", [6, 16, 48])
+@pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
+def test_rank1_grid_tilted_pairs_against_mpmath(k, Q):
+    # every tilted pair of a grid, from just past the switch u0 to u = 1e6,
+    # against log 1F1(k; 2k; -u) at 30 digits: with mu = -1 and lo = c = 0
+    # the pair (u, 0) is log psi = log 1F1(k; 2k; -u), of size k log u;
+    # k = 30 takes a fit of twice the starting degree
+    u0 = min(quad.TILT_SWITCH, 2.0 * Q)
+    u = np.concatenate([[u0 * (1.0 + 1e-12), u0 * 1.01], np.geomspace(u0, 1e6, 40)[1:]])
+    got = sph._rank1_grid(k, np.array([-1.0, 0.0]), u[None, :], np.zeros((1, 1)),
+                          np.zeros(1), Q)[0, :, 0]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, -mpmath.mpf(v))))
+                        for v in u])
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+
+def test_tilted_series_degree_grows_or_refuses():
+    # the degree starts at 90/sqrt(u0) and doubles until the fit matches ive
+    # to 1e-12; at k = 150, u0 = 2 ive underflows, so no fit passes the check
+    assert len(sph._tilted_series(1.0, 30.0)) == 18
+    assert len(sph._tilted_series(2.5, 12.0)) == 27
+    assert len(sph._tilted_series(30.0, 30.0)) == 35
+    with pytest.raises(EvaluationError, match="no Chebyshev fit"):
+        sph._tilted_series(150.0, 2.0)
+
+
+@pytest.mark.parametrize("mu", [100.0, 15.0])
+def test_rank1_grid_peak_memory(mu):
+    # a chunk-sized rank-2 grid (B I J = 1563 * 16 * 16 pairs, mostly tilted)
+    # holds at most 3.5 pair-sized float arrays at once: the two factor grids,
+    # the tilted mask and the result; the closed form runs in blocks
+    rng = np.random.default_rng(2)
+    B, I, J, Q = 1563, 16, 16, 16
+    c = rng.uniform(-1.0, 1.0, B)
+    hi = c[:, None] + rng.uniform(0.0, 2.5, (B, I))
+    lo = c[:, None] - rng.uniform(0.0, 2.5, (B, J))
+    lam = np.array([mu, 0.0])
+    sph._rank1_grid(0.7, lam, hi, lo, c, Q)  # the fit is built once, outside the trace
+    tracemalloc.start()
+    try:
+        sph._rank1_grid(0.7, lam, hi, lo, c, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tilted = mu * (hi[:, :, None] - lo[:, None, :]) > min(quad.TILT_SWITCH, 2.0 * Q)
+    assert 0.5 < tilted.mean() < 1.0
+    assert peak <= 3.5 * B * I * J * 8, peak / (B * I * J * 8)
+
+
 def test_rank1_grid_overflowing_factors_raise_no_warning():
     # at pairing 1e4 the factor e^{mu (y1 - x2) p_q} of an A_2 row overflows;
-    # it feeds only tilted pairs, which the Laguerre sum overwrites, also when
+    # it feeds only tilted pairs, which the closed form overwrites, also when
     # the batch holds a row whose pairs take the product (pairing 1)
     rs = rootsystem(2, 0.5)
     lam, X = pairing_sweep_grid(rs, span=(1e-3, 1e4), num=3)[-1]
