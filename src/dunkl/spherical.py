@@ -19,17 +19,21 @@ levels of rank >= 2 to the exponential substitution rule (``level_nodes``,
 which drops the nodes outside the interval) once the level's tilt is too
 steep for a polynomial rule.
 
-The rank-1 level, where almost all nodes live, is evaluated on the whole
-grid of the rank-2 level above it (``_rank1_grid``), without per-node
-log-weights or a log-sum-exp.  A Jacobi row is the weighted mean of e^{mu y}
-over its nodes, and e^{mu y} splits into a factor along y_1 and one along
-y_2, so the Jacobi rows of one rank-2 row are a small matrix product of two
+The two innermost levels are summed in closed forms of their own.  A rank-2
+row (``_rank2_level``) sums its level rules' node pairs (y_1, y_2) without a
+grid: every weight of a pair depends on one coordinate except the Vandermonde
+factor y_1 - y_2, which splits into (y_1 - c) + (c - y_2), c the middle
+coordinate of the row.  A pair whose rank-1 level is a Jacobi rule has psi equal
+to the weighted mean of e^{mu y} over its nodes, and e^{mu y} splits into a
+factor along y_1 and one along y_2, so a row's Jacobi pairs are sums over two
 factor grids; only these grids pass through the single-coordinate terminal
 case, which makes the evaluation count 2 Q_{n-2} Q_{n-1} per rank-2 row and
-Q per A_1 row (``_predicted_evals``).  A tilted row takes the rank-one
-kernel in closed form, the Bessel function of DLMF 13.6.9, whose smooth
-remainder is a cached Chebyshev series (``_tilted_series``), a block of rows
-at a time.  When all entries of lambda are equal, psi_lambda(e^X) =
+Q per A_1 row (``_predicted_evals``).  The Jacobi partners of each y_1 are a
+prefix of the y_2 sorted in descending order (a staircase), so their sums are
+prefix sums.  A tilted pair, and a tilted A_1 row (``_rank1_grid``), takes the
+rank-one kernel in closed form, the Bessel function of DLMF 13.6.9, whose
+smooth remainder is a cached Chebyshev series (``_tilted_series``), a block at
+a time.  When all entries of lambda are equal, psi_lambda(e^X) =
 e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
@@ -59,9 +63,16 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 
 #: batch rows are chunked so the innermost tensors stay ~tens of MB
 _CHUNK = 400_000
-#: tilted rank-1 pairs per block: numpy's per-call cost is spread over many
-#: pairs, and a block's 32 kB work arrays stay in cache
+#: tilted A_1 rows per block: numpy's per-call cost is spread over many rows,
+#: and a block's 32 kB work arrays stay in cache
 _RANK1_BLOCK = 4096
+#: tilted pairs of a rank-2 level per block, whole rows at a time: a row's
+#: pairs are reduced together, and larger blocks spread the Clenshaw
+#: recurrence's per-call cost
+_TILT_BLOCK = 16384
+#: rank-2 rows whose factor grids hold about this many values are summed
+#: together, so that their arrays stay in cache
+_RANK2_BLOCK = 131072
 
 
 def default_node_plan(n: int) -> tuple[int, ...]:
@@ -75,8 +86,9 @@ def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
     """Terminal evaluations the recursion makes for ``batch`` rank-m rows.
 
     Each level of rank >= 3 multiplies the rows by its grid, Q_d^(m-d); each
-    rank-2 row then evaluates its rank-1 level on two factor grids,
-    2 Q_{m-2} Q_{m-1} terminal rows, and an A_1 row on one, Q.  Tilted
+    rank-2 row then evaluates the two factor grids of its rank-1 level, one
+    along each of its Q_{m-2}-node level rules, 2 Q_{m-2} Q_{m-1} terminal rows
+    (also where its pairs are tilted), and an A_1 row one grid, Q.  Tilted
     rank-1 pairs take a closed form and evaluate nothing.
     """
     def q(depth):
@@ -171,96 +183,259 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return t
 
 
+def _bessel_tail(k: float, u0: float, u: np.ndarray, power: float) -> np.ndarray:
+    """H_k(2 u0/u - 1) - power log u at tilted u > u0, H_k the cached Chebyshev
+    series of ``_tilted_series``: with power = k it is log psi_{(mu, 0)}(e^{(a, b)})
+    - mu hot, hot the end of [b, a] that e^{mu y} favours."""
+    val = _clenshaw(_tilted_series(k, u0), 2.0 * u0 / u - 1.0)
+    val -= power * np.log(u)
+    return val
+
+
 def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                c: np.ndarray | None, Q: int) -> np.ndarray:
-    """log psi_lam(e^{(hi_i, lo_j)}) for A_1, at every pair of one rank-2 grid.
+                Q: int) -> np.ndarray:
+    """log psi_lam(e^{(hi_b, lo_b)}) for a batch of A_1 rows, hi > lo of shape (B,).
 
-    ``hi`` (B, I) and ``lo`` (B, J) hold the coordinates of each row b, with
-    lo[b] <= c[b] <= hi[b]; the result has shape (B, I, J).  ``c`` None (A_1
-    rows, J = 1) takes c = lo.  psi factors as e^{l2 (hi+lo)} psi_{(mu, 0)},
-    mu = l1 - l2.
-
-    A Jacobi pair (u = |mu| (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the
-    weighted mean of e^{mu y_q} over the nodes y_q = hi p_q + lo (1 - p_q)
-    of the rule for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy, and
-    e^{mu (y_q - c)} = e^{mu (hi - c) p_q} e^{mu (lo - c)(1 - p_q)}, so the
-    pairs of row b are the (I, Q) diag(w) (Q, J) product of two factor
-    grids: (I + J) Q terminal evaluations instead of I J Q.  At c = lo the
-    second factor is e^0, so an A_1 row is the weighted sum of the first
-    alone, Q terminal evaluations.  Each factor's exponent is at most u, so
-    one that over- or underflows feeds only tilted pairs.  A tilted pair
-    takes the Bessel closed form mu (hot - c) + H_k(2 u0/u - 1) - k log u,
-    H_k a cached Chebyshev series (``_tilted_series``), ``_RANK1_BLOCK``
-    pairs at a time.  Both kinds hold log psi_{(mu, 0)} - mu c until
-    mu c + l2 (hi + lo) is added to every pair; mu = 0 gives exactly
-    l2 (hi + lo).
+    psi factors as e^{l2 (hi+lo)} psi_{(mu, 0)}, mu = l1 - l2.  A Jacobi row
+    (u = |mu| (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the weighted mean of
+    e^{mu (y_q - lo)} = e^{mu (hi - lo) p_q} over the nodes y_q = hi p_q +
+    lo (1 - p_q) of the rule for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy:
+    Q terminal evaluations a row.  Its exponent is at most u, so a factor that
+    over- or underflows belongs to a tilted row, which takes the Bessel closed
+    form mu (hot - lo) + H_k(2 u0/u - 1) - k log u (``_bessel_tail``) instead,
+    ``_RANK1_BLOCK`` rows at a time.  mu = 0 gives exactly l2 (hi + lo).
     """
-    B, I, J = hi.shape[0], hi.shape[1], lo.shape[1]
+    B = hi.shape[0]
     mu = float(lam[0] - lam[1])
     x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
-    p = 0.5 * (1.0 + x)
-    # the terminal case on the factor grids, laid out (Q, B, I) and (Q, B, J)
-    term = np.array([mu])
-    fb = None
-    if c is None:
-        c = lo[:, 0]
-    else:
-        fb = _log_psi(k, term, np.multiply.outer(1.0 - p, lo - c[:, None]).reshape(-1, 1),
-                      (Q,)).reshape(Q, B, J)
-    fa = _log_psi(k, term, np.multiply.outer(p, hi - c[:, None]).reshape(-1, 1),
-                  (Q,)).reshape(Q, B, I)
+    # the terminal case on the factor grid, laid out (Q, B)
+    f = _log_psi(k, np.array([mu]), np.multiply.outer(0.5 * (1.0 + x), hi - lo).reshape(-1, 1),
+                 (Q,)).reshape(Q, B)
     if mu == 0.0:
-        return lam[1] * (hi[:, :, None] + lo[:, None, :])
+        return lam[1] * (hi + lo)
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
-    tilted = None
-    if abs(mu) * (hi.max() - lo.min()) > u0:  # else no pair is tilted
-        u = hi[:, :, None] - lo[:, None, :]
-        u *= abs(mu)
-        tilted = u > u0
-        del u  # each block forms its u again, so no grid of u outlives the mask
-    if tilted is None or not tilted.all():
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            np.exp(fa, out=fa)
-            fa *= (w / w.sum())[:, None, None]
-            if fb is None:
-                # cumsum adds the nodes in order, so no row's bits depend on its batch
-                out = np.cumsum(fa, axis=0, out=fa)[-1][:, :, None]
-            else:
-                np.exp(fb, out=fb)
-                out = np.matmul(fa.transpose(1, 2, 0), fb.transpose(1, 0, 2))
-            np.log(out, out=out)
-    else:
-        out = np.empty((B, I, J))
-    del fa, fb
-
-    if tilted is not None:
-        # log psi_{(mu, 0)} - mu c at the tilted pairs, blocks of _RANK1_BLOCK
-        coef = _tilted_series(k, u0)
-        hot = (hi if mu > 0 else lo) - c[:, None]
-        idx = np.flatnonzero(tilted)
-        for start in range(0, idx.size, _RANK1_BLOCK):
-            sel = idx[start:start + _RANK1_BLOCK]
-            bi = sel // J  # b I + i
-            bj = bi // I * J + (sel - bi * J)  # b J + j
-            ub = hi.reshape(-1)[bi] - lo.reshape(-1)[bj]
-            ub *= abs(mu)
-            val = _clenshaw(coef, 2.0 * u0 / ub - 1.0)
-            val -= k * np.log(ub)
-            val += mu * hot.reshape(-1)[bi if mu > 0 else bj]
-            np.put(out, sel, val)
-    out += (lam[1] * hi + mu * c[:, None])[:, :, None]
-    out += (lam[1] * lo)[:, None, :]
+    u = hi - lo
+    u *= abs(mu)
+    tilted = np.flatnonzero(u > u0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.exp(f, out=f)
+        f *= (w / w.sum())[:, None]
+        # cumsum adds the nodes in order, so no row's bits depend on its batch
+        out = np.cumsum(f, axis=0, out=f)[-1]
+        np.log(out, out=out)
+    hot = hi if mu > 0 else lo
+    for start in range(0, tilted.size, _RANK1_BLOCK):
+        sel = tilted[start:start + _RANK1_BLOCK]
+        out[sel] = _bessel_tail(k, u0, u[sel], k) + mu * (hot[sel] - lo[sel])
+    out += lam[1] * hi + mu * lo
+    out += lam[1] * lo
     return out
 
 
-def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
-                     top_lo=None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level.
+def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
+                 Q: int, Qi: int) -> np.ndarray:
+    """log of the rank-2 level of each row X = (x0 > c > x2): the sum over the
+    nodes (y1_i, y2_j) of its two level rules of
+    e^{lw1_i + lw2_j} (y1_i - y2_j) psi_lam(e^{(y1_i, y2_j)}),
+    lam the A_1 argument and Qi the nodes of its rule.
 
-    ``X`` holds (B, m+1) active chamber rows, ``mu`` the slope of e^{mu_i y_i}
-    along each of the m levels.  Returns the level node grids, the i-th of
-    shape (B,) + (1,)*i + (Q,) + (1,)*(m-1-i), and ``logf`` on (B,) + (Q,)*m:
-    level log-weights, non-adjacent (k-1)-power factors, log prod_{i<j}(y_i-y_j).
+    Every factor depends on one coordinate except the Vandermonde factor, which
+    splits into two separable non-negative terms, y1 - y2 = (y1 - c) + (c - y2).
+    A pair is Jacobi when u = |mu| (y1_i - y2_j) <= u0 = min(TILT_SWITCH, 2 Qi),
+    mu = l1 - l2; its psi is then the weighted mean over the Qi nodes of
+    e^{l2 (y1+y2) + mu c} e^{mu (y1 - c) p_q} e^{mu (y2 - c)(1 - p_q)}, so the
+    Jacobi pairs of a row sum to e^{mu c} times a sum over the nodes of two
+    factor grids (``_jacobi_rows``): (I + J) Qi terminal evaluations a row.
+    The Jacobi partners of i are {j : y2_j >= y1_i - u0/|mu|}, a prefix of y2
+    sorted descending (a staircase), so their sums are prefix sums along j.
+    A tilted pair takes the Bessel closed form, whose -k log u absorbs the
+    Vandermonde log as (1 - k) log u - log |mu|, in blocks of whole rows of
+    about ``_TILT_BLOCK`` pairs, and joins the Jacobi sum in its row's
+    log-sum-exp.  A pair with a dropped node adds nothing.
+    """
+    (y1, y2), (lw1, lw2) = _level_rules(k, X, mu, Q)
+    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
+    c = X[:, 1]
+    mu1 = float(lam[0] - lam[1])
+    amu = abs(mu1)
+    u0 = min(quad.TILT_SWITCH, 2.0 * Qi)
+    tilted = None
+    if amu * (y1.max() - y2.min()) > u0:  # else no pair is tilted
+        order = np.argsort(-y2, axis=1, kind="stable")
+        y2 = np.take_along_axis(y2, order, axis=1)
+        lw2 = np.take_along_axis(lw2, order, axis=1)
+        u = y1[:, :, None] - y2[:, None, :]
+        u *= amu
+        tilted = u > u0
+        del u
+        n = J - tilted.sum(axis=2)  # the Jacobi partners of each i
+    # node log-weights with e^{l2 y}, relative to their row's largest
+    la = lw1 + lam[1] * y1
+    lb = lw2 + lam[1] * y2
+    ma = la.max(axis=1, keepdims=True)
+    mb = lb.max(axis=1, keepdims=True)
+    ma[~np.isfinite(ma)] = 0.0
+    mb[~np.isfinite(mb)] = 0.0
+    la -= ma
+    lb -= mb
+    d1, d2 = y1 - c[:, None], y2 - c[:, None]
+    if tilted is not None:
+        # the tilted pairs' per-node terms: mu (hot - c), and the -log |mu|
+        # of y1 - y2 = u / |mu|
+        ta = la + mu1 * d1 if mu1 > 0 else la
+        tb = lb - math.log(amu) + (0.0 if mu1 > 0 else mu1 * d2)
+        # a factor exponent is at most u0 at an i (a j) that has (is) a
+        # Jacobi partner; the others never reach a sum, and take offset 0
+        d1[n == 0] = 0.0
+        d2[np.arange(J) >= n.max(axis=1, keepdims=True)] = 0.0
+
+    # rows whose pairs are all Jacobi take the i-sums first; rows with none
+    # only evaluate their factor grids
+    if tilted is None:
+        out = _jacobi_rows(k, mu1, Qi, d1, d2, la, lb, None)
+    else:
+        out = np.empty(B)
+        full, none = (n == J).all(axis=1), (n == 0).all(axis=1)
+        for rows, stair in ((full, None), (~full & ~none, n), (none, n)):
+            rows = np.flatnonzero(rows)
+            if rows.size:
+                out[rows] = _jacobi_rows(k, mu1, Qi, d1[rows], d2[rows], la[rows], lb[rows],
+                                         None if stair is None else stair[rows])
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+
+    if tilted is not None:
+        tilted &= np.isfinite(la)[:, :, None]
+        tilted &= np.isfinite(lb)[:, None, :]
+        per_row = tilted.sum(axis=(1, 2))
+        # blocks of whole rows, so that each row's pairs are summed in one order
+        first = np.cumsum(per_row) - per_row
+        edges = np.flatnonzero(np.diff(first // _TILT_BLOCK)) + 1
+        for r0, r1 in zip(np.concatenate([[0], edges]), np.concatenate([edges, [B]])):
+            sel = np.flatnonzero(tilted[r0:r1])
+            if not sel.size:
+                continue
+            bi = sel // J  # (b - r0) I + i
+            bj = bi // I * J + (sel - bi * J)  # (b - r0) J + j
+            ub = y1[r0:r1].reshape(-1)[bi] - y2[r0:r1].reshape(-1)[bj]
+            ub *= amu
+            val = _bessel_tail(k, u0, ub, k - 1.0)
+            val += ta[r0:r1].reshape(-1)[bi]
+            val += tb[r0:r1].reshape(-1)[bj]
+            # each row's log-sum-exp of its tilted pairs and its Jacobi sum
+            rows = r0 + np.flatnonzero(per_row[r0:r1])
+            starts = np.cumsum(per_row[rows]) - per_row[rows]
+            top = np.maximum(np.maximum.reduceat(val, starts), out[rows])
+            val -= np.repeat(top, per_row[rows])
+            # a pair below e^-700 of its row's largest is negligible; the clip
+            # keeps exp off its slow subnormal path
+            np.maximum(val, -700.0, out=val)
+            tot = np.add.reduceat(np.exp(val, out=val), starts)
+            tot += np.exp(out[rows] - top)
+            out[rows] = top + np.log(tot)
+    return out + (ma + mb)[:, 0] + mu1 * c
+
+
+def _jacobi_rows(k: float, mu: float, Qi: int, d1: np.ndarray, d2: np.ndarray,
+                 la: np.ndarray, lb: np.ndarray, n: np.ndarray | None) -> np.ndarray:
+    """Sum of the Jacobi pairs of each rank-2 row, from its two factor grids.
+
+    ``d1`` (B, I) and ``d2`` (B, J) hold the offsets y1 - c >= 0 and
+    y2 - c <= 0 of the nodes, ``la`` and ``lb`` their log-weights a_i, b_j
+    (<= 0), and ``n`` (B, I) the Jacobi partners of each i among the j, which
+    are sorted by y2 descending; None means all of them.  With
+    A_qi = e^{mu d1_i p_q} and B_qj = e^{mu d2_j (1 - p_q)}, a row's sum is
+
+        sum_q w_q sum_i a_i A_qi [d1_i P_q(n_i) - R_q(n_i)],
+
+    P_q(s) and R_q(s) the sums of b_j B_qj and b_j d2_j B_qj over j < s.  With
+    n None these are sums over all j, and the i-sums are taken first.  A node
+    weight below e^-250 of its row's largest is taken as 0, which keeps every
+    product off the slow subnormal range; what it drops is below 1e-80 of the
+    row.  Rows go ``_RANK2_BLOCK`` values at a time, one row a column, and every
+    sum is added in an order that does not depend on a row's batch.
+    """
+    B, I, J = d1.shape[0], d1.shape[1], d2.shape[1]
+    x, w = quad._ref_jacobi(Qi, k - 1.0, k - 1.0)
+    p = 0.5 * (1.0 + x)
+    term = np.array([mu])
+    wa, wb = np.exp(la.T), np.exp(lb.T)
+    wa[la.T < -250.0] = 0.0
+    wb[lb.T < -250.0] = 0.0
+    d1, d2 = np.ascontiguousarray(d1.T), np.ascontiguousarray(d2.T)
+    out = np.empty(B)
+    step = max(1, _RANK2_BLOCK // (Qi * max(I, J)))
+    coords = np.empty(Qi * max(I, J) * min(B, step))
+    for r0 in range(0, B, step):
+        rows = slice(r0, min(B, r0 + step))
+        b = rows.stop - r0
+        # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
+        fa = _factor_grid(k, term, p, d1[:, rows], coords)
+        fb = _factor_grid(k, term, 1.0 - p, d2[:, rows], coords)
+        if n is not None and not n[rows].any():  # no Jacobi pair
+            out[rows] = 0.0
+            continue
+        np.exp(fa, out=fa)
+        np.exp(fb, out=fb)
+        fa *= wa[:, rows]
+        fb *= wb[:, rows]
+        if n is None:
+            a0 = _sum_axis1(fa)
+            fa *= d1[:, rows]
+            b0 = _sum_axis1(fb)
+            fb *= d2[:, rows]
+            s = _sum_axis1(fa) * b0 - a0 * _sum_axis1(fb)
+        else:
+            fd = fb * d2[:, rows]
+            # prefix sums along the sorted j; slot s sums j < s
+            pb = np.empty((Qi, J + 1, b))
+            pd = np.empty((Qi, J + 1, b))
+            pb[:, 0] = pd[:, 0] = 0.0
+            _cumsum_axis1(fb, pb[:, 1:])
+            _cumsum_axis1(fd, pd[:, 1:])
+            at = (n[rows].T * b + np.arange(b)).reshape(-1)
+            h = np.take(pb.reshape(Qi, -1), at, axis=1).reshape(Qi, I, b)
+            h *= d1[:, rows]
+            h -= np.take(pd.reshape(Qi, -1), at, axis=1).reshape(Qi, I, b)
+            h *= fa
+            s = _sum_axis1(h)
+        s *= (w / w.sum())[:, None]
+        out[rows] = np.ascontiguousarray(s.T).sum(axis=1)
+    return out
+
+
+def _factor_grid(k: float, term: np.ndarray, p: np.ndarray, offset: np.ndarray,
+                 coords: np.ndarray) -> np.ndarray:
+    """mu p_q offset on the (Qi,) + offset.shape grid, through the recursion's
+    terminal case; ``coords`` is scratch space for the grid."""
+    shape = p.shape + offset.shape
+    grid = np.multiply.outer(p, offset, out=coords[:math.prod(shape)].reshape(shape))
+    return _log_psi(k, term, grid.reshape(-1, 1), p.shape).reshape(shape)
+
+
+def _cumsum_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=1, out=out): the same bits, added in order, but a
+    slice at a time when the slices are large, where numpy's cumsum is slow."""
+    if a.shape[0] * a.shape[2] < 2048:
+        return np.cumsum(a, axis=1, out=out)
+    out[:, 0] = a[:, 0]
+    for i in range(1, a.shape[1]):
+        np.add(out[:, i - 1], a[:, i], out=out[:, i])
+    return out
+
+
+def _sum_axis1(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a 3-d array, added in index order: numpy sums a middle
+    axis so while the last extent is above 1, and pairwise at 1, which would
+    make a lone row's bits differ from its bits in a batch."""
+    return a.sum(axis=1) if a.shape[2] > 1 else np.cumsum(a, axis=1)[:, -1]
+
+
+def _level_rules(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
+                 top_lo=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The Q-node rules of the m levels x_{i+1} <= y_i <= x_i of the interlacing
+    box, for (B, m+1) chamber rows ``X`` and slopes ``mu``: lists of (B, Q)
+    nodes and log-weights, which carry the non-adjacent (k-1)-power factors.
     ``top_lo`` restricts the last level to [top_lo, x_m], where the factor
     (y_m - x_{m+1})^{k-1} leaves the weight and is multiplied in explicitly.
     """
@@ -278,6 +453,21 @@ def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
             lw = lw + (k - 1.0) * np.log(y - X[:, j][:, None])
         ys.append(y)
         lws.append(lw)
+    return ys, lws
+
+
+def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
+                     top_lo=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level.
+
+    ``X`` holds (B, m+1) active chamber rows, ``mu`` the slope of e^{mu_i y_i}
+    along each of the m levels.  Returns the level node grids, the i-th of
+    shape (B,) + (1,)*i + (Q,) + (1,)*(m-1-i), and ``logf`` on (B,) + (Q,)*m:
+    level log-weights, non-adjacent (k-1)-power factors, log prod_{i<j}(y_i-y_j).
+    ``top_lo`` is as in ``_level_rules``.
+    """
+    B, m = X.shape[0], X.shape[1] - 1
+    ys, lws = _level_rules(k, X, mu, Q, top_lo)
 
     def grid_shape(i):
         return (B,) + (1,) * i + (Q,) + (1,) * (m - 1 - i)
@@ -311,8 +501,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
             if len(sl):
                 out[sl] = _log_psi(k, lam, X[sl], plan)
         return out
-    if m == 1:  # A_1 rows: a 1 x 1 grid
-        return _rank1_grid(k, lam, X[:, :1], X[:, 1:], None, Q).reshape(B)
+    if m == 1:
+        return _rank1_grid(k, lam, X[:, 0], X[:, 1], Q)
 
     lam0 = lam[:m] - lam[m]
     mu = np.sort(lam0)[::-1]  # slope seen by y_i once Y is sorted decreasing
@@ -323,16 +513,14 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
             logpi += np.log(X[:, i] - X[:, j])
     base_term = lam[m] * X.sum(axis=1) + (1 - 2 * k) * logpi
 
-    ygrids, logf = interlacing_grid(k, X, mu, Q)
     inner_plan = plan[1:] if len(plan) > 1 else plan
     if m == 2:
-        logf += _rank1_grid(k, lam0, ygrids[0].reshape(B, Q), ygrids[1].reshape(B, Q),
-                            X[:, 1], inner_plan[0])
-    else:
-        Y = np.empty((B,) + (Q,) * m + (m,))
-        for i in range(m):
-            Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
-        logf += _log_psi(k, lam0, Y.reshape(-1, m), inner_plan).reshape(logf.shape)
+        return logpref + base_term + _rank2_level(k, lam0, X, mu, Q, inner_plan[0])
+    ygrids, logf = interlacing_grid(k, X, mu, Q)
+    Y = np.empty((B,) + (Q,) * m + (m,))
+    for i in range(m):
+        Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
+    logf += _log_psi(k, lam0, Y.reshape(-1, m), inner_plan).reshape(logf.shape)
     return logpref + base_term + logsumexp(logf.reshape(B, -1), axis=1)
 
 

@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, hyp1f1, ive
 
 from dunkl import quad
@@ -163,6 +165,56 @@ def test_a2_argument_swap_at_k_not_one():
         assert abs(math.expm1(a - b)) < 1e-9, (lam, X)
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(k=st.floats(0.1, 4.0), scale=st.floats(-2.0, 4.0),
+       shape=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+       gaps=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)), shift=st.floats(-1.0, 1.0))
+def test_a2_argument_swap_property(k, scale, shape, gaps, shift):
+    # psi_lambda(e^X) = psi_X(e^lambda) at random k; lambda scales from 1e-2
+    # (every rank-2 pair Jacobi) through mixed staircases to 1e4 (every pair
+    # tilted).  X stays off the walls: within 1e-3 of one the recursion
+    # loses accuracy at k < 1 on either side of the swap.
+    rs = rootsystem(2, k)
+    lam = 10.0 ** scale * np.array([shape[0] + shape[1], shape[1], 0.0])
+    X = np.array([gaps[0] + gaps[1], gaps[1], 0.0]) + shift
+    a = spherical_log(rs, lam, X)
+    b = spherical_log(rs, X, lam)
+    assert abs(math.expm1(a - b)) < 1e-9, (lam, X)
+
+
+def log_psi_k1_mpmath(rs, lam, X, dps):
+    """log of the k = 1 closed form (prod_{j<=n} j!) det(e^{lambda_i x_j}) /
+    (pi(lambda) pi(X)) at ``dps`` digits."""
+    lam_a, X_a = rs.active(lam), rs.active(X)
+    m = len(lam_a)
+    with mpmath.workdps(dps):
+        lm = [mpmath.mpf(float(v)) for v in lam_a]
+        xm = [mpmath.mpf(float(v)) for v in X_a]
+        det = mpmath.det(mpmath.matrix([[mpmath.exp(li * xj) for xj in xm] for li in lm]))
+        pil = mpmath.fprod(lm[i] - lm[j] for i in range(m) for j in range(i + 1, m))
+        pix = mpmath.fprod(xm[i] - xm[j] for i in range(m) for j in range(i + 1, m))
+        return mpmath.log(mpmath.fprod(mpmath.factorial(j) for j in range(1, m)) * det
+                          / (pil * pix))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_k1_determinant_oracle_in_mpmath(n):
+    # the determinant cancels to pi(lambda) pi(X) times its largest term, so
+    # the digits grow with the largest exponent and with -log10 pi(lambda) pi(X);
+    # twice the digits agree to far below the tolerance
+    rs = rootsystem(n, 1.0)
+    pts = pairing_sweep_grid(rs, span=(1e-3, 1e4), num=15)[:11]  # pairing <= 1e2
+    for lam, X in pts:
+        la, xa = rs.active(lam), rs.active(X)
+        roots = np.prod([(la[i] - la[j]) * (xa[i] - xa[j])
+                         for i in range(n + 1) for j in range(i + 1, n + 1)])
+        dps = (30 + math.ceil(np.abs(np.outer(la, xa)).max() / math.log(10))
+               + max(0, math.ceil(-math.log10(roots))))
+        ref = log_psi_k1_mpmath(rs, lam, X, dps)
+        assert abs(ref - log_psi_k1_mpmath(rs, lam, X, 2 * dps)) < 1e-25
+        assert abs(math.expm1(spherical_log(rs, lam, X) - float(ref))) <= 1e-12, lam
+
+
 @pytest.mark.parametrize("n,plan,rows", [
     (1, (48,), 5000),
     (2, (32, 24), 500),
@@ -216,37 +268,95 @@ def rank1_row_reference(k, lam, hi, lo, Q):
 @pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
 @pytest.mark.parametrize("mu", [-23.0, 17.0])
 def test_rank1_grid_matches_per_row_rule(k, mu):
-    # random rank-2 grids whose pairs mix Jacobi and tilted ones, tilted pairs
-    # just past the switch among them
+    # random A_1 rows that mix Jacobi and tilted ones, tilted rows just past
+    # the switch among them
     rng = np.random.default_rng(int(10 * k) + (mu > 0))
-    B, I, J, Q = 3, 7, 5, 16
-    c = rng.uniform(-1.0, 1.0, B)
-    hi = c[:, None] + rng.uniform(0.0, 2.5, (B, I))
-    lo = c[:, None] - rng.uniform(0.0, 2.5, (B, J))
+    Q = 16
+    c = rng.uniform(-1.0, 1.0, 105)
+    hi = c + rng.uniform(0.0, 2.5, c.size)
+    lo = c - rng.uniform(0.0, 2.5, c.size)
     lam = np.array([mu + 0.4, 0.4])
-    got = sph._rank1_grid(k, lam, hi, lo, c, Q)
-    u = abs(mu) * (hi[:, :, None] - lo[:, None, :])
+    got = sph._rank1_grid(k, lam, hi, lo, Q)
+    u = abs(mu) * (hi - lo)
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     assert (u <= u0).any() and ((u > u0) & (u < 1.5 * u0)).any() and (u > 2.0 * u0).any()
-    for b, i, j in np.ndindex(got.shape):
-        ref = rank1_row_reference(k, lam, hi[b, i], lo[b, j], Q)
-        assert abs(got[b, i, j] - ref) <= 1e-13 * max(1.0, abs(ref)), (b, i, j)
+    for r in range(c.size):
+        ref = rank1_row_reference(k, lam, hi[r], lo[r], Q)
+        assert abs(got[r] - ref) <= 1e-13 * max(1.0, abs(ref)), r
 
 
 @pytest.mark.parametrize("Q", [6, 16, 48])
 @pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
 def test_rank1_grid_tilted_pairs_against_mpmath(k, Q):
-    # every tilted pair of a grid, from just past the switch u0 to u = 1e6,
-    # against log 1F1(k; 2k; -u) at 30 digits: with mu = -1 and lo = c = 0
-    # the pair (u, 0) is log psi = log 1F1(k; 2k; -u), of size k log u;
-    # k = 30 takes a fit of twice the starting degree
+    # tilted A_1 rows from just past the switch u0 to u = 1e6, against
+    # log 1F1(k; 2k; -u) at 30 digits: with mu = -1 the row (u, 0) is
+    # log psi = log 1F1(k; 2k; -u), of size k log u; k = 30 takes a fit of
+    # twice the starting degree
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     u = np.concatenate([[u0 * (1.0 + 1e-12), u0 * 1.01], np.geomspace(u0, 1e6, 40)[1:]])
-    got = sph._rank1_grid(k, np.array([-1.0, 0.0]), u[None, :], np.zeros((1, 1)),
-                          np.zeros(1), Q)[0, :, 0]
+    got = sph._rank1_grid(k, np.array([-1.0, 0.0]), u, np.zeros_like(u), Q)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, -mpmath.mpf(v))))
                         for v in u])
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+
+def rank2_level_reference(k, lam, X, Q, Qi):
+    """The rank-2 level the slow way: ``interlacing_grid``'s log-weights plus
+    every node pair (y1_i, y2_j) evaluated as an A_1 row, then a log-sum-exp."""
+    mu = np.sort(lam)[::-1]
+    (y1, y2), logf = sph.interlacing_grid(k, X, mu, Q)
+    B = X.shape[0]
+    pairs = np.stack(np.broadcast_arrays(y1, y2), axis=-1).reshape(-1, 2)
+    logf = logf + sph._log_psi(k, lam, pairs, (Qi,)).reshape(B, Q, Q)
+    return quad.logsumexp(logf.reshape(B, -1), axis=1), y1.reshape(B, Q), y2.reshape(B, Q), logf
+
+
+@pytest.mark.parametrize("k", [0.5, 2.5])
+@pytest.mark.parametrize("lam", [(30.0, 0.0), (-30.0, 0.0), (0.0, 45.0)])
+def test_rank2_level_matches_pairwise_a1_rows(k, lam):
+    # rows whose pairs mix Jacobi and tilted ones (the staircase), rows with
+    # none and rows with only Jacobi pairs, i's with no Jacobi partner, and
+    # level rules that drop nodes; both signs of mu = l1 - l2, so tilted level
+    # nodes come descending (a level slope > 0) or ascending (< 0)
+    lam = np.array(lam)
+    Q, Qi = 12, 10
+    rng = np.random.default_rng(3)
+    gaps = np.concatenate([rng.uniform(0.02, 0.1, (3, 2)), rng.uniform(0.3, 2.0, (9, 2)),
+                           rng.uniform(20.0, 60.0, (2, 2)), [[0.9, 1e-4], [1e-4, 0.9]]])
+    X = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
+    X = X + rng.uniform(-1.0, 1.0, (X.shape[0], 1))
+    got = sph._rank2_level(k, lam, X, np.sort(lam)[::-1], Q, Qi)
+    ref, y1, y2, logf = rank2_level_reference(k, lam, X, Q, Qi)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+    # what the rows cover
+    u = abs(lam[0] - lam[1]) * (y1[:, :, None] - y2[:, None, :])
+    jacobi = u <= min(quad.TILT_SWITCH, 2.0 * Qi)
+    assert jacobi.all(axis=(1, 2)).any() and (~jacobi).all(axis=(1, 2)).any()
+    stair = jacobi.any(axis=(1, 2)) & ~jacobi.all(axis=(1, 2))
+    assert stair.any() and (~jacobi[stair]).all(axis=2).any()  # an i with no partner
+    assert np.isneginf(logf).any()  # dropped level nodes
+
+
+@pytest.mark.parametrize("Qi", [6, 16, 48])
+@pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
+def test_rank2_tilted_pairs_against_mpmath(k, Qi):
+    # one node a level makes a rank-2 row one pair (y1, y2), the first level
+    # Jacobi (slope 0) and the second rule's node kept; the pairs run from just
+    # past the switch u0 to u = 1e6, and their log psi_(-1, 0) =
+    # log 1F1(k; 2k; -(y1 - y2)) - y2 is checked against 30 digits
+    u0 = min(quad.TILT_SWITCH, 2.0 * Qi)
+    u = np.concatenate([[u0 * (1.0 + 1e-12), u0 * 1.01], np.geomspace(u0, 1e6, 40)[1:]])
+    lam = np.array([-1.0, 0.0])
+    X = np.stack([2.0 * u - 1.0, np.zeros_like(u), -np.ones_like(u)], axis=1)
+    got = sph._rank2_level(k, lam, X, np.sort(lam)[::-1], 1, Qi)
+    _, y1, y2, logf = rank2_level_reference(k, lam, X, 1, Qi)
+    assert np.all(np.abs(y1 - y2)[:, 0] / u - 1.0 < 1e-12)
+    with mpmath.workdps(30):
+        pair = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, -(mpmath.mpf(a) - b)))) - b
+                         for a, b in zip(y1[:, 0], y2[:, 0])])
+    lw = logf[:, 0, 0] - sph._log_psi(k, lam, np.stack([y1[:, 0], y2[:, 0]], axis=1), (Qi,))
+    ref = lw + pair
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
 
@@ -260,33 +370,38 @@ def test_tilted_series_degree_grows_or_refuses():
         sph._tilted_series(150.0, 2.0)
 
 
-@pytest.mark.parametrize("mu", [100.0, 15.0])
-def test_rank1_grid_peak_memory(mu):
-    # a chunk-sized rank-2 grid (B I J = 1563 * 16 * 16 pairs, mostly tilted)
-    # holds at most 3.5 pair-sized float arrays at once: the two factor grids,
-    # the tilted mask and the result; the closed form runs in blocks
+@pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 3.55)],
+                         ids=["jacobi", "tilted"])
+def test_rank2_level_peak_memory(lam, bound):
+    # one chunk-sized A_2 call (B Q^2 = 390 * 32^2 nodes) holds at most
+    # ``bound`` arrays of its node-pair size at once: its rank-2 level keeps
+    # factor grids of (I + J) Qi values a row, not I J; a mostly tilted call adds
+    # the tilted-pair mask and the closed form's blocks
     rng = np.random.default_rng(2)
-    B, I, J, Q = 1563, 16, 16, 16
-    c = rng.uniform(-1.0, 1.0, B)
-    hi = c[:, None] + rng.uniform(0.0, 2.5, (B, I))
-    lo = c[:, None] - rng.uniform(0.0, 2.5, (B, J))
-    lam = np.array([mu, 0.0])
-    sph._rank1_grid(0.7, lam, hi, lo, c, Q)  # the fit is built once, outside the trace
+    B, plan = 390, (32, 24)
+    gaps = rng.uniform(0.2, 1.0, (B, 2))
+    X = np.concatenate([np.zeros((B, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
+    lam = np.array(lam)
+    assert B * plan[0] ** 2 <= sph._CHUNK
+    sph._log_psi(0.7, lam, X, plan)  # the rules are built once, outside the trace
     tracemalloc.start()
     try:
-        sph._rank1_grid(0.7, lam, hi, lo, c, Q)
+        sph._log_psi(0.7, lam, X, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tilted = mu * (hi[:, :, None] - lo[:, None, :]) > min(quad.TILT_SWITCH, 2.0 * Q)
-    assert 0.5 < tilted.mean() < 1.0
-    assert peak <= 3.5 * B * I * J * 8, peak / (B * I * J * 8)
+    _, y1, y2, _ = rank2_level_reference(0.7, lam[:2] - lam[2], X, plan[0], plan[1])
+    tilted = (lam[0] - lam[1]) * (y1[:, :, None] - y2[:, None, :]) > min(quad.TILT_SWITCH,
+                                                                         2.0 * plan[1])
+    assert tilted.mean() == 0.0 if lam[0] < 10 else 0.5 < tilted.mean() < 1.0
+    assert peak <= bound * B * plan[0] ** 2 * 8, peak / (B * plan[0] ** 2 * 8)
 
 
 def test_rank1_grid_overflowing_factors_raise_no_warning():
-    # at pairing 1e4 the factor e^{mu (y1 - x2) p_q} of an A_2 row overflows;
-    # it feeds only tilted pairs, which the closed form overwrites, also when
-    # the batch holds a row whose pairs take the product (pairing 1)
+    # at pairing 1e4 the factor e^{mu (y1 - x2) p_q} of an A_2 row would
+    # overflow; it belongs to an i with no Jacobi partner, which evaluates its
+    # factors at offset 0 and adds nothing, also when the batch holds a row
+    # whose pairs are all Jacobi (pairing 1)
     rs = rootsystem(2, 0.5)
     lam, X = pairing_sweep_grid(rs, span=(1e-3, 1e4), num=3)[-1]
     assert (lam[0] - lam[1]) * (X[0] - X[1]) > 2000.0
