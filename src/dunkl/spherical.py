@@ -26,15 +26,19 @@ factor y_1 - y_2, which splits into (y_1 - c) + (c - y_2), c the middle
 coordinate of the row.  A pair whose rank-1 level is a Jacobi rule has psi equal
 to the weighted mean of e^{mu y} over its nodes, and e^{mu y} splits into a
 factor along y_1 and one along y_2, so a row's Jacobi pairs are sums over two
-factor grids; only these grids pass through the single-coordinate terminal
-case, which makes the evaluation count 2 Q_{n-2} Q_{n-1} per rank-2 row and
-Q per A_1 row (``_predicted_evals``).  The Jacobi partners of each y_1 are a
-prefix of the y_2 sorted in descending order (a staircase), so their sums are
-prefix sums.  A tilted pair, and a tilted A_1 row (``_rank1_grid``), takes the
-rank-one kernel in closed form, the Bessel function of DLMF 13.6.9, whose
-smooth remainder is a cached Chebyshev series (``_tilted_series``), a block at
-a time.  When all entries of lambda are equal, psi_lambda(e^X) =
-e^{lambda_1 sum x} is returned exactly.
+factor grids, which alone pass through the single-coordinate terminal case.
+A tilted pair, and a tilted A_1 row (``_rank1_grid``), takes the rank-one
+kernel in closed form, the Bessel function of DLMF 13.6.9, whose smooth
+remainder is a cached Chebyshev series (``_tilted_series``), a block at a
+time.  A rank-2 row falls into one of three classes by the bounds of its
+pairs' tilt: all Jacobi (two factor grids, 2 Q_{n-2} Q_{n-1} terminal
+evaluations), all tilted (a dense block of closed forms, none), or mixed (the
+factor grids, whose Jacobi partners of each y_1 are a prefix of the y_2
+sorted in descending order, a staircase of prefix sums, and the tilted pairs'
+closed forms).  ``_predicted_evals``, the price the budget guard checks, counts
+every rank-2 row as evaluating its factor grids and every A_1 row Q; it is
+exact when no row is all tilted and no A_1 row tilted.  When all entries of
+lambda are equal, psi_lambda(e^X) = e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
@@ -66,9 +70,10 @@ _CHUNK = 400_000
 #: tilted A_1 rows per block: numpy's per-call cost is spread over many rows,
 #: and a block's 32 kB work arrays stay in cache
 _RANK1_BLOCK = 4096
-#: tilted pairs of a rank-2 level per block, whole rows at a time: a row's
-#: pairs are reduced together, and larger blocks spread the Clenshaw
-#: recurrence's per-call cost
+#: tilted pairs of a rank-2 level per block, whole rows at a time (the dense
+#: blocks of rows whose pairs are all tilted, and the gathered tilted pairs of
+#: mixed rows): a row's pairs are reduced together, and larger blocks spread
+#: the Clenshaw recurrence's per-call cost
 _TILT_BLOCK = 16384
 #: rank-2 rows whose factor grids hold about this many values are summed
 #: together, so that their arrays stay in cache
@@ -83,13 +88,16 @@ def default_node_plan(n: int) -> tuple[int, ...]:
 
 
 def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
-    """Terminal evaluations the recursion makes for ``batch`` rank-m rows.
+    """The plan's price: the terminal evaluations of ``batch`` rank-m rows
+    when no row's value is a closed form, an upper bound on the work.
 
     Each level of rank >= 3 multiplies the rows by its grid, Q_d^(m-d); each
     rank-2 row then evaluates the two factor grids of its rank-1 level, one
     along each of its Q_{m-2}-node level rules, 2 Q_{m-2} Q_{m-1} terminal rows
-    (also where its pairs are tilted), and an A_1 row one grid, Q.  Tilted
-    rank-1 pairs take a closed form and evaluate nothing.
+    (also where some of its pairs are tilted), and an A_1 row one grid, Q.  A
+    rank-2 row whose pairs are all tilted and a tilted A_1 row take closed
+    forms and evaluate nothing, which the price does not subtract: the budget
+    guard checks it before any level rule is built.
     """
     def q(depth):
         return plan[min(depth, len(plan) - 1)]
@@ -200,29 +208,30 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     (u = |mu| (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the weighted mean of
     e^{mu (y_q - lo)} = e^{mu (hi - lo) p_q} over the nodes y_q = hi p_q +
     lo (1 - p_q) of the rule for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy:
-    Q terminal evaluations a row.  Its exponent is at most u, so a factor that
-    over- or underflows belongs to a tilted row, which takes the Bessel closed
-    form mu (hot - lo) + H_k(2 u0/u - 1) - k log u (``_bessel_tail``) instead,
-    ``_RANK1_BLOCK`` rows at a time.  mu = 0 gives exactly l2 (hi + lo).
+    Q terminal evaluations a row, whose exponents are at most u0.  A tilted row
+    takes the Bessel closed form mu (hot - lo) + H_k(2 u0/u - 1) - k log u
+    (``_bessel_tail``) instead, ``_RANK1_BLOCK`` rows at a time, and evaluates
+    no terminal case; so does mu = 0, which gives exactly l2 (hi + lo).
     """
-    B = hi.shape[0]
     mu = float(lam[0] - lam[1])
-    x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
-    # the terminal case on the factor grid, laid out (Q, B)
-    f = _log_psi(k, np.array([mu]), np.multiply.outer(0.5 * (1.0 + x), hi - lo).reshape(-1, 1),
-                 (Q,)).reshape(Q, B)
     if mu == 0.0:
         return lam[1] * (hi + lo)
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     u = hi - lo
     u *= abs(mu)
     tilted = np.flatnonzero(u > u0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    out = np.empty(u.shape[0])
+    if tilted.size < u.size:
+        jacobi = np.flatnonzero(u <= u0) if tilted.size else slice(None)  # no copies if all
+        x, w = quad._ref_jacobi(Q, k - 1.0, k - 1.0)
+        # the terminal case on the factor grid of the Jacobi rows, laid out (Q, b)
+        f = _log_psi(k, np.array([mu]),
+                     np.multiply.outer(0.5 * (1.0 + x), (hi - lo)[jacobi]).reshape(-1, 1),
+                     (Q,)).reshape(Q, -1)
         np.exp(f, out=f)
         f *= (w / w.sum())[:, None]
         # cumsum adds the nodes in order, so no row's bits depend on its batch
-        out = np.cumsum(f, axis=0, out=f)[-1]
-        np.log(out, out=out)
+        out[jacobi] = np.log(np.cumsum(f, axis=0, out=f)[-1])
     hot = hi if mu > 0 else lo
     for start in range(0, tilted.size, _RANK1_BLOCK):
         sel = tilted[start:start + _RANK1_BLOCK]
@@ -246,29 +255,24 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
     e^{l2 (y1+y2) + mu c} e^{mu (y1 - c) p_q} e^{mu (y2 - c)(1 - p_q)}, so the
     Jacobi pairs of a row sum to e^{mu c} times a sum over the nodes of two
     factor grids (``_jacobi_rows``): (I + J) Qi terminal evaluations a row.
-    The Jacobi partners of i are {j : y2_j >= y1_i - u0/|mu|}, a prefix of y2
-    sorted descending (a staircase), so their sums are prefix sums along j.
     A tilted pair takes the Bessel closed form, whose -k log u absorbs the
-    Vandermonde log as (1 - k) log u - log |mu|, in blocks of whole rows of
-    about ``_TILT_BLOCK`` pairs, and joins the Jacobi sum in its row's
-    log-sum-exp.  A pair with a dropped node adds nothing.
+    Vandermonde log as (1 - k) log u - log |mu|.
+
+    The rows fall into three classes by the bounds of u over their pairs.  If
+    no pair of the batch is tilted, every row is summed from its factor grids
+    alone.  Otherwise a row whose pairs are all Jacobi is too; a row whose
+    pairs are all tilted is a dense (I, J) block of closed forms
+    (``_tilted_rows``) and evaluates no terminal case; a mixed row sorts its y2
+    descending, so that the Jacobi partners of each i, {j : y2_j >= y1_i -
+    u0/|mu|}, are a prefix (a staircase) summed by prefix sums, and its tilted
+    pairs join that sum in its log-sum-exp (``_mixed_rows``).  A pair with a
+    dropped node adds nothing.
     """
     (y1, y2), (lw1, lw2) = _level_rules(k, X, mu, Q)
-    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     c = X[:, 1]
     mu1 = float(lam[0] - lam[1])
     amu = abs(mu1)
     u0 = min(quad.TILT_SWITCH, 2.0 * Qi)
-    tilted = None
-    if amu * (y1.max() - y2.min()) > u0:  # else no pair is tilted
-        order = np.argsort(-y2, axis=1, kind="stable")
-        y2 = np.take_along_axis(y2, order, axis=1)
-        lw2 = np.take_along_axis(lw2, order, axis=1)
-        u = y1[:, :, None] - y2[:, None, :]
-        u *= amu
-        tilted = u > u0
-        del u
-        n = J - tilted.sum(axis=2)  # the Jacobi partners of each i
     # node log-weights with e^{l2 y}, relative to their row's largest
     la = lw1 + lam[1] * y1
     lb = lw2 + lam[1] * y2
@@ -278,62 +282,125 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
     mb[~np.isfinite(mb)] = 0.0
     la -= ma
     lb -= mb
-    d1, d2 = y1 - c[:, None], y2 - c[:, None]
-    if tilted is not None:
-        # the tilted pairs' per-node terms: mu (hot - c), and the -log |mu|
-        # of y1 - y2 = u / |mu|
-        ta = la + mu1 * d1 if mu1 > 0 else la
-        tb = lb - math.log(amu) + (0.0 if mu1 > 0 else mu1 * d2)
-        # a factor exponent is at most u0 at an i (a j) that has (is) a
-        # Jacobi partner; the others never reach a sum, and take offset 0
-        d1[n == 0] = 0.0
-        d2[np.arange(J) >= n.max(axis=1, keepdims=True)] = 0.0
-
-    # rows whose pairs are all Jacobi take the i-sums first; rows with none
-    # only evaluate their factor grids
-    if tilted is None:
-        out = _jacobi_rows(k, mu1, Qi, d1, d2, la, lb, None)
+    if amu * (y1.max() - y2.min()) <= u0:  # no pair is tilted
+        out = _jacobi_rows(k, mu1, Qi, y1 - c[:, None], y2 - c[:, None], la, lb, None)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
     else:
-        out = np.empty(B)
-        full, none = (n == J).all(axis=1), (n == 0).all(axis=1)
-        for rows, stair in ((full, None), (~full & ~none, n), (none, n)):
-            rows = np.flatnonzero(rows)
-            if rows.size:
-                out[rows] = _jacobi_rows(k, mu1, Qi, d1[rows], d2[rows], la[rows], lb[rows],
-                                         None if stair is None else stair[rows])
+        # the bounds of each row's u (numpy reduces a short last axis slowly)
+        y1t, y2t = np.ascontiguousarray(y1.T), np.ascontiguousarray(y2.T)
+        u_lo = amu * (y1t.min(axis=0) - y2t.max(axis=0))
+        u_hi = amu * (y1t.max(axis=0) - y2t.min(axis=0))
+        out = np.empty(X.shape[0])
+        rows = np.flatnonzero(u_hi <= u0)  # all pairs Jacobi
+        if rows.size:
+            cr = c[rows, None]
+            s = _jacobi_rows(k, mu1, Qi, y1[rows] - cr, y2[rows] - cr, la[rows], lb[rows], None)
+            with np.errstate(divide="ignore"):
+                out[rows] = np.log(s)
+        rows = np.flatnonzero(u_lo > u0)  # all pairs tilted
+        if rows.size:
+            out[rows] = _tilted_rows(k, mu1, u0, y1[rows], y2[rows], c[rows], la[rows], lb[rows])
+        rows = np.flatnonzero((u_hi > u0) & (u_lo <= u0))
+        if rows.size:
+            out[rows] = _mixed_rows(k, mu1, u0, Qi, y1[rows], y2[rows], c[rows], la[rows],
+                                    lb[rows])
+    return out + (ma + mb)[:, 0] + mu1 * c
+
+
+def _tilt_terms(mu1: float, la: np.ndarray, lb: np.ndarray, d1: np.ndarray,
+                d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-node terms of the tilted pairs' closed form: the node
+    log-weights, mu (hot - c), and the -log |mu| of y1 - y2 = u / |mu|."""
+    ta = la + mu1 * d1 if mu1 > 0 else la
+    tb = lb - math.log(abs(mu1)) + (0.0 if mu1 > 0 else mu1 * d2)
+    return ta, tb
+
+
+def _tilted_rows(k: float, mu1: float, u0: float, y1: np.ndarray, y2: np.ndarray,
+                 c: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """log of the sum over all pairs (i, j) of rank-2 rows whose pairs are all
+    tilted: e^{H_k(2 u0/u - 1) - (k - 1) log u + ta_i + tb_j}, u = |mu| (y1_i -
+    y2_j), ta and tb the per-node terms (``_tilt_terms``).  Rows go in dense
+    (b, I, J) blocks of about ``_TILT_BLOCK`` pairs, each row's pairs reduced
+    along one contiguous axis, so that no row's bits depend on its batch.
+    """
+    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
+    amu = abs(mu1)
+    ta, tb = _tilt_terms(mu1, la, lb, y1 - c[:, None], y2 - c[:, None])
+    out = np.empty(B)
+    step = max(1, _TILT_BLOCK // (I * J))
+    for r0 in range(0, B, step):
+        rows = slice(r0, min(B, r0 + step))
+        u = y1[rows, :, None] - y2[rows, None, :]
+        u *= amu
+        val = _bessel_tail(k, u0, u, k - 1.0)
+        val += ta[rows, :, None]
+        val += tb[rows, None, :]
+        val = val.reshape(val.shape[0], -1)
+        top = val.max(axis=1, keepdims=True)
+        val -= top
+        # a pair below e^-700 of its row's largest is negligible; the clip
+        # keeps exp off its slow subnormal path
+        np.maximum(val, -700.0, out=val)
+        out[rows] = top[:, 0] + np.log(np.exp(val, out=val).sum(axis=1))
+    return out
+
+
+def _mixed_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray,
+                y2: np.ndarray, c: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """log of the rank-2 level of rows that mix Jacobi and tilted pairs: the
+    Jacobi pairs through ``_jacobi_rows``' staircase, the tilted pairs as
+    gathered closed forms in blocks of whole rows of about ``_TILT_BLOCK``
+    pairs, joined in each row's log-sum-exp.
+    """
+    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
+    amu = abs(mu1)
+    order = np.argsort(-y2, axis=1, kind="stable")
+    y2 = np.take_along_axis(y2, order, axis=1)
+    lb = np.take_along_axis(lb, order, axis=1)
+    d1, d2 = y1 - c[:, None], y2 - c[:, None]
+    ta, tb = _tilt_terms(mu1, la, lb, d1, d2)
+    u = y1[:, :, None] - y2[:, None, :]
+    u *= amu
+    tilted = u > u0
+    del u
+    n = J - tilted.sum(axis=2)  # the Jacobi partners of each i
+    # a factor exponent is at most u0 at an i (a j) that has (is) a Jacobi
+    # partner; the others never reach a sum, and take offset 0
+    d1[n == 0] = 0.0
+    d2[np.arange(J) >= n.max(axis=1, keepdims=True)] = 0.0
+    out = _jacobi_rows(k, mu1, Qi, d1, d2, la, lb, n)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)
 
-    if tilted is not None:
-        tilted &= np.isfinite(la)[:, :, None]
-        tilted &= np.isfinite(lb)[:, None, :]
-        per_row = tilted.sum(axis=(1, 2))
-        # blocks of whole rows, so that each row's pairs are summed in one order
-        first = np.cumsum(per_row) - per_row
-        edges = np.flatnonzero(np.diff(first // _TILT_BLOCK)) + 1
-        for r0, r1 in zip(np.concatenate([[0], edges]), np.concatenate([edges, [B]])):
-            sel = np.flatnonzero(tilted[r0:r1])
-            if not sel.size:
-                continue
-            bi = sel // J  # (b - r0) I + i
-            bj = bi // I * J + (sel - bi * J)  # (b - r0) J + j
-            ub = y1[r0:r1].reshape(-1)[bi] - y2[r0:r1].reshape(-1)[bj]
-            ub *= amu
-            val = _bessel_tail(k, u0, ub, k - 1.0)
-            val += ta[r0:r1].reshape(-1)[bi]
-            val += tb[r0:r1].reshape(-1)[bj]
-            # each row's log-sum-exp of its tilted pairs and its Jacobi sum
-            rows = r0 + np.flatnonzero(per_row[r0:r1])
-            starts = np.cumsum(per_row[rows]) - per_row[rows]
-            top = np.maximum(np.maximum.reduceat(val, starts), out[rows])
-            val -= np.repeat(top, per_row[rows])
-            # a pair below e^-700 of its row's largest is negligible; the clip
-            # keeps exp off its slow subnormal path
-            np.maximum(val, -700.0, out=val)
-            tot = np.add.reduceat(np.exp(val, out=val), starts)
-            tot += np.exp(out[rows] - top)
-            out[rows] = top + np.log(tot)
-    return out + (ma + mb)[:, 0] + mu1 * c
+    tilted &= np.isfinite(la)[:, :, None]
+    tilted &= np.isfinite(lb)[:, None, :]
+    per_row = tilted.sum(axis=(1, 2))
+    # blocks of whole rows, so that each row's pairs are summed in one order
+    first = np.cumsum(per_row) - per_row
+    edges = np.flatnonzero(np.diff(first // _TILT_BLOCK)) + 1
+    for r0, r1 in zip(np.concatenate([[0], edges]), np.concatenate([edges, [B]])):
+        sel = np.flatnonzero(tilted[r0:r1])
+        if not sel.size:
+            continue
+        bi = sel // J  # (b - r0) I + i
+        bj = bi // I * J + (sel - bi * J)  # (b - r0) J + j
+        ub = y1[r0:r1].reshape(-1)[bi] - y2[r0:r1].reshape(-1)[bj]
+        ub *= amu
+        val = _bessel_tail(k, u0, ub, k - 1.0)
+        val += ta[r0:r1].reshape(-1)[bi]
+        val += tb[r0:r1].reshape(-1)[bj]
+        # each row's log-sum-exp of its tilted pairs and its Jacobi sum
+        rows = r0 + np.flatnonzero(per_row[r0:r1])
+        starts = np.cumsum(per_row[rows]) - per_row[rows]
+        top = np.maximum(np.maximum.reduceat(val, starts), out[rows])
+        val -= np.repeat(top, per_row[rows])
+        np.maximum(val, -700.0, out=val)
+        tot = np.add.reduceat(np.exp(val, out=val), starts)
+        tot += np.exp(out[rows] - top)
+        out[rows] = top + np.log(tot)
+    return out
 
 
 def _jacobi_rows(k: float, mu: float, Qi: int, d1: np.ndarray, d2: np.ndarray,
@@ -372,9 +439,6 @@ def _jacobi_rows(k: float, mu: float, Qi: int, d1: np.ndarray, d2: np.ndarray,
         # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
         fa = _factor_grid(k, term, p, d1[:, rows], coords)
         fb = _factor_grid(k, term, 1.0 - p, d2[:, rows], coords)
-        if n is not None and not n[rows].any():  # no Jacobi pair
-            out[rows] = 0.0
-            continue
         np.exp(fa, out=fa)
         np.exp(fb, out=fb)
         fa *= wa[:, rows]
@@ -583,7 +647,8 @@ def spherical_exact(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
 
     lambda must lie in the closed chamber.  Wall points X are evaluated at the
     collapse-perturbed interior point; the error indicator compares with
-    ``refined_plan``.
+    ``refined_plan``.  ``evals`` is the plans' price (``_predicted_evals``),
+    an upper bound on the terminal evaluations made.
     """
     lam = ensure_chamber(rs, lam)
     plan = plan if plan is not None else default_node_plan(rs.n)

@@ -222,28 +222,47 @@ def test_k1_determinant_oracle_in_mpmath(n):
     (2, (12, 16), 3000),
 ])
 def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
-    # the recursion's terminal (m == 0) rows are the predicted evaluations,
-    # also when a batch is chunked or split into rank-1 blocks and when rows
-    # are tilted; the A_2 rank-2 levels drop tilted nodes, their rank-1 pairs
-    # mix Jacobi and closed-form ones, and (12, 16) puts a rank-2 grid
-    # coarser than the rank-1 rule over them
+    # the recursion's terminal (m == 0) rows are the predicted evaluations
+    # wherever no row's value is a closed form, also when a batch is chunked
+    # or split into rank-1 blocks: a rank-2 row whose pairs mix Jacobi and
+    # tilted ones still evaluates its two factor grids.  The A_2 rank-2 levels
+    # drop tilted nodes, and (12, 16) puts a rank-2 grid coarser than the
+    # rank-1 rule over them.  A tilted A_1 row, and a rank-2 row whose pairs
+    # are all tilted, is a closed form and evaluates nothing, so on A_1 only
+    # the Jacobi rows count, and a lambda that tilts every pair counts 0
     rng = np.random.default_rng(n)
     gaps = rng.uniform(0.05, 1.0, size=(rows, n))
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
-    lam = np.linspace(60.0, 0.0, n + 1)
     assert rows > sph._RANK1_BLOCK if n == 1 else rows * plan[0] ** n > sph._CHUNK
-    terminal = [0]
-    log_psi = sph._log_psi
+    terminal, mixed = [0], [0]
+    log_psi, mixed_rows = sph._log_psi, sph._mixed_rows
 
     def counting(k, lam, X, plan):
         if len(lam) == 1:
             terminal[0] += X.shape[0]
         return log_psi(k, lam, X, plan)
 
+    def spying(*args):
+        mixed[0] += args[4].shape[0]
+        return mixed_rows(*args)
+
     monkeypatch.setattr(sph, "_log_psi", counting)
-    out = sph._log_psi(0.7, lam, X, plan)
-    assert np.all(np.isfinite(out))
-    assert terminal[0] == sph._predicted_evals(n, plan, batch=rows)
+    monkeypatch.setattr(sph, "_mixed_rows", spying)
+
+    def count(top):
+        terminal[0] = 0
+        assert np.all(np.isfinite(sph._log_psi(0.7, np.linspace(top, 0.0, n + 1), X, plan)))
+        return terminal[0]
+
+    predicted = sph._predicted_evals(n, plan, batch=rows)
+    if n == 1:
+        jacobi = 60.0 * gaps[:, 0] <= min(quad.TILT_SWITCH, 2.0 * plan[0])
+        assert 0 < jacobi.sum() < rows
+        assert count(60.0) == plan[0] * jacobi.sum() < predicted
+    else:
+        assert count(30.0 if n == 3 else 60.0) == predicted
+        assert mixed[0] > 0  # rank-2 rows whose pairs mix
+    assert count(1e4) == 0
 
 
 def rank1_row_reference(k, lam, hi, lo, Q):
@@ -370,13 +389,15 @@ def test_tilted_series_degree_grows_or_refuses():
         sph._tilted_series(150.0, 2.0)
 
 
-@pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 3.55)],
-                         ids=["jacobi", "tilted"])
+@pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 3.55),
+                                       ((3000.0, 1200.0, 0.0), 0.8)],
+                         ids=["jacobi", "tilted", "all_tilted"])
 def test_rank2_level_peak_memory(lam, bound):
     # one chunk-sized A_2 call (B Q^2 = 390 * 32^2 nodes) holds at most
     # ``bound`` arrays of its node-pair size at once: its rank-2 level keeps
     # factor grids of (I + J) Qi values a row, not I J; a mostly tilted call adds
-    # the tilted-pair mask and the closed form's blocks
+    # the tilted-pair mask and the closed form's blocks; a call whose pairs are
+    # all tilted holds only the dense closed-form blocks of _TILT_BLOCK pairs
     rng = np.random.default_rng(2)
     B, plan = 390, (32, 24)
     gaps = rng.uniform(0.2, 1.0, (B, 2))
@@ -393,7 +414,8 @@ def test_rank2_level_peak_memory(lam, bound):
     _, y1, y2, _ = rank2_level_reference(0.7, lam[:2] - lam[2], X, plan[0], plan[1])
     tilted = (lam[0] - lam[1]) * (y1[:, :, None] - y2[:, None, :]) > min(quad.TILT_SWITCH,
                                                                          2.0 * plan[1])
-    assert tilted.mean() == 0.0 if lam[0] < 10 else 0.5 < tilted.mean() < 1.0
+    share = tilted.mean()
+    assert share == 0.0 if lam[0] < 10 else share == 1.0 if lam[0] > 1e3 else 0.5 < share < 1.0
     assert peak <= bound * B * plan[0] ** 2 * 8, peak / (B * plan[0] ** 2 * 8)
 
 
@@ -418,20 +440,37 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
 @pytest.mark.parametrize("n,rows,lam", [
     (1, 9000, (31.0, 0.0)),
     (2, 700, (60.0, 20.0, 0.0)),
+    (2, 700, (150.0, 50.0, 0.0)),
+    (2, 700, (50.0, 150.0, 0.0)),
 ])
 def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
     # one row alone and inside a chunked batch of random rows gives the same
     # bits (no reduction order depends on the block or chunk a row sits in);
-    # the rank-1 pairs mix Jacobi and tilted ones
+    # the A_1 rows mix Jacobi and tilted ones, and the A_2 batches hold rows
+    # whose rank-2 pairs are all Jacobi, mixed and (but for (60, 20, 0)) all
+    # tilted in each chunk, at mu = l1 - l2 of either sign
     rs = rootsystem(n, 0.6)
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
     assert rows * sph.default_node_plan(n)[0] ** n > sph._CHUNK
     batch = spherical_log(rs, np.array(lam), X)
-    tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0  # tilted rows on A_1
-    picks = np.concatenate([np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4],
-                            [rows // 3, rows - 1]])
-    for r in picks:
+    if n == 1:
+        tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0
+        classes = [np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4]]
+    else:
+        Q, Qi = sph.default_node_plan(n)
+        lam0 = np.array(lam[:2]) - lam[2]
+        (y1, y2), _ = sph._level_rules(rs.k, X, np.sort(lam0)[::-1], Q)
+        amu, u0 = abs(lam0[0] - lam0[1]), min(quad.TILT_SWITCH, 2.0 * Qi)
+        u_lo = amu * (y1.min(axis=1) - y2.max(axis=1))
+        u_hi = amu * (y1.max(axis=1) - y2.min(axis=1))
+        jacobi, tilted = u_hi <= u0, u_lo > u0
+        half = np.arange(rows) < rows // 2  # the two chunks
+        for cls in (jacobi, ~jacobi & ~tilted) + ((tilted,) if lam[0] != 60.0 else ()):
+            assert (cls & half).any() and (cls & ~half).any()
+        classes = [np.flatnonzero(cls)[::max(1, cls.sum() // 20)]
+                   for cls in (jacobi, ~jacobi & ~tilted, tilted)]
+    for r in np.concatenate(classes + [[rows // 3, rows - 1]]).astype(int):
         assert batch[r] == spherical_log(rs, np.array(lam), X[r]), r
 
 
