@@ -165,7 +165,7 @@ def jacobi_weight_sum(a_exp: float, b_exp: float, interval) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched level rule (built into a grid by spherical.interlacing_grid)
+# batched level rule (the levels of spherical._level_rules)
 # ---------------------------------------------------------------------------
 
 #: switch to the tilted Laguerre rule once |mu|*(hi-lo) exceeds min(30, 2*Q)

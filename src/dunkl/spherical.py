@@ -30,15 +30,16 @@ factor grids, which alone pass through the single-coordinate terminal case.
 A tilted pair, and a tilted A_1 row (``_rank1_grid``), takes the rank-one
 kernel in closed form, the Bessel function of DLMF 13.6.9, whose smooth
 remainder is a cached Chebyshev series (``_tilted_series``), a block at a
-time.  A rank-2 row falls into one of three classes by the bounds of its
-pairs' tilt: all Jacobi (two factor grids, 2 Q_{n-2} Q_{n-1} terminal
-evaluations), all tilted (a dense block of closed forms, none), or mixed (the
-factor grids, whose Jacobi partners of each y_1 are a prefix of the y_2
-sorted in descending order, a staircase of prefix sums, and the tilted pairs'
-closed forms).  ``_predicted_evals``, the price the budget guard checks, counts
-every rank-2 row as evaluating its factor grids and every A_1 row Q; it is
-exact when no row is all tilted and no A_1 row tilted.  When all entries of
-lambda are equal, psi_lambda(e^X) = e^{lambda_1 sum x} is returned exactly.
+time.  A rank-2 row takes one of two paths by its largest tilt.  With no
+tilted pair, it is summed from its two factor grids (2 Q_{n-2} Q_{n-1}
+terminal evaluations).  With one, its pairs form a dense block of closed
+forms; its Jacobi pairs, if it has any, are left out of the block and summed
+from the factor grids under the row's Jacobi-pair mask, and a row whose pairs
+are all tilted evaluates nothing.  ``_predicted_evals``, the price the
+budget guard checks, counts every rank-2 row as evaluating its factor grids
+and every A_1 row Q; it is exact when no row is all tilted and no A_1 row
+tilted.  When all entries of lambda are equal, psi_lambda(e^X) =
+e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
@@ -70,10 +71,9 @@ _CHUNK = 400_000
 #: tilted A_1 rows per block: numpy's per-call cost is spread over many rows,
 #: and a block's 32 kB work arrays stay in cache
 _RANK1_BLOCK = 4096
-#: tilted pairs of a rank-2 level per block, whole rows at a time (the dense
-#: blocks of rows whose pairs are all tilted, and the gathered tilted pairs of
-#: mixed rows): a row's pairs are reduced together, and larger blocks spread
-#: the Clenshaw recurrence's per-call cost
+#: pairs of a rank-2 level per dense block of rows with a tilted pair (and per
+#: Jacobi-pair mask block), whole rows at a time: a row's pairs are reduced
+#: together, and larger blocks spread the Clenshaw recurrence's per-call cost
 _TILT_BLOCK = 16384
 #: rank-2 rows whose factor grids hold about this many values are summed
 #: together, so that their arrays stay in cache
@@ -258,15 +258,10 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
     A tilted pair takes the Bessel closed form, whose -k log u absorbs the
     Vandermonde log as (1 - k) log u - log |mu|.
 
-    The rows fall into three classes by the bounds of u over their pairs.  If
-    no pair of the batch is tilted, every row is summed from its factor grids
-    alone.  Otherwise a row whose pairs are all Jacobi is too; a row whose
-    pairs are all tilted is a dense (I, J) block of closed forms
-    (``_tilted_rows``) and evaluates no terminal case; a mixed row sorts its y2
-    descending, so that the Jacobi partners of each i, {j : y2_j >= y1_i -
-    u0/|mu|}, are a prefix (a staircase) summed by prefix sums, and its tilted
-    pairs join that sum in its log-sum-exp (``_mixed_rows``).  A pair with a
-    dropped node adds nothing.
+    A row takes one of two paths by its largest u.  A row with no tilted pair
+    is summed from its factor grids alone; a row with one is a dense (I, J)
+    block of closed forms (``_tilted_rows``), joined by the factor-grid sum of
+    its Jacobi pairs if it has any.  A pair with a dropped node adds nothing.
     """
     (y1, y2), (lw1, lw2) = _level_rules(k, X, mu, Q)
     c = X[:, 1]
@@ -282,187 +277,144 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
     mb[~np.isfinite(mb)] = 0.0
     la -= ma
     lb -= mb
-    if amu * (y1.max() - y2.min()) <= u0:  # no pair is tilted
-        out = _jacobi_rows(k, mu1, Qi, y1 - c[:, None], y2 - c[:, None], la, lb, None)
-        with np.errstate(divide="ignore"):
-            np.log(out, out=out)
-    else:
-        # the bounds of each row's u (numpy reduces a short last axis slowly)
+    # the bounds of each row's u, which a batch whose largest u is Jacobi does
+    # not need (numpy reduces a short last axis slowly, hence the copies)
+    tilted = np.empty(0, dtype=np.intp)
+    if amu * (y1.max() - y2.min()) > u0:
         y1t, y2t = np.ascontiguousarray(y1.T), np.ascontiguousarray(y2.T)
-        u_lo = amu * (y1t.min(axis=0) - y2t.max(axis=0))
         u_hi = amu * (y1t.max(axis=0) - y2t.min(axis=0))
-        out = np.empty(X.shape[0])
-        rows = np.flatnonzero(u_hi <= u0)  # all pairs Jacobi
-        if rows.size:
-            cr = c[rows, None]
-            s = _jacobi_rows(k, mu1, Qi, y1[rows] - cr, y2[rows] - cr, la[rows], lb[rows], None)
-            with np.errstate(divide="ignore"):
-                out[rows] = np.log(s)
-        rows = np.flatnonzero(u_lo > u0)  # all pairs tilted
-        if rows.size:
-            out[rows] = _tilted_rows(k, mu1, u0, y1[rows], y2[rows], c[rows], la[rows], lb[rows])
-        rows = np.flatnonzero((u_hi > u0) & (u_lo <= u0))
-        if rows.size:
-            out[rows] = _mixed_rows(k, mu1, u0, Qi, y1[rows], y2[rows], c[rows], la[rows],
-                                    lb[rows])
+        u_lo = amu * (y1t.min(axis=0) - y2t.max(axis=0))
+        tilted = np.flatnonzero(u_hi > u0)
+        del y1t, y2t
+    out = np.empty(X.shape[0])
+    if tilted.size < out.size:
+        rows = np.flatnonzero(u_hi <= u0) if tilted.size else slice(None)  # no copies if all
+        s = _jacobi_rows(k, mu1, Qi, y1[rows], y2[rows], c[rows], la[rows], lb[rows])
+        with np.errstate(divide="ignore"):
+            out[rows] = np.log(s)
+    if tilted.size:
+        out[tilted] = _tilted_rows(k, mu1, u0, Qi, y1[tilted], y2[tilted], c[tilted],
+                                   la[tilted], lb[tilted], u_lo[tilted] <= u0)
     return out + (ma + mb)[:, 0] + mu1 * c
 
 
-def _tilt_terms(mu1: float, la: np.ndarray, lb: np.ndarray, d1: np.ndarray,
-                d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-node terms of the tilted pairs' closed form: the node
-    log-weights, mu (hot - c), and the -log |mu| of y1 - y2 = u / |mu|."""
-    ta = la + mu1 * d1 if mu1 > 0 else la
-    tb = lb - math.log(abs(mu1)) + (0.0 if mu1 > 0 else mu1 * d2)
-    return ta, tb
+def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
+                 c: np.ndarray, la: np.ndarray, lb: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+    """log of the sum over all pairs (i, j) of rank-2 rows that have a tilted pair.
 
-
-def _tilted_rows(k: float, mu1: float, u0: float, y1: np.ndarray, y2: np.ndarray,
-                 c: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log of the sum over all pairs (i, j) of rank-2 rows whose pairs are all
-    tilted: e^{H_k(2 u0/u - 1) - (k - 1) log u + ta_i + tb_j}, u = |mu| (y1_i -
-    y2_j), ta and tb the per-node terms (``_tilt_terms``).  Rows go in dense
-    (b, I, J) blocks of about ``_TILT_BLOCK`` pairs, each row's pairs reduced
-    along one contiguous axis, so that no row's bits depend on its batch.
+    A tilted pair adds e^{H_k(2 u0/u - 1) - (k - 1) log u + ta_i + tb_j},
+    u = |mu| (y1_i - y2_j), with the per-node terms ta = a + mu (hot - c) and
+    tb = b - log |mu|: the node log-weights, e^{mu (hot - c)}, and the 1/|mu|
+    of y1 - y2 = u/|mu|.  Rows go in dense (b, I, J) blocks of about
+    ``_TILT_BLOCK`` pairs, each row's pairs reduced along one contiguous axis,
+    so that no row's bits depend on its batch.  A Jacobi pair takes u = u0 in
+    the block and then weight 0; the Jacobi pairs of a row that has any
+    (``mixed``) are summed from its factor grids (``_jacobi_rows`` with the
+    row's Jacobi-pair mask) and join the block's log-sum-exp.
     """
     B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     amu = abs(mu1)
-    ta, tb = _tilt_terms(mu1, la, lb, y1 - c[:, None], y2 - c[:, None])
+    ta = la + mu1 * (y1 - c[:, None]) if mu1 > 0 else la
+    tb = lb - math.log(amu) + (0.0 if mu1 > 0 else mu1 * (y2 - c[:, None]))
+    s = np.full(B, -np.inf)
+    if mixed.any():
+        with np.errstate(divide="ignore"):
+            s[mixed] = np.log(_jacobi_rows(k, mu1, Qi, y1[mixed], y2[mixed], c[mixed],
+                                           la[mixed], lb[mixed], u0))
     out = np.empty(B)
     step = max(1, _TILT_BLOCK // (I * J))
     for r0 in range(0, B, step):
         rows = slice(r0, min(B, r0 + step))
         u = y1[rows, :, None] - y2[rows, None, :]
         u *= amu
+        jacobi = u <= u0 if mixed[rows].any() else None
+        if jacobi is not None:  # into the closed form's domain; weight 0 below
+            np.maximum(u, u0, out=u)
         val = _bessel_tail(k, u0, u, k - 1.0)
+        if jacobi is not None:
+            val[jacobi] = -np.inf
         val += ta[rows, :, None]
         val += tb[rows, None, :]
         val = val.reshape(val.shape[0], -1)
-        top = val.max(axis=1, keepdims=True)
-        val -= top
+        top = np.maximum(val.max(axis=1), s[rows])
+        val -= top[:, None]
         # a pair below e^-700 of its row's largest is negligible; the clip
         # keeps exp off its slow subnormal path
         np.maximum(val, -700.0, out=val)
-        out[rows] = top[:, 0] + np.log(np.exp(val, out=val).sum(axis=1))
-    return out
-
-
-def _mixed_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray,
-                y2: np.ndarray, c: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log of the rank-2 level of rows that mix Jacobi and tilted pairs: the
-    Jacobi pairs through ``_jacobi_rows``' staircase, the tilted pairs as
-    gathered closed forms in blocks of whole rows of about ``_TILT_BLOCK``
-    pairs, joined in each row's log-sum-exp.
-    """
-    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
-    amu = abs(mu1)
-    order = np.argsort(-y2, axis=1, kind="stable")
-    y2 = np.take_along_axis(y2, order, axis=1)
-    lb = np.take_along_axis(lb, order, axis=1)
-    d1, d2 = y1 - c[:, None], y2 - c[:, None]
-    ta, tb = _tilt_terms(mu1, la, lb, d1, d2)
-    u = y1[:, :, None] - y2[:, None, :]
-    u *= amu
-    tilted = u > u0
-    del u
-    n = J - tilted.sum(axis=2)  # the Jacobi partners of each i
-    # a factor exponent is at most u0 at an i (a j) that has (is) a Jacobi
-    # partner; the others never reach a sum, and take offset 0
-    d1[n == 0] = 0.0
-    d2[np.arange(J) >= n.max(axis=1, keepdims=True)] = 0.0
-    out = _jacobi_rows(k, mu1, Qi, d1, d2, la, lb, n)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-
-    tilted &= np.isfinite(la)[:, :, None]
-    tilted &= np.isfinite(lb)[:, None, :]
-    per_row = tilted.sum(axis=(1, 2))
-    # blocks of whole rows, so that each row's pairs are summed in one order
-    first = np.cumsum(per_row) - per_row
-    edges = np.flatnonzero(np.diff(first // _TILT_BLOCK)) + 1
-    for r0, r1 in zip(np.concatenate([[0], edges]), np.concatenate([edges, [B]])):
-        sel = np.flatnonzero(tilted[r0:r1])
-        if not sel.size:
-            continue
-        bi = sel // J  # (b - r0) I + i
-        bj = bi // I * J + (sel - bi * J)  # (b - r0) J + j
-        ub = y1[r0:r1].reshape(-1)[bi] - y2[r0:r1].reshape(-1)[bj]
-        ub *= amu
-        val = _bessel_tail(k, u0, ub, k - 1.0)
-        val += ta[r0:r1].reshape(-1)[bi]
-        val += tb[r0:r1].reshape(-1)[bj]
-        # each row's log-sum-exp of its tilted pairs and its Jacobi sum
-        rows = r0 + np.flatnonzero(per_row[r0:r1])
-        starts = np.cumsum(per_row[rows]) - per_row[rows]
-        top = np.maximum(np.maximum.reduceat(val, starts), out[rows])
-        val -= np.repeat(top, per_row[rows])
-        np.maximum(val, -700.0, out=val)
-        tot = np.add.reduceat(np.exp(val, out=val), starts)
-        tot += np.exp(out[rows] - top)
+        tot = np.exp(val, out=val).sum(axis=1)
+        tot += np.exp(s[rows] - top)
         out[rows] = top + np.log(tot)
     return out
 
 
-def _jacobi_rows(k: float, mu: float, Qi: int, d1: np.ndarray, d2: np.ndarray,
-                 la: np.ndarray, lb: np.ndarray, n: np.ndarray | None) -> np.ndarray:
+def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
+                 c: np.ndarray, la: np.ndarray, lb: np.ndarray,
+                 u0: float | None = None) -> np.ndarray:
     """Sum of the Jacobi pairs of each rank-2 row, from its two factor grids.
 
-    ``d1`` (B, I) and ``d2`` (B, J) hold the offsets y1 - c >= 0 and
-    y2 - c <= 0 of the nodes, ``la`` and ``lb`` their log-weights a_i, b_j
-    (<= 0), and ``n`` (B, I) the Jacobi partners of each i among the j, which
-    are sorted by y2 descending; None means all of them.  With
+    ``y1`` (B, I) and ``y2`` (B, J) hold the nodes, ``c`` (B,) the middle
+    coordinates, and ``la`` and ``lb`` the node log-weights a_i, b_j (<= 0).
+    The Jacobi pairs are those with |mu| (y1_i - y2_j) <= ``u0``; None means
+    all of them.  With the offsets d1 = y1 - c >= 0 and d2 = y2 - c <= 0,
     A_qi = e^{mu d1_i p_q} and B_qj = e^{mu d2_j (1 - p_q)}, a row's sum is
 
-        sum_q w_q sum_i a_i A_qi [d1_i P_q(n_i) - R_q(n_i)],
+        sum_q w_q sum_i a_i A_qi [d1_i P_qi - R_qi],
 
-    P_q(s) and R_q(s) the sums of b_j B_qj and b_j d2_j B_qj over j < s.  With
-    n None these are sums over all j, and the i-sums are taken first.  A node
-    weight below e^-250 of its row's largest is taken as 0, which keeps every
-    product off the slow subnormal range; what it drops is below 1e-80 of the
-    row.  Rows go ``_RANK2_BLOCK`` values at a time, one row a column, and every
-    sum is added in an order that does not depend on a row's batch.
+    P_qi and R_qi the sums of b_j B_qj and b_j d2_j B_qj over the Jacobi
+    partners j of i.  With no ``u0`` these are sums over all j, whose i-sums
+    are taken first; with one, products with each row's (I, J) Jacobi-pair
+    mask.  A node weight below e^-250 of its row's largest is taken as 0,
+    which keeps every product off the slow subnormal range; what it drops is
+    below 1e-80 of the row.  Rows go ``_RANK2_BLOCK`` values at a time (masks
+    of ``_TILT_BLOCK`` pairs), one row a column, and every sum is added in an
+    order that does not depend on a row's batch.
     """
-    B, I, J = d1.shape[0], d1.shape[1], d2.shape[1]
+    B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     x, w = quad._ref_jacobi(Qi, k - 1.0, k - 1.0)
     p = 0.5 * (1.0 + x)
     term = np.array([mu])
     wa, wb = np.exp(la.T), np.exp(lb.T)
     wa[la.T < -250.0] = 0.0
     wb[lb.T < -250.0] = 0.0
-    d1, d2 = np.ascontiguousarray(d1.T), np.ascontiguousarray(d2.T)
+    d1 = np.ascontiguousarray((y1 - c[:, None]).T)
+    d2 = np.ascontiguousarray((y2 - c[:, None]).T)
     out = np.empty(B)
-    step = max(1, _RANK2_BLOCK // (Qi * max(I, J)))
+    step = max(1, _RANK2_BLOCK // (Qi * max(I, J)) if u0 is None else _TILT_BLOCK // (I * J))
     coords = np.empty(Qi * max(I, J) * min(B, step))
     for r0 in range(0, B, step):
         rows = slice(r0, min(B, r0 + step))
-        b = rows.stop - r0
+        e1, e2 = d1[:, rows], d2[:, rows]
+        if u0 is not None:
+            mask = y1[rows, :, None] - y2[rows, None, :]
+            mask *= abs(mu)
+            mask = mask <= u0
+            # a factor exponent is at most u0 at an i (a j) that has (is) a
+            # Jacobi partner; the others never reach a sum, and take offset 0
+            e1 = np.where(mask.any(axis=2).T, e1, 0.0)
+            e2 = np.where(mask.any(axis=1).T, e2, 0.0)
         # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
-        fa = _factor_grid(k, term, p, d1[:, rows], coords)
-        fb = _factor_grid(k, term, 1.0 - p, d2[:, rows], coords)
+        fa = _factor_grid(k, term, p, e1, coords)
+        fb = _factor_grid(k, term, 1.0 - p, e2, coords)
         np.exp(fa, out=fa)
         np.exp(fb, out=fb)
         fa *= wa[:, rows]
         fb *= wb[:, rows]
-        if n is None:
+        if u0 is None:
             a0 = _sum_axis1(fa)
-            fa *= d1[:, rows]
+            fa *= e1
             b0 = _sum_axis1(fb)
-            fb *= d2[:, rows]
+            fb *= e2
             s = _sum_axis1(fa) * b0 - a0 * _sum_axis1(fb)
         else:
-            fd = fb * d2[:, rows]
-            # prefix sums along the sorted j; slot s sums j < s
-            pb = np.empty((Qi, J + 1, b))
-            pd = np.empty((Qi, J + 1, b))
-            pb[:, 0] = pd[:, 0] = 0.0
-            _cumsum_axis1(fb, pb[:, 1:])
-            _cumsum_axis1(fd, pd[:, 1:])
-            at = (n[rows].T * b + np.arange(b)).reshape(-1)
-            h = np.take(pb.reshape(Qi, -1), at, axis=1).reshape(Qi, I, b)
-            h *= d1[:, rows]
-            h -= np.take(pd.reshape(Qi, -1), at, axis=1).reshape(Qi, I, b)
-            h *= fa
-            s = _sum_axis1(h)
+            # P and R laid out (b, I, Qi), products of (I, J) and (J, Qi) matrices
+            mask = mask.astype(float)
+            fb = np.ascontiguousarray(fb.transpose(2, 1, 0))
+            h = mask @ fb
+            h *= e1.T[:, :, None]
+            fb *= e2.T[:, :, None]
+            h -= mask @ fb
+            h *= fa.transpose(2, 1, 0)
+            s = _sum_axis1(h).T
         s *= (w / w.sum())[:, None]
         out[rows] = np.ascontiguousarray(s.T).sum(axis=1)
     return out
@@ -475,17 +427,6 @@ def _factor_grid(k: float, term: np.ndarray, p: np.ndarray, offset: np.ndarray,
     shape = p.shape + offset.shape
     grid = np.multiply.outer(p, offset, out=coords[:math.prod(shape)].reshape(shape))
     return _log_psi(k, term, grid.reshape(-1, 1), p.shape).reshape(shape)
-
-
-def _cumsum_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.cumsum(a, axis=1, out=out): the same bits, added in order, but a
-    slice at a time when the slices are large, where numpy's cumsum is slow."""
-    if a.shape[0] * a.shape[2] < 2048:
-        return np.cumsum(a, axis=1, out=out)
-    out[:, 0] = a[:, 0]
-    for i in range(1, a.shape[1]):
-        np.add(out[:, i - 1], a[:, i], out=out[:, i])
-    return out
 
 
 def _sum_axis1(a: np.ndarray) -> np.ndarray:

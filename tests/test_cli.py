@@ -147,6 +147,25 @@ def test_selftest_fault_injection(capsys, monkeypatch):
     assert any(ln.startswith("FAIL heat-mass-identity") for ln in out.splitlines())
 
 
+def test_selftest_fault_injection_under_optimize():
+    # python -O strips assert statements; the selftest's checks must still fail
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import math, sys\n"
+              "import dunkl.heatkernel as hk\n"
+              "from dunkl.cli import main\n"
+              "log_c = hk.log_mehta_selberg\n"
+              "hk.log_mehta_selberg = lambda rs: log_c(rs) + math.log(1.05)\n"
+              "sys.exit(main(['selftest']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(ln.startswith("FAIL heat-mass-identity") for ln in lines)
+    assert "selftest: FAIL" in lines
+
+
 def test_console_script_entrypoint():
     # the subprocess imports the dunkl this test imported, installed or not
     src = os.path.dirname(os.path.dirname(cli.__file__))

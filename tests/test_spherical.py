@@ -171,9 +171,9 @@ def test_a2_argument_swap_at_k_not_one():
        gaps=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)), shift=st.floats(-1.0, 1.0))
 def test_a2_argument_swap_property(k, scale, shape, gaps, shift):
     # psi_lambda(e^X) = psi_X(e^lambda) at random k; lambda scales from 1e-2
-    # (every rank-2 pair Jacobi) through mixed staircases to 1e4 (every pair
-    # tilted).  X stays off the walls: within 1e-3 of one the recursion
-    # loses accuracy at k < 1 on either side of the swap.
+    # (every rank-2 pair Jacobi) through rows that mix Jacobi and tilted pairs
+    # to 1e4 (every pair tilted).  X stays off the walls: within 1e-3 of one
+    # the recursion loses accuracy at k < 1 on either side of the swap.
     rs = rootsystem(2, k)
     lam = 10.0 ** scale * np.array([shape[0] + shape[1], shape[1], 0.0])
     X = np.array([gaps[0] + gaps[1], gaps[1], 0.0]) + shift
@@ -235,19 +235,20 @@ def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
     assert rows > sph._RANK1_BLOCK if n == 1 else rows * plan[0] ** n > sph._CHUNK
     terminal, mixed = [0], [0]
-    log_psi, mixed_rows = sph._log_psi, sph._mixed_rows
+    log_psi, jacobi_rows = sph._log_psi, sph._jacobi_rows
 
     def counting(k, lam, X, plan):
         if len(lam) == 1:
             terminal[0] += X.shape[0]
         return log_psi(k, lam, X, plan)
 
-    def spying(*args):
-        mixed[0] += args[4].shape[0]
-        return mixed_rows(*args)
+    def spying(k, mu, Qi, y1, y2, c, la, lb, u0=None):
+        if u0 is not None:  # rows summed under a Jacobi-pair mask
+            mixed[0] += y1.shape[0]
+        return jacobi_rows(k, mu, Qi, y1, y2, c, la, lb, u0)
 
     monkeypatch.setattr(sph, "_log_psi", counting)
-    monkeypatch.setattr(sph, "_mixed_rows", spying)
+    monkeypatch.setattr(sph, "_jacobi_rows", spying)
 
     def count(top):
         terminal[0] = 0
@@ -331,12 +332,13 @@ def rank2_level_reference(k, lam, X, Q, Qi):
     return quad.logsumexp(logf.reshape(B, -1), axis=1), y1.reshape(B, Q), y2.reshape(B, Q), logf
 
 
-@pytest.mark.parametrize("k", [0.5, 2.5])
+@pytest.mark.parametrize("k", [0.25, 0.5, 2.5])
 @pytest.mark.parametrize("lam", [(30.0, 0.0), (-30.0, 0.0), (0.0, 45.0)])
 def test_rank2_level_matches_pairwise_a1_rows(k, lam):
-    # rows whose pairs mix Jacobi and tilted ones (the staircase), rows with
-    # none and rows with only Jacobi pairs, i's with no Jacobi partner, and
-    # level rules that drop nodes; both signs of mu = l1 - l2, so tilted level
+    # rows whose pairs mix Jacobi and tilted ones (a dense block whose Jacobi
+    # pairs are summed under a Jacobi-pair mask), rows with none and rows with
+    # only Jacobi pairs, i's with no Jacobi partner, and level rules that drop
+    # nodes, at small and large k; both signs of mu = l1 - l2, so tilted level
     # nodes come descending (a level slope > 0) or ascending (< 0)
     lam = np.array(lam)
     Q, Qi = 12, 10
@@ -389,15 +391,15 @@ def test_tilted_series_degree_grows_or_refuses():
         sph._tilted_series(150.0, 2.0)
 
 
-@pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 3.55),
+@pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 0.85),
                                        ((3000.0, 1200.0, 0.0), 0.8)],
                          ids=["jacobi", "tilted", "all_tilted"])
 def test_rank2_level_peak_memory(lam, bound):
     # one chunk-sized A_2 call (B Q^2 = 390 * 32^2 nodes) holds at most
     # ``bound`` arrays of its node-pair size at once: its rank-2 level keeps
-    # factor grids of (I + J) Qi values a row, not I J; a mostly tilted call adds
-    # the tilted-pair mask and the closed form's blocks; a call whose pairs are
-    # all tilted holds only the dense closed-form blocks of _TILT_BLOCK pairs
+    # factor grids of (I + J) Qi values a row, not I J; a call with tilted pairs
+    # holds the dense closed-form blocks of _TILT_BLOCK pairs, and, where a
+    # row's pairs mix, the factor grids and Jacobi-pair mask of a block's rows
     rng = np.random.default_rng(2)
     B, plan = 390, (32, 24)
     gaps = rng.uniform(0.2, 1.0, (B, 2))
@@ -445,10 +447,11 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
 ])
 def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
     # one row alone and inside a chunked batch of random rows gives the same
-    # bits (no reduction order depends on the block or chunk a row sits in);
-    # the A_1 rows mix Jacobi and tilted ones, and the A_2 batches hold rows
-    # whose rank-2 pairs are all Jacobi, mixed and (but for (60, 20, 0)) all
-    # tilted in each chunk, at mu = l1 - l2 of either sign
+    # bits (no reduction order or matrix product depends on the block or chunk
+    # a row sits in); the A_1 rows mix Jacobi and tilted ones, and the A_2
+    # batches hold rows whose rank-2 pairs are all Jacobi, mixed (summed under
+    # a Jacobi-pair mask) and (but for (60, 20, 0)) all tilted in each chunk,
+    # at mu = l1 - l2 of either sign
     rs = rootsystem(n, 0.6)
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
