@@ -30,15 +30,20 @@ factor grids, which alone pass through the single-coordinate terminal case.
 A tilted pair, and a tilted A_1 row (``_rank1_grid``), takes the rank-one
 kernel in closed form, the Bessel function of DLMF 13.6.9, whose smooth
 remainder is a cached Chebyshev series (``_tilted_series``), a block at a
-time.  A rank-2 row takes one of two paths by its largest tilt.  With no
-tilted pair, it is summed from its two factor grids (2 Q_{n-2} Q_{n-1}
-terminal evaluations).  With one, its pairs form a dense block of closed
-forms; its Jacobi pairs, if it has any, are left out of the block and summed
-from the factor grids under the row's Jacobi-pair mask, and a row whose pairs
-are all tilted evaluates nothing.  ``_predicted_evals``, the price the
-budget guard checks, counts every rank-2 row as evaluating its factor grids
-and every A_1 row Q; it is exact when no row is all tilted and no A_1 row
-tilted.  When all entries of lambda are equal, psi_lambda(e^X) =
+time.  The remainder flattens as u grows, so it comes as a ladder of series
+(``_tilted_rung``): rung i covers u >= u0 4^i, i = 0 ... 8, and is rung 0
+re-expanded there and cut to 1e-14; from rung 2 on its degree is <= 4 where
+rung 0's is 17 (u0 = 30, k <= 4).  A rank-2 row whose pairs are all tilted
+takes the highest rung at or below its own smallest u, so its bits do not
+depend on its batch; other rows take rung 0.  A rank-2 row takes one of two
+paths by its largest tilt.  With no tilted pair, it is summed from its two
+factor grids (2 Q_{n-2} Q_{n-1} terminal evaluations).  With one, its pairs
+form a dense block of closed forms; its Jacobi pairs, if it has any, are left
+out of the block and summed from the factor grids under the row's Jacobi-pair
+mask, and a row whose pairs are all tilted evaluates nothing.
+``_predicted_evals``, the price the budget guard checks, counts every rank-2
+row as evaluating its factor grids and every A_1 row Q; it is exact when no
+row is all tilted and no A_1 row tilted.  When all entries of lambda are equal, psi_lambda(e^X) =
 e^{lambda_1 sum x} is returned exactly.
 
 The k=1 determinant closed form is the independent oracle; the envelope is
@@ -78,6 +83,13 @@ _TILT_BLOCK = 16384
 #: rank-2 rows whose factor grids hold about this many values are summed
 #: together, so that their arrays stay in cache
 _RANK2_BLOCK = 131072
+#: the ladder of Bessel-tail series: rung i covers u >= u0 _RUNG_RATIO^i,
+#: i = 0 ... _TOP_RUNG, and drops trailing coefficients that add at most
+#: _RUNG_TOL max(1, max|H_k|); _LADDER holds U_i/u0 from rung 1 on
+_RUNG_RATIO = 4.0
+_TOP_RUNG = 8
+_RUNG_TOL = 1e-14
+_LADDER = _RUNG_RATIO ** np.arange(1, _TOP_RUNG + 1)
 
 
 def default_node_plan(n: int) -> tuple[int, ...]:
@@ -191,11 +203,55 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _bessel_tail(k: float, u0: float, u: np.ndarray, power: float) -> np.ndarray:
-    """H_k(2 u0/u - 1) - power log u at tilted u > u0, H_k the cached Chebyshev
-    series of ``_tilted_series``: with power = k it is log psi_{(mu, 0)}(e^{(a, b)})
-    - mu hot, hot the end of [b, a] that e^{mu y} favours."""
-    val = _clenshaw(_tilted_series(k, u0), 2.0 * u0 / u - 1.0)
+@functools.cache
+def _tilted_rung(k: float, u0: float, rung: int) -> np.ndarray:
+    """Chebyshev coefficients of H_k on u >= U = u0 _RUNG_RATIO^rung, in
+    x = 2 U/u - 1 in (-1, 1]; rung 0 is ``_tilted_series(k, u0)``.
+
+    A higher rung re-expands rung 0 on its sub-interval x0 = (x + 1) u0/U - 1
+    in (-1, 2 u0/U - 1]: rung 0's values at the d+1 Chebyshev points of x give
+    its degree-d polynomial exactly, up to rounding.  They are summed in
+    extended precision: rung 0's float64 rounding near x0 = -1 (about 1e-14
+    max|H_k| at k = 30, u0 = 12) leaves noise coefficients that the cut
+    cannot drop.  Trailing coefficients go while their absolute sum stays
+    <= _RUNG_TOL max(1, max|H_k|), so the rung is short where H_k is flat;
+    evaluated in float64, it must match rung 0 to that bound on a grid 8
+    times as dense, or it raises EvaluationError.
+    """
+    coef = _tilted_series(k, u0)
+    if rung == 0:
+        return coef
+    shrink = 1.0 / _RUNG_RATIO ** rung
+
+    def on_rung(x):
+        return _clenshaw(coef, (x.astype(np.longdouble) + 1) * shrink - 1)
+
+    size = len(coef)
+    theta = np.pi * (np.arange(size, dtype=np.longdouble) + 0.5) / size
+    vals = on_rung(np.cos(theta))
+    series = np.cos(np.outer(np.arange(size), theta)) @ vals
+    series *= 2.0 / size
+    series[0] *= 0.5
+    tol = _RUNG_TOL * max(1.0, float(np.max(np.abs(vals))))
+    tail = np.cumsum(np.abs(series[::-1]))  # the sums of the last 1, 2, ... coefficients
+    series = series[:max(1, size - np.count_nonzero(tail <= tol))].astype(float)
+    dense = 8 * size
+    x = np.concatenate([[1.0], np.cos(np.pi * (np.arange(dense) + 0.5) / dense), [-1.0]])
+    if np.max(np.abs(_clenshaw(series, x) - on_rung(x))) > tol:
+        raise EvaluationError(f"rung {rung} of the rank-1 Bessel kernel misses rung 0 "
+                              f"by more than {tol:.3g} at k = {k}, u0 = {u0}")
+    return series
+
+
+def _bessel_tail(k: float, u0: float, u: np.ndarray, power: float,
+                 rung: int = 0) -> np.ndarray:
+    """H_k(2 U/u - 1) - power log u at tilted u >= U = u0 _RUNG_RATIO^rung,
+    H_k the cached Chebyshev series of the rung (``_tilted_rung``; rung 0 is
+    the fit of ``_tilted_series`` on u > u0): with power = k it is
+    log psi_{(mu, 0)}(e^{(a, b)}) - mu hot, hot the end of [b, a] that
+    e^{mu y} favours.  A higher rung is the same function to 1e-14 at a
+    lower degree, since H_k flattens as u grows."""
+    val = _clenshaw(_tilted_rung(k, u0, rung), 2.0 * (u0 * _RUNG_RATIO ** rung) / u - 1.0)
     val -= power * np.log(u)
     return val
 
@@ -212,6 +268,10 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     takes the Bessel closed form mu (hot - lo) + H_k(2 u0/u - 1) - k log u
     (``_bessel_tail``) instead, ``_RANK1_BLOCK`` rows at a time, and evaluates
     no terminal case; so does mu = 0, which gives exactly l2 (hi + lo).
+    Tilted rows stay on rung 0 of the ladder: the Newton and stable batches
+    of A_1 rows are small and span many rungs, and a rung costs one more
+    Clenshaw call a batch; per-row rungs made the benchmark's ``sweep_small``
+    median row 0.149 -> 0.175 ms (3 alternating pairs of 20 s runs).
     """
     mu = float(lam[0] - lam[1])
     if mu == 0.0:
@@ -293,29 +353,37 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
         with np.errstate(divide="ignore"):
             out[rows] = np.log(s)
     if tilted.size:
-        out[tilted] = _tilted_rows(k, mu1, u0, Qi, y1[tilted], y2[tilted], c[tilted],
-                                   la[tilted], lb[tilted], u_lo[tilted] <= u0)
+        rows = tilted if tilted.size < out.size else slice(None)  # no copies if all
+        out[rows] = _tilted_rows(k, mu1, u0, Qi, y1[rows], y2[rows], c[rows],
+                                 la[rows], lb[rows], u_lo[rows])
     return out + (ma + mb)[:, 0] + mu1 * c
 
 
 def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
-                 c: np.ndarray, la: np.ndarray, lb: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+                 c: np.ndarray, la: np.ndarray, lb: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
     """log of the sum over all pairs (i, j) of rank-2 rows that have a tilted pair.
 
-    A tilted pair adds e^{H_k(2 u0/u - 1) - (k - 1) log u + ta_i + tb_j},
-    u = |mu| (y1_i - y2_j), with the per-node terms ta = a + mu (hot - c) and
-    tb = b - log |mu|: the node log-weights, e^{mu (hot - c)}, and the 1/|mu|
-    of y1 - y2 = u/|mu|.  Rows go in dense (b, I, J) blocks of about
-    ``_TILT_BLOCK`` pairs, each row's pairs reduced along one contiguous axis,
-    so that no row's bits depend on its batch.  A Jacobi pair takes u = u0 in
-    the block and then weight 0; the Jacobi pairs of a row that has any
-    (``mixed``) are summed from its factor grids (``_jacobi_rows`` with the
-    row's Jacobi-pair mask) and join the block's log-sum-exp.
+    A tilted pair adds e^{H_k - (k - 1) log u + ta_i + tb_j}, u = |mu| (y1_i -
+    y2_j), with the per-node terms ta = a + mu (hot - c) and tb = b - log |mu|:
+    the node log-weights, e^{mu (hot - c)}, and the 1/|mu| of y1 - y2 = u/|mu|.
+    H_k comes from the ladder of ``_bessel_tail``: a row whose pairs are all tilted takes
+    the highest rung whose U = u0 _RUNG_RATIO^i is <= its own smallest u,
+    ``u_lo`` (a short series where the row's u are large), and a row with a
+    Jacobi pair (u_lo <= u0) takes rung 0.  Each rung's rows go in dense
+    (b, I, J) blocks of about ``_TILT_BLOCK`` pairs, each row's pairs reduced
+    along one contiguous axis, so that no row's bits depend on its batch; the
+    blocks are views when one rung holds every row, and gather their rows
+    otherwise.  A Jacobi pair takes u = u0 in the block and then weight 0;
+    the Jacobi pairs of a row that has any are summed from its factor grids
+    (``_jacobi_rows`` with the row's Jacobi-pair mask) and join the block's
+    log-sum-exp.
     """
     B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     amu = abs(mu1)
     ta = la + mu1 * (y1 - c[:, None]) if mu1 > 0 else la
     tb = lb - math.log(amu) + (0.0 if mu1 > 0 else mu1 * (y2 - c[:, None]))
+    mixed = u_lo <= u0
+    rung = np.searchsorted(u0 * _LADDER, u_lo, side="right")
     s = np.full(B, -np.inf)
     if mixed.any():
         with np.errstate(divide="ignore"):
@@ -323,27 +391,30 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
                                            la[mixed], lb[mixed], u0))
     out = np.empty(B)
     step = max(1, _TILT_BLOCK // (I * J))
-    for r0 in range(0, B, step):
-        rows = slice(r0, min(B, r0 + step))
-        u = y1[rows, :, None] - y2[rows, None, :]
-        u *= amu
-        jacobi = u <= u0 if mixed[rows].any() else None
-        if jacobi is not None:  # into the closed form's domain; weight 0 below
-            np.maximum(u, u0, out=u)
-        val = _bessel_tail(k, u0, u, k - 1.0)
-        if jacobi is not None:
-            val[jacobi] = -np.inf
-        val += ta[rows, :, None]
-        val += tb[rows, None, :]
-        val = val.reshape(val.shape[0], -1)
-        top = np.maximum(val.max(axis=1), s[rows])
-        val -= top[:, None]
-        # a pair below e^-700 of its row's largest is negligible; the clip
-        # keeps exp off its slow subnormal path
-        np.maximum(val, -700.0, out=val)
-        tot = np.exp(val, out=val).sum(axis=1)
-        tot += np.exp(s[rows] - top)
-        out[rows] = top + np.log(tot)
+    for r in np.flatnonzero(np.bincount(rung)).tolist():
+        group = np.flatnonzero(rung == r)
+        whole = group.size == B  # one rung holds every row: blocks are views
+        for g0 in range(0, group.size, step):
+            rows = slice(g0, min(B, g0 + step)) if whole else group[g0:g0 + step]
+            u = y1[rows, :, None] - y2[rows, None, :]
+            u *= amu
+            jacobi = u <= u0 if mixed[rows].any() else None
+            if jacobi is not None:  # into the closed form's domain; weight 0 below
+                np.maximum(u, u0, out=u)
+            val = _bessel_tail(k, u0, u, k - 1.0, r)
+            if jacobi is not None:
+                val[jacobi] = -np.inf
+            val += ta[rows, :, None]
+            val += tb[rows, None, :]
+            val = val.reshape(val.shape[0], -1)
+            top = np.maximum(val.max(axis=1), s[rows])
+            val -= top[:, None]
+            # a pair below e^-700 of its row's largest is negligible; the clip
+            # keeps exp off its slow subnormal path
+            np.maximum(val, -700.0, out=val)
+            tot = np.exp(val, out=val).sum(axis=1)
+            tot += np.exp(s[rows] - top)
+            out[rows] = top + np.log(tot)
     return out
 
 
@@ -533,9 +604,13 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
                   ) -> np.ndarray | float:
     """log psi_lambda(e^X); lam in any order, X chamber rows (full vectors).
 
-    A 2-d ``X`` holds row vectors and gives an array of logs.  Budget is
-    checked against the predicted node product.  Raises DomainError if
-    4 len(x) max|lambda| max|x|, which bounds every exponent, overflows.
+    psi is symmetric in lambda, but the recursion subtracts the last entry
+    and is least accurate when that is the largest, so the active lambda is
+    sorted in decreasing order first: every order gives the bits of the
+    sorted one.  A 2-d ``X`` holds row vectors and gives an array of logs.
+    Budget is checked against the predicted node product.  Raises
+    DomainError if 4 len(x) max|lambda| max|x|, which bounds every exponent,
+    overflows.
     """
     plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     lam = np.asarray(lam, dtype=float)
@@ -544,7 +619,9 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
     X = np.asarray(X, dtype=float)
     rows = np.atleast_2d(X)
     idx = np.array(rs.active_coords) - 1
-    lam_a = lam[idx]
+    lam_a = lam[idx]  # a copy
+    lam_a.sort()
+    lam_a = lam_a[::-1]
     rows_a = rows[:, idx]
     if np.any(rows_a[:, :-1] - rows_a[:, 1:] <= 0):
         raise DomainError("X rows must be strictly inside the open chamber "

@@ -26,7 +26,9 @@ from dunkl.newton import (certify_newton_ratio, homogeneity_residual,
 from dunkl.quad import log_panel_integral
 from dunkl.rootsys import reflected_distance_sq, rootsystem
 from dunkl.selftest import run_selftest
-from dunkl.spherical import certify_ratio, spherical_log, spherical_oracle_k1
+from dunkl.spherical import (_pairing_columns, certify_ratio,
+                             log_spherical_envelope, pairing_sweep_grid,
+                             spherical_log, spherical_oracle_k1)
 from dunkl.stable import (certify_stable_ratio, stable_scaling_residual,
                           subordinator_bounds_sweep, subordinator_density,
                           subordinator_inversion, subordinator_log_density)
@@ -98,6 +100,26 @@ def test_criterion_2_theorem_main(n, k):
         f"large-pairing saturation constant for (n={n}, k={k}) is ~{sat:.3g}, "
         f"stable to 1e-12 under node refinement, so this bound cannot be met "
         f"by any correct evaluation")
+
+
+# the green companion of the red criterion-2 cells: at large pairing p the
+# ratio exact/envelope tends to C = prod_{j=2}^{n+1} Gamma(jk)/Gamma(k) at
+# rate 1/p, and |ratio/C - 1| p measured 1.25 (A_1, k=2.5), 1.69 (A_2,
+# k=0.5), 2.81 (A_2, k=2.5) and 3.61 (A_3, k=1) over p = 1e3..1e6
+@pytest.mark.parametrize("n,k", [(1, 2.5), (2, 0.5), (2, 2.5), (3, 1.0)])
+def test_criterion_2_ratio_tends_to_saturation_constant(n, k):
+    rs = rootsystem(n, k)
+    log_sat = sum(math.lgamma(j * k) - math.lgamma(k) for j in range(2, n + 2))
+    rates = []
+    for lam, X in pairing_sweep_grid(rs, span=(1e3, 1e6), num=4):
+        pairing = _pairing_columns(rs, lam, X)["min_pairing"]
+        log_ratio = spherical_log(rs, lam, X) - log_spherical_envelope(rs, lam, X)
+        rates.append(abs(math.expm1(log_ratio - log_sat)) * pairing)
+    ok = all(0.5 <= r <= 5.0 for r in rates)
+    _report(f"criterion-2 companion[n={n},k={k}]: |ratio/C - 1| * pairing "
+            f"{', '.join(f'{r:.3g}' for r in rates)} (bounds [0.5, 5]) -> "
+            f"{'PASS' if ok else 'FAIL'}")
+    assert ok, rates
 
 
 def test_criterion_2_runtime_note():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -92,6 +93,54 @@ def test_lambda_permutation_symmetry():
     base = spherical_log(rs, lam, X)
     for perm in ([1, 0, 2], [2, 0, 1], [1, 2, 0]):
         assert abs(spherical_log(rs, lam[perm], X) - base) < 1e-8
+
+
+def test_lambda_order_does_not_change_the_bits():
+    # the recursion subtracts the last entry of lambda, and an order ending in
+    # the largest read -122.0882523377 here, 2.4e-6 off the sorted order's
+    # -122.0882547462 (the value at plan (128, 64)); lambda is sorted first
+    rs = rootsystem(2, 2.5)
+    lam = np.array([1564.47527483, 1553.47392767, 148.13595527])
+    X = np.array([0.60472832, -0.61676748, -0.61735215])
+    got = {spherical_log(rs, lam[list(p)], X) for p in itertools.permutations(range(3))}
+    assert len(got) == 1
+    ref = spherical_log(rs, lam, X, (128, 64))
+    assert abs(got.pop() - ref) <= 1e-12 * abs(ref)
+
+
+def a2_point(scale, shape, gaps, shift):
+    """lambda = 10^scale (s0 + s1, s1, 0) and X = (g0 + g1, g1, 0) + shift."""
+    lam = 10.0 ** scale * np.array([shape[0] + shape[1], shape[1], 0.0])
+    return lam, np.array([gaps[0] + gaps[1], gaps[1], 0.0]) + shift
+
+
+A2_POINTS = dict(k=st.floats(0.1, 4.0), scale=st.floats(-2.0, 3.0),
+                 shape=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                 gaps=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+                 shift=st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(perm=st.permutations(range(3)), **A2_POINTS)
+def test_a2_lambda_permutation_property(perm, k, scale, shape, gaps, shift):
+    # psi is symmetric in lambda, and every order takes the sorted order's
+    # bits; lambda reaches about 3e3, where fully tilted rank-2 rows take the
+    # higher rungs of the Bessel-tail ladder
+    rs = rootsystem(2, k)
+    lam, X = a2_point(scale, shape, gaps, shift)
+    assert spherical_log(rs, lam[list(perm)], X) == spherical_log(rs, lam, X)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(c=st.floats(-2.0, 2.0), **A2_POINTS)
+def test_a2_shift_covariance_property(c, k, scale, shape, gaps, shift):
+    # psi_lambda(e^{X + c 1}) = e^{c sum lambda} psi_lambda(e^X); the shifted
+    # nodes round differently, by at most 2.1e-15 relative over these examples
+    rs = rootsystem(2, k)
+    lam, X = a2_point(scale, shape, gaps, shift)
+    a = spherical_log(rs, lam, X)
+    b = spherical_log(rs, lam, X + c)
+    assert abs(b - a - c * lam.sum()) <= 1e-12 * max(1.0, abs(a), abs(b)), (lam, X, c)
 
 
 def test_k1_oracle_random_a1_a2():
@@ -391,6 +440,50 @@ def test_tilted_series_degree_grows_or_refuses():
         sph._tilted_series(150.0, 2.0)
 
 
+@pytest.mark.parametrize("u0", [12.0, 30.0])
+@pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
+def test_tilted_rungs_match_rung_zero(k, u0):
+    # rung i of the Bessel-tail ladder covers u >= U_i = u0 4^i: on a dense
+    # grid of [U_i, 1e8] it is rung 0 to 1e-14 max(1, |H_k|), at no higher
+    # degree, and a short series from rung 2 on at the default u0 = 30
+    base = sph._tilted_rung(k, u0, 0)
+    for i in range(1, sph._TOP_RUNG + 1):
+        U = u0 * sph._RUNG_RATIO ** i
+        u = np.geomspace(U, 1e8, 2000)
+        ref = sph._bessel_tail(k, u0, u, 0.0)
+        got = sph._bessel_tail(k, u0, u, 0.0, i)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14, i
+        degree = len(sph._tilted_rung(k, u0, i)) - 1
+        assert degree <= len(base) - 1
+        if u0 == 30.0 and k <= 4.0 and i >= 2:
+            assert degree <= 6, (i, degree)
+
+
+def test_each_tilted_row_takes_the_rung_of_its_own_smallest_u(monkeypatch):
+    # a rank-2 row with a tilted pair takes the highest rung U_i = u0 4^i at or
+    # below its own smallest u (rung 0 if it has a Jacobi pair, whose u the
+    # block sets to u0), whatever block or batch it sits in.  A rung changes a
+    # row's H_k by ~1e-15, below the last bit of most log psi ~ 3e3: taking
+    # each block's lowest rung changed 1 of these 700 rows' bits
+    rs = rootsystem(2, 0.6)
+    rng = np.random.default_rng(7)
+    X = np.sort(rng.uniform(-1.0, 1.0, (700, 3)), axis=1)[:, ::-1]
+    seen = []
+    bessel_tail = sph._bessel_tail
+
+    def spying(k, u0, u, power, rung=0):
+        if u.ndim == 3:  # a dense block of rank-2 rows
+            ladder = u0 * sph._RUNG_RATIO ** np.arange(1, sph._TOP_RUNG + 1)
+            own = np.searchsorted(ladder, u.reshape(u.shape[0], -1).min(axis=1), side="right")
+            assert np.all(own == rung), (own, rung)
+            seen.append(own)
+        return bessel_tail(k, u0, u, power, rung)
+
+    monkeypatch.setattr(sph, "_bessel_tail", spying)
+    spherical_log(rs, np.array([3000.0, 1000.0, 0.0]), X)
+    assert np.unique(np.concatenate(seen)).size >= 3
+
+
 @pytest.mark.parametrize("lam,bound", [((4.0, 1.5, 0.0), 1.85), ((300.0, 120.0, 0.0), 0.85),
                                        ((3000.0, 1200.0, 0.0), 0.8)],
                          ids=["jacobi", "tilted", "all_tilted"])
@@ -444,14 +537,18 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
     (2, 700, (60.0, 20.0, 0.0)),
     (2, 700, (150.0, 50.0, 0.0)),
     (2, 700, (50.0, 150.0, 0.0)),
+    (2, 700, (3000.0, 1000.0, 0.0)),
+    (2, 700, (1000.0, 3000.0, 0.0)),
 ])
 def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
     # one row alone and inside a chunked batch of random rows gives the same
     # bits (no reduction order or matrix product depends on the block or chunk
     # a row sits in); the A_1 rows mix Jacobi and tilted ones, and the A_2
-    # batches hold rows whose rank-2 pairs are all Jacobi, mixed (summed under
-    # a Jacobi-pair mask) and (but for (60, 20, 0)) all tilted in each chunk,
-    # at mu = l1 - l2 of either sign
+    # batches hold rows whose rank-2 pairs are all Jacobi (but at 3000), mixed
+    # (summed under a Jacobi-pair mask) and (but for (60, 20, 0)) all tilted
+    # in each chunk, with lambda in either order.  At 3000 each chunk's fully
+    # tilted rows sit on two rungs or more of the Bessel-tail ladder, which a
+    # row must pick from its own smallest u, not from its block's
     rs = rootsystem(n, 0.6)
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
@@ -468,11 +565,18 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
         u_lo = amu * (y1.min(axis=1) - y2.max(axis=1))
         u_hi = amu * (y1.max(axis=1) - y2.min(axis=1))
         jacobi, tilted = u_hi <= u0, u_lo > u0
+        rung = np.searchsorted(u0 * sph._RUNG_RATIO ** np.arange(1, sph._TOP_RUNG + 1), u_lo,
+                               side="right")
         half = np.arange(rows) < rows // 2  # the two chunks
-        for cls in (jacobi, ~jacobi & ~tilted) + ((tilted,) if lam[0] != 60.0 else ()):
+        steep = max(lam) == 3000.0
+        for cls in (() if steep else (jacobi,)) + (~jacobi & ~tilted,) + (
+                (tilted,) if lam[0] != 60.0 else ()):
             assert (cls & half).any() and (cls & ~half).any()
+        if steep:
+            assert all(np.unique(rung[tilted & part]).size >= 2 for part in (half, ~half))
         classes = [np.flatnonzero(cls)[::max(1, cls.sum() // 20)]
-                   for cls in (jacobi, ~jacobi & ~tilted, tilted)]
+                   for cls in (jacobi, ~jacobi & ~tilted)
+                   + tuple(tilted & (rung == r) for r in np.unique(rung[tilted]))]
     for r in np.concatenate(classes + [[rows // 3, rows - 1]]).astype(int):
         assert batch[r] == spherical_log(rs, np.array(lam), X[r]), r
 
