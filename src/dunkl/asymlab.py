@@ -273,9 +273,9 @@ def sweep_claim(claim_id: str) -> tuple[AsympClaim, bool, str]:
                     b = (float(b1), float(b1 * growth), float(b1 * growth ** 2))
                     base = lemma_a2_ratio(k, 1.0, *b)
                     vals.append(base)
+            base = lemma_a2_ratio(k, 1.0, 0.5, 1.0, 8.0)
             for c in (1e-3, 1e3):
                 scaled = lemma_a2_ratio(k, c * 1.0, c * 0.5, c * 1.0, c * 8.0)
-                base = lemma_a2_ratio(k, 1.0, 0.5, 1.0, 8.0)
                 if abs(scaled / base - 1.0) > SCALE_TOLERANCE:
                     ok = False
         claim = AsympClaim("lemma_a2", "k grid, ordered b straddling a",

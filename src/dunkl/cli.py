@@ -202,7 +202,7 @@ def read_csv_report(path: str) -> tuple[list[dict], dict]:
 def _mapper(workers: int):
     if workers <= 1:
         return map, None
-    pool = Pool(workers)
+    pool = Pool(workers, initializer=spherical.serial_chunks)  # a CPU each already
     return pool.map, pool
 
 

@@ -46,6 +46,14 @@ row as evaluating its factor grids and every A_1 row Q; it is exact when no
 row is all tilted and no A_1 row tilted.  When all entries of lambda are equal, psi_lambda(e^X) =
 e^{lambda_1 sum x} is returned exactly.
 
+A batch whose rows put more than ``_CHUNK`` nodes on its level is split into
+chunks of consecutive rows (``_chunked``), run on a thread pool as many at a
+time as the process's affinity mask has CPUs.  numpy releases the GIL in its
+ufuncs, and no row's bits depend on its batch, so neither the split nor the
+width changes a value.  The chunks that a chunk reaches run serially; a
+forked child builds a pool of its own, and the workers of a process pool
+(the CLI's ``--workers``, through ``serial_chunks``) run theirs serially.
+
 The k=1 determinant closed form is the independent oracle; the envelope is
 the right-hand side of the sharp two-sided estimate
 
@@ -54,8 +62,12 @@ the right-hand side of the sharp two-sided estimate
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -71,7 +83,8 @@ from .rootsys import RootSystemA, ensure_chamber
 
 DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 
-#: batch rows are chunked so the innermost tensors stay ~tens of MB
+#: batch rows are chunked so the innermost tensors stay ~tens of MB; the
+#: chunks of one call run on the chunk pool, as many at once as there are CPUs
 _CHUNK = 400_000
 #: tilted A_1 rows per block: numpy's per-call cost is spread over many rows,
 #: and a block's 32 kB work arrays stay in cache
@@ -81,8 +94,9 @@ _RANK1_BLOCK = 4096
 #: together, and larger blocks spread the Clenshaw recurrence's per-call cost
 _TILT_BLOCK = 16384
 #: rank-2 rows whose factor grids hold about this many values are summed
-#: together, so that their arrays stay in cache
-_RANK2_BLOCK = 131072
+#: together, so that their arrays stay in cache; half of what one chunk at a
+#: time could take, since two pooled chunks hold their blocks at once
+_RANK2_BLOCK = 65536
 #: the ladder of Bessel-tail series: rung i covers u >= u0 _RUNG_RATIO^i,
 #: i = 0 ... _TOP_RUNG, and drops trailing coefficients that add at most
 #: _RUNG_TOL max(1, max|H_k|); _LADDER holds U_i/u0 from rung 1 on
@@ -558,6 +572,91 @@ def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
     return ygrids, logf
 
 
+# ---------------------------------------------------------------------------
+# the chunk pool
+# ---------------------------------------------------------------------------
+
+#: built on first use; a forked child drops its copy, whose threads it lacks
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+#: True where chunks run one at a time: inside a chunk, and in a worker of a
+#: process pool
+_serial = contextvars.ContextVar("dunkl_serial_chunks", default=False)
+
+
+def serial_chunks() -> None:
+    """Run the chunks of the calling thread one at a time: the initializer of
+    a process pool whose workers each hold a CPU already."""
+    _serial.set(True)
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    """The CPUs of this process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_width(chunks: int) -> int:
+    """How many of a call's chunks run at once: one a CPU, or one where
+    ``_serial`` is set."""
+    return 1 if _serial.get() else min(chunks, _cpus())
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The chunk pool: a thread for each CPU but the caller's."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="dunkl-chunk")
+        return _pool
+
+
+def _chunked(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
+             parts: list[np.ndarray]) -> np.ndarray:
+    """``_log_psi`` of the rows of X, one part (an index array) at a time.
+
+    ``_chunk_width`` runners take the next part in order until none is left:
+    the calling thread and the pool's threads, each in a copy of the caller's
+    context (numpy's errstate is context-local) with ``_serial`` set.  numpy
+    releases the GIL in its ufuncs, and no row's bits depend on its batch, so
+    the result does not depend on the width.  An error stops the runners
+    taking parts; once every started part has finished, the first part's
+    error in order is raised, the one a serial loop raises.
+    """
+    out = np.empty(X.shape[0])
+    todo = iter(range(len(parts)))  # next() on a range iterator is atomic under the GIL
+    errors: dict[int, BaseException] = {}
+
+    def runner():
+        _serial.set(True)
+        for i in todo:
+            if errors:
+                return
+            try:
+                out[parts[i]] = _log_psi(k, lam, X[parts[i]], plan)
+            except BaseException as exc:  # re-raised by the caller
+                errors[i] = exc
+
+    futures = [_executor().submit(contextvars.copy_context().run, runner)
+               for _ in range(_chunk_width(len(parts)) - 1)]
+    contextvars.copy_context().run(runner)
+    for fut in futures:
+        fut.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> np.ndarray:
     """log psi_lambda(e^X) for a batch of chamber rows X (active coords only).
 
@@ -572,11 +671,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
     P = Q ** m
     if B * P > _CHUNK and B > 1:
         nb = min(B, max(2, -(-B * P // _CHUNK)))
-        out = np.empty(B)
-        for sl in np.array_split(np.arange(B), nb):
-            if len(sl):
-                out[sl] = _log_psi(k, lam, X[sl], plan)
-        return out
+        return _chunked(k, lam, X, plan, np.array_split(np.arange(B), nb))
     if m == 1:
         return _rank1_grid(k, lam, X[:, 0], X[:, 1], Q)
 

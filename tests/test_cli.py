@@ -101,6 +101,54 @@ def test_certify_workers_match_serial(tmp_path):
     assert ra == rb
 
 
+#: a chunked A_3 point in a parent that has built the chunk pool, then the
+#: same point in a forked child, which must build its own, and a chunked
+#: certification sweep run serially and on a --workers pool
+FORK_SCRIPT = """
+import multiprocessing, sys
+from dunkl import cli, spherical
+from dunkl.rootsys import rootsystem
+
+rs = rootsystem(3, 1.0)
+lam, X = spherical.pairing_sweep_grid(rs, num=3)[1]
+spherical._cpus = lambda: 2  # pooled chunks on any machine
+
+def point(_):
+    return spherical.spherical_log(rs, lam, X)
+
+parent = point(None)
+assert spherical._pool is not None
+with multiprocessing.get_context("fork").Pool(1) as pool:
+    assert pool.map_async(point, [0]).get(timeout=60) == [parent]
+base = ["certify", "spherical", "--n", "3", "--num", "3", "--out"]
+assert cli.main(base + [sys.argv[1]]) == 0
+assert cli.main(base + [sys.argv[2], "--workers", "2"]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_children_after_pooled_chunks(tmp_path):
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pool.csv"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT, str(serial), str(pooled)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the reports differ only in the workers field of their config line
+    assert pooled.read_bytes().replace(b'"workers": 2', b'"workers": 1') == serial.read_bytes()
+
+
+def test_workers_run_their_chunks_serially():
+    # each --workers process holds a CPU already, so its chunks take one thread
+    mapper, pool = cli._mapper(2)
+    try:
+        assert list(mapper(spherical._chunk_width, [6, 6])) == [1, 1]
+    finally:
+        pool.close()
+        pool.join()
+
+
 def test_certify_failure_exit_code():
     # an impossible spread bound must fail with exit 1
     assert run_cli(["certify", "spherical", "--n", "1", "--k", "2.5",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -579,6 +580,88 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
                    + tuple(tilted & (rung == r) for r in np.unique(rung[tilted]))]
     for r in np.concatenate(classes + [[rows // 3, rows - 1]]).astype(int):
         assert batch[r] == spherical_log(rs, np.array(lam), X[r]), r
+
+
+def _a2_rows(rows, seed=7):
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.uniform(-1.0, 1.0, (rows, 3)), axis=1)[:, ::-1]
+
+
+def _a3_point():
+    rs = rootsystem(3, 0.5)
+    return lambda: spherical_log(rs, *pairing_sweep_grid(rs)[10])
+
+
+def _a2_batch():
+    rs, X = rootsystem(2, 0.6), _a2_rows(2304)
+    return lambda: spherical_log(rs, np.array([60.0, 20.0, 0.0]), X)
+
+
+def _heat_batch():
+    from dunkl.heatkernel import heat_log_for_times
+
+    rs, times = rootsystem(2, 0.5), np.geomspace(1e-2, 1e2, 516)
+    return lambda: heat_log_for_times(rs, times, np.array([1.1, 0.2, -0.5]),
+                                      np.array([0.7, 0.1, -0.3]))
+
+
+@pytest.mark.parametrize("case", [_a3_point, _a2_batch, _heat_batch])
+def test_pooled_chunks_give_the_serial_bits(case, monkeypatch):
+    # the chunks of a call run three at a time on the chunk pool (whatever
+    # the CPUs of the machine, and with the GIL handed over every 10 us) and
+    # then as on one CPU, with the same bits: the A_3 point's rank-2 level,
+    # the random A_2 batch and the 516 heat rows are all chunked
+    widths = []
+    chunk_width = sph._chunk_width
+
+    def spying(chunks):
+        widths.append(chunk_width(chunks))
+        return widths[-1]
+
+    evaluate = case()
+    monkeypatch.setattr(sph, "_chunk_width", spying)
+    monkeypatch.setattr(sph, "_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = np.atleast_1d(evaluate())
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(widths) > 1
+    widths.clear()
+    monkeypatch.setattr(sph, "_cpus", lambda: 1)
+    serial = np.atleast_1d(evaluate())
+    assert widths and max(widths) == 1
+    assert pooled.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [3, 1])
+def test_chunk_error_reaches_the_caller_once_every_chunk_ends(cpus, monkeypatch):
+    # an error raised in the second of six chunks (and one in the fourth)
+    # reaches spherical_log's caller as the same EvaluationError, the second
+    # chunk's as in a serial loop, and only once no chunk is running
+    rs, X = rootsystem(2, 0.6), _a2_rows(2304)
+    parts = np.array_split(np.arange(len(X)), 6)
+    assert len(X) * sph.default_node_plan(2)[0] ** 2 > 5 * sph._CHUNK
+    log_psi, running = sph._log_psi, [0]
+
+    def failing(k, lam, rows, plan):
+        if len(lam) < 3 or len(rows) == len(X):
+            return log_psi(k, lam, rows, plan)
+        running[0] += 1
+        try:
+            for i in (1, 3):
+                if rows[0, 0] == X[parts[i][0], 0]:
+                    raise EvaluationError(f"chunk {i}")
+            return log_psi(k, lam, rows, plan)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(sph, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sph, "_log_psi", failing)
+    with pytest.raises(EvaluationError, match="chunk 1$"):
+        spherical_log(rs, np.array([60.0, 20.0, 0.0]), X)
+    assert running[0] == 0
 
 
 def test_envelope_values():
