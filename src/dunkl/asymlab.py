@@ -147,7 +147,8 @@ def _log_In(rs: RootSystemA, lam, X, Q: int, restrict_top: bool) -> float:
         raise BudgetExceededError(f"I^(n) needs ~{Q ** m:.3g} evaluations")
     mu = lam_a[:m] - lam_a[m]
     top_lo = 0.5 * (X_a[m - 1] + X_a[m]) if restrict_top else None  # M_n
-    ygr, logf = interlacing_grid(k, X_a[None, :], mu, Q, top_lo)
+    # lambda may be out of order by CHAMBER_TOL; the level rules take slopes >= 0
+    ygr, logf = interlacing_grid(k, X_a[None, :], np.maximum(mu, 0.0), Q, top_lo)
     for i in range(m):
         logf = logf + mu[i] * (ygr[i] - X_a[i])
         for j in range(i + 1, m):

@@ -57,6 +57,11 @@ class SweepConfig:
             raise DomainError(f"format must be csv or json, got {self.format!r}")
         if self.num < 1:
             raise DomainError("grid must have at least one point")
+        # a sweep over no cell would certify nothing and report a pass
+        if len(self.k) == 0:
+            raise DomainError("k must list at least one multiplicity")
+        if len(self.s) == 0 and "s" in KERNELS[self.kernel].args:
+            raise DomainError("s must list at least one stability index")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         for name in ("span", "t_span"):
@@ -74,7 +79,7 @@ class SweepConfig:
         node product for one row x cells (certification rows do not refine)."""
         entry = KERNELS[self.kernel]
         plan = self.plan if self.plan is not None else spherical.default_node_plan(self.n)
-        cells = max(1, len(self.k)) * (len(self.s) if "s" in entry.args else 1)
+        cells = len(self.k) * (len(self.s) if "s" in entry.args else 1)
         return entry.psi_rows * self.num * spherical._predicted_evals(self.n, plan) * cells
 
     def validate_budget(self):

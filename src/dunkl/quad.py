@@ -7,9 +7,9 @@ per size and exponent) or ``panel_rule``'s Gauss-Legendre panels.  Two regimes m
 * endpoint-singular algebraic factors (x-lo)^a (hi-x)^b with a, b > -1 are
   absorbed into Gauss-Jacobi weights so the integrand handed to a rule is
   smooth;
-* levels whose integrand carries a factor ~ e^{mu y} with |mu|*(hi-lo)
-  beyond what a Jacobi rule of the given size can resolve switch to a
-  generalized Gauss-Laguerre rule in the variable s = |mu|*(hot_end - y),
+* levels whose integrand carries a factor ~ e^{mu y}, mu >= 0, with
+  mu*(hi-lo) beyond what a Jacobi rule of the given size can resolve switch
+  to a generalized Gauss-Laguerre rule in s = mu*(hi - y) at the upper end,
   the same substitution the sharp-estimate proofs use.  Nodes falling
   outside the interval are dropped; their weight mass is O(e^{-0.95 u}).
 
@@ -168,7 +168,7 @@ def jacobi_weight_sum(a_exp: float, b_exp: float, interval) -> float:
 # batched level rule (the levels of spherical._level_rules)
 # ---------------------------------------------------------------------------
 
-#: switch to the tilted Laguerre rule once |mu|*(hi-lo) exceeds min(30, 2*Q)
+#: switch to the tilted Laguerre rule once mu*(hi-lo) exceeds min(30, 2*Q)
 TILT_SWITCH = 30.0
 #: drop Laguerre nodes with s >= DROP_FRAC * u; the lost mass is ~e^{-DROP_FRAC*u}
 DROP_FRAC = 0.95
@@ -178,12 +178,16 @@ def level_nodes(lo: np.ndarray, hi: np.ndarray, a_exp: float, b_exp: float,
                 mu: float, nodes: int):
     """Batched 1-d rule for int_lo^hi f(y) (y-lo)^a (hi-y)^b dy, f ~ e^{mu y}.
 
-    ``lo``, ``hi`` have shape (B,); ``mu`` is the exponential slope of f
-    along this level, shared by every row.  Returns (y, logw) of shape
+    ``lo``, ``hi`` have shape (B,); ``mu`` >= 0 is the exponential slope of f
+    along this level, shared by every row (a negative one raises DomainError:
+    the recursion sorts lambda so that none is).  Returns (y, logw) of shape
     (B, nodes): sum over j of exp(logw[b, j]) * f(y[b, j]) approximates the
-    integral for row b.  Dropped tilted nodes get logw = -inf and a midpoint
+    integral for row b.  A tilted row's Laguerre rule in s = mu (hi - y)
+    absorbs b; dropped tilted nodes get logw = -inf and a midpoint
     coordinate so downstream logs stay finite.
     """
+    if mu < 0:
+        raise DomainError(f"level slope must be >= 0, got {mu}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     u = mu * (hi - lo)
@@ -191,7 +195,7 @@ def level_nodes(lo: np.ndarray, hi: np.ndarray, a_exp: float, b_exp: float,
     y = np.empty((lo.shape[0], nodes))
     logw = np.empty_like(y)
 
-    jmask = np.abs(u) <= min(TILT_SWITCH, 2.0 * nodes)
+    jmask = u <= min(TILT_SWITCH, 2.0 * nodes)
     jac, tilt = np.flatnonzero(jmask), np.flatnonzero(~jmask)
     if jac.size:
         x, w = _ref_jacobi(nodes, a_exp, b_exp)
@@ -199,20 +203,11 @@ def level_nodes(lo: np.ndarray, hi: np.ndarray, a_exp: float, b_exp: float,
         logw[jac] = np.log(w) + (a_exp + b_exp + 1.0) * np.log(half[jac])[:, None]
 
     if tilt.size:
-        lo_t, hi_t = lo[tilt][:, None], hi[tilt][:, None]
-        # the hot endpoint carries exponent b (at hi) when mu > 0, else a (at lo)
-        hot_exp, cold_exp = (b_exp, a_exp) if mu > 0 else (a_exp, b_exp)
-        s, w = _ref_genlaguerre(nodes, hot_exp)
-        off = s / np.abs(mu)
-        if mu > 0:
-            ys = hi_t - off
-            other = ys - lo_t
-        else:
-            ys = lo_t + off
-            other = hi_t - ys
-        lw = (np.log(w) + s - (hot_exp + 1.0) * np.log(np.abs(mu))
-              + cold_exp * np.log(np.maximum(other, 1e-300)))
-        drop = s >= DROP_FRAC * np.abs(u[tilt])[:, None]
+        s, w = _ref_genlaguerre(nodes, b_exp)
+        ys = hi[tilt][:, None] - s / mu
+        lw = (np.log(w) + s - (b_exp + 1.0) * np.log(mu)
+              + a_exp * np.log(np.maximum(ys - lo[tilt][:, None], 1e-300)))
+        drop = s >= DROP_FRAC * u[tilt][:, None]
         y[tilt] = np.where(drop, mid[tilt][:, None], ys)
         logw[tilt] = np.where(drop, _NEG_INF, lw)
     return y, logw

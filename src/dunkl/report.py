@@ -67,9 +67,10 @@ def build_ratio_report(grid: str, rows: Sequence[dict], *,
                        tail_cut: float = 1e2) -> RatioReport:
     """Summarize sweep rows; each row needs 'log_ratio' plus its inputs.
 
-    ``drift_key`` names the row field (a positive sweep parameter) against
-    which the drift slope is fitted; the tail fit keeps rows with
-    drift_key >= tail_cut.
+    ``drift_key`` names the row field (a sweep parameter) against which the
+    drift slope is fitted over the rows where it is > 0 (a repeated lambda
+    entry makes a minimum pairing 0, which has no log; the row stays in the
+    bracket); the tail fit keeps rows with drift_key >= tail_cut.
     """
     if not rows:
         raise ValueError("empty sweep grid")
@@ -88,8 +89,9 @@ def build_ratio_report(grid: str, rows: Sequence[dict], *,
     slope_full = slope_tail = None
     if drift_key is not None:
         x = np.array([r[drift_key] for r in rows], dtype=float)
-        lx = np.log10(x)
-        ly = logr / math.log(10.0)
+        fit = x > 0
+        x, lx = x[fit], np.log10(x[fit])
+        ly = logr[fit] / math.log(10.0)
         slope_full = _ls_slope(lx, ly)
         mask = x >= tail_cut
         slope_tail = _ls_slope(lx[mask], ly[mask])

@@ -12,12 +12,14 @@ that reduces rank n to rank n-1:
 
 over the interlacing box x_{i+1} <= y_i <= x_i, with the shifted inner
 argument lambda_0 = (lambda_r - lambda_{n+1})_r; the terminal case is a
-single active coordinate where psi = e^{lambda x}.  Everything runs in log
-space (values reach e^{1e4} on certification sweeps) and the per-level rules
-absorb the adjacent (k-1)-power factors into Jacobi weights, switching the
-levels of rank >= 2 to the exponential substitution rule (``level_nodes``,
-which drops the nodes outside the interval) once the level's tilt is too
-steep for a polynomial rule.
+single active coordinate where psi = e^{lambda x}.  lambda is sorted
+decreasing once, so every lambda_0 is too: level i tilts toward its upper
+end, with slope lambda_{0,i} >= 0.  Everything runs in log space (values
+reach e^{1e4} on certification sweeps) and the per-level rules absorb the
+adjacent (k-1)-power factors into Jacobi weights, switching the levels of
+rank >= 2 to the exponential substitution rule (``level_nodes``, which drops
+the nodes outside the interval) once the level's tilt is too steep for a
+polynomial rule.
 
 The two innermost levels are summed in closed forms of their own.  A rank-2
 row (``_rank2_level``) sums its level rules' node pairs (y_1, y_2) without a
@@ -86,9 +88,6 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 #: batch rows are chunked so the innermost tensors stay ~tens of MB; the
 #: chunks of one call run on the chunk pool, as many at once as there are CPUs
 _CHUNK = 400_000
-#: tilted A_1 rows per block: numpy's per-call cost is spread over many rows,
-#: and a block's 32 kB work arrays stay in cache
-_RANK1_BLOCK = 4096
 #: pairs of a rank-2 level per dense block of rows with a tilted pair (and per
 #: Jacobi-pair mask block), whole rows at a time: a row's pairs are reduced
 #: together, and larger blocks spread the Clenshaw recurrence's per-call cost
@@ -172,7 +171,7 @@ def _tilted_series(k: float, u0: float) -> np.ndarray:
     in x = 2 u0/u - 1 in (-1, 1].
 
     G_k(u) = log Gamma(k+1/2) + (1/2-k) log(u/4) + log I_{k-1/2}(u/2) is
-    log psi_{(mu, 0)}(e^{(a, b)}) - mu (a+b)/2 at u = |mu| (a-b) (DLMF 13.6.9),
+    log psi_{(mu, 0)}(e^{(a, b)}) - mu (a+b)/2 at u = mu (a-b) (DLMF 13.6.9),
     so H_k = log Gamma(k+1/2) + (2k-1) log 2 + log u/2 + log ive(k-1/2, u/2)
     is bounded, with H_k(inf) = log Gamma(2k)/Gamma(k).  The e^{-u} part of
     I_{k-1/2} makes H_k smooth but not analytic at x = -1, so the degree
@@ -262,8 +261,8 @@ def _bessel_tail(k: float, u0: float, u: np.ndarray, power: float,
     """H_k(2 U/u - 1) - power log u at tilted u >= U = u0 _RUNG_RATIO^rung,
     H_k the cached Chebyshev series of the rung (``_tilted_rung``; rung 0 is
     the fit of ``_tilted_series`` on u > u0): with power = k it is
-    log psi_{(mu, 0)}(e^{(a, b)}) - mu hot, hot the end of [b, a] that
-    e^{mu y} favours.  A higher rung is the same function to 1e-14 at a
+    log psi_{(mu, 0)}(e^{(a, b)}) - mu a, a the upper end of [b, a] and
+    u = mu (a - b).  A higher rung is the same function to 1e-14 at a
     lower degree, since H_k flattens as u grows."""
     val = _clenshaw(_tilted_rung(k, u0, rung), 2.0 * (u0 * _RUNG_RATIO ** rung) / u - 1.0)
     val -= power * np.log(u)
@@ -274,25 +273,22 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
                 Q: int) -> np.ndarray:
     """log psi_lam(e^{(hi_b, lo_b)}) for a batch of A_1 rows, hi > lo of shape (B,).
 
-    psi factors as e^{l2 (hi+lo)} psi_{(mu, 0)}, mu = l1 - l2.  A Jacobi row
-    (u = |mu| (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the weighted mean of
+    psi factors as e^{l2 (hi+lo)} psi_{(mu, 0)}, mu = l1 - l2 > 0.  A Jacobi row
+    (u = mu (hi - lo) <= u0 = min(TILT_SWITCH, 2Q)) is the weighted mean of
     e^{mu (y_q - lo)} = e^{mu (hi - lo) p_q} over the nodes y_q = hi p_q +
     lo (1 - p_q) of the rule for int_lo^hi e^{mu y} ((hi-y)(y-lo))^{k-1} dy:
-    Q terminal evaluations a row, whose exponents are at most u0.  A tilted row
-    takes the Bessel closed form mu (hot - lo) + H_k(2 u0/u - 1) - k log u
-    (``_bessel_tail``) instead, ``_RANK1_BLOCK`` rows at a time, and evaluates
-    no terminal case; so does mu = 0, which gives exactly l2 (hi + lo).
+    Q terminal evaluations a row, whose exponents are at most u0.  The tilted
+    rows take the Bessel closed form u + H_k(2 u0/u - 1) - k log u
+    (``_bessel_tail``) instead, in one call, and evaluate no terminal case.
     Tilted rows stay on rung 0 of the ladder: the Newton and stable batches
     of A_1 rows are small and span many rungs, and a rung costs one more
     Clenshaw call a batch; per-row rungs made the benchmark's ``sweep_small``
     median row 0.149 -> 0.175 ms (3 alternating pairs of 20 s runs).
     """
     mu = float(lam[0] - lam[1])
-    if mu == 0.0:
-        return lam[1] * (hi + lo)
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     u = hi - lo
-    u *= abs(mu)
+    u *= mu
     tilted = np.flatnonzero(u > u0)
     out = np.empty(u.shape[0])
     if tilted.size < u.size:
@@ -306,41 +302,38 @@ def _rank1_grid(k: float, lam: np.ndarray, hi: np.ndarray, lo: np.ndarray,
         f *= (w / w.sum())[:, None]
         # cumsum adds the nodes in order, so no row's bits depend on its batch
         out[jacobi] = np.log(np.cumsum(f, axis=0, out=f)[-1])
-    hot = hi if mu > 0 else lo
-    for start in range(0, tilted.size, _RANK1_BLOCK):
-        sel = tilted[start:start + _RANK1_BLOCK]
-        out[sel] = _bessel_tail(k, u0, u[sel], k) + mu * (hot[sel] - lo[sel])
+    if tilted.size:
+        out[tilted] = _bessel_tail(k, u0, u[tilted], k) + u[tilted]
     out += lam[1] * hi + mu * lo
     out += lam[1] * lo
     return out
 
 
-def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
-                 Q: int, Qi: int) -> np.ndarray:
+def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, Q: int, Qi: int) -> np.ndarray:
     """log of the rank-2 level of each row X = (x0 > c > x2): the sum over the
     nodes (y1_i, y2_j) of its two level rules of
     e^{lw1_i + lw2_j} (y1_i - y2_j) psi_lam(e^{(y1_i, y2_j)}),
-    lam the A_1 argument and Qi the nodes of its rule.
+    lam = (l1 >= l2 >= 0) the A_1 argument and the two levels' slopes, and Qi
+    the nodes of its rule.
 
     Every factor depends on one coordinate except the Vandermonde factor, which
     splits into two separable non-negative terms, y1 - y2 = (y1 - c) + (c - y2).
-    A pair is Jacobi when u = |mu| (y1_i - y2_j) <= u0 = min(TILT_SWITCH, 2 Qi),
-    mu = l1 - l2; its psi is then the weighted mean over the Qi nodes of
+    A pair is Jacobi when u = mu (y1_i - y2_j) <= u0 = min(TILT_SWITCH, 2 Qi),
+    mu = l1 - l2 >= 0; its psi is then the weighted mean over the Qi nodes of
     e^{l2 (y1+y2) + mu c} e^{mu (y1 - c) p_q} e^{mu (y2 - c)(1 - p_q)}, so the
     Jacobi pairs of a row sum to e^{mu c} times a sum over the nodes of two
     factor grids (``_jacobi_rows``): (I + J) Qi terminal evaluations a row.
     A tilted pair takes the Bessel closed form, whose -k log u absorbs the
-    Vandermonde log as (1 - k) log u - log |mu|.
+    Vandermonde log as (1 - k) log u - log mu.
 
     A row takes one of two paths by its largest u.  A row with no tilted pair
     is summed from its factor grids alone; a row with one is a dense (I, J)
     block of closed forms (``_tilted_rows``), joined by the factor-grid sum of
     its Jacobi pairs if it has any.  A pair with a dropped node adds nothing.
     """
-    (y1, y2), (lw1, lw2) = _level_rules(k, X, mu, Q)
+    (y1, y2), (lw1, lw2) = _level_rules(k, X, lam, Q)
     c = X[:, 1]
     mu1 = float(lam[0] - lam[1])
-    amu = abs(mu1)
     u0 = min(quad.TILT_SWITCH, 2.0 * Qi)
     # node log-weights with e^{l2 y}, relative to their row's largest
     la = lw1 + lam[1] * y1
@@ -354,10 +347,10 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, mu: Sequence[float],
     # the bounds of each row's u, which a batch whose largest u is Jacobi does
     # not need (numpy reduces a short last axis slowly, hence the copies)
     tilted = np.empty(0, dtype=np.intp)
-    if amu * (y1.max() - y2.min()) > u0:
+    if mu1 * (y1.max() - y2.min()) > u0:
         y1t, y2t = np.ascontiguousarray(y1.T), np.ascontiguousarray(y2.T)
-        u_hi = amu * (y1t.max(axis=0) - y2t.min(axis=0))
-        u_lo = amu * (y1t.min(axis=0) - y2t.max(axis=0))
+        u_hi = mu1 * (y1t.max(axis=0) - y2t.min(axis=0))
+        u_lo = mu1 * (y1t.min(axis=0) - y2t.max(axis=0))
         tilted = np.flatnonzero(u_hi > u0)
         del y1t, y2t
     out = np.empty(X.shape[0])
@@ -377,9 +370,10 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
                  c: np.ndarray, la: np.ndarray, lb: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
     """log of the sum over all pairs (i, j) of rank-2 rows that have a tilted pair.
 
-    A tilted pair adds e^{H_k - (k - 1) log u + ta_i + tb_j}, u = |mu| (y1_i -
-    y2_j), with the per-node terms ta = a + mu (hot - c) and tb = b - log |mu|:
-    the node log-weights, e^{mu (hot - c)}, and the 1/|mu| of y1 - y2 = u/|mu|.
+    A tilted pair adds e^{H_k - (k - 1) log u + ta_i + tb_j}, u = mu (y1_i -
+    y2_j), with the per-node terms ta = a + mu (y1 - c) and tb = b - log mu:
+    the node log-weights, e^{mu (y1 - c)} at the pair's upper end, and the
+    1/mu of y1 - y2 = u/mu.
     H_k comes from the ladder of ``_bessel_tail``: a row whose pairs are all tilted takes
     the highest rung whose U = u0 _RUNG_RATIO^i is <= its own smallest u,
     ``u_lo`` (a short series where the row's u are large), and a row with a
@@ -393,9 +387,8 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
     log-sum-exp.
     """
     B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
-    amu = abs(mu1)
-    ta = la + mu1 * (y1 - c[:, None]) if mu1 > 0 else la
-    tb = lb - math.log(amu) + (0.0 if mu1 > 0 else mu1 * (y2 - c[:, None]))
+    ta = la + mu1 * (y1 - c[:, None])
+    tb = lb - math.log(mu1)
     mixed = u_lo <= u0
     rung = np.searchsorted(u0 * _LADDER, u_lo, side="right")
     s = np.full(B, -np.inf)
@@ -411,7 +404,7 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
         for g0 in range(0, group.size, step):
             rows = slice(g0, min(B, g0 + step)) if whole else group[g0:g0 + step]
             u = y1[rows, :, None] - y2[rows, None, :]
-            u *= amu
+            u *= mu1
             jacobi = u <= u0 if mixed[rows].any() else None
             if jacobi is not None:  # into the closed form's domain; weight 0 below
                 np.maximum(u, u0, out=u)
@@ -439,7 +432,7 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
 
     ``y1`` (B, I) and ``y2`` (B, J) hold the nodes, ``c`` (B,) the middle
     coordinates, and ``la`` and ``lb`` the node log-weights a_i, b_j (<= 0).
-    The Jacobi pairs are those with |mu| (y1_i - y2_j) <= ``u0``; None means
+    The Jacobi pairs are those with mu (y1_i - y2_j) <= ``u0``; None means
     all of them.  With the offsets d1 = y1 - c >= 0 and d2 = y2 - c <= 0,
     A_qi = e^{mu d1_i p_q} and B_qj = e^{mu d2_j (1 - p_q)}, a row's sum is
 
@@ -471,7 +464,7 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
         e1, e2 = d1[:, rows], d2[:, rows]
         if u0 is not None:
             mask = y1[rows, :, None] - y2[rows, None, :]
-            mask *= abs(mu)
+            mask *= mu
             mask = mask <= u0
             # a factor exponent is at most u0 at an i (a j) that has (is) a
             # Jacobi partner; the others never reach a sum, and take offset 0
@@ -550,10 +543,10 @@ def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
                      top_lo=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level.
 
-    ``X`` holds (B, m+1) active chamber rows, ``mu`` the slope of e^{mu_i y_i}
-    along each of the m levels.  Returns the level node grids, the i-th of
-    shape (B,) + (1,)*i + (Q,) + (1,)*(m-1-i), and ``logf`` on (B,) + (Q,)*m:
-    level log-weights, non-adjacent (k-1)-power factors, log prod_{i<j}(y_i-y_j).
+    ``X`` holds (B, m+1) active chamber rows, ``mu`` >= 0 the slope of
+    e^{mu_i y_i} along each of the m levels.  Returns the level node grids,
+    the i-th of shape (B,) + (1,)*i + (Q,) + (1,)*(m-1-i), and ``logf`` on
+    (B,) + (Q,)*m: level log-weights, non-adjacent (k-1)-power factors, log prod_{i<j}(y_i-y_j).
     ``top_lo`` is as in ``_level_rules``.
     """
     B, m = X.shape[0], X.shape[1] - 1
@@ -660,8 +653,9 @@ def _chunked(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
 def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> np.ndarray:
     """log psi_lambda(e^X) for a batch of chamber rows X (active coords only).
 
-    ``lam`` need not be sorted (psi is symmetric in it); rows of X must be
-    strictly decreasing.
+    ``lam`` must be decreasing (``spherical_log`` sorts it), which makes
+    every level slope lam_i - lam_m >= 0; rows of X must be strictly
+    decreasing.
     """
     m = lam.shape[0] - 1
     B = X.shape[0]
@@ -675,8 +669,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
     if m == 1:
         return _rank1_grid(k, lam, X[:, 0], X[:, 1], Q)
 
-    lam0 = lam[:m] - lam[m]
-    mu = np.sort(lam0)[::-1]  # slope seen by y_i once Y is sorted decreasing
+    lam0 = lam[:m] - lam[m]  # decreasing, and the slope seen by y_i
     logpref = float(gammaln(k * (m + 1)) - (m + 1) * gammaln(k))
     logpi = np.zeros(B)
     for i in range(m + 1):
@@ -686,8 +679,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
 
     inner_plan = plan[1:] if len(plan) > 1 else plan
     if m == 2:
-        return logpref + base_term + _rank2_level(k, lam0, X, mu, Q, inner_plan[0])
-    ygrids, logf = interlacing_grid(k, X, mu, Q)
+        return logpref + base_term + _rank2_level(k, lam0, X, Q, inner_plan[0])
+    ygrids, logf = interlacing_grid(k, X, lam0, Q)
     Y = np.empty((B,) + (Q,) * m + (m,))
     for i in range(m):
         Y[..., i] = np.broadcast_to(ygrids[i], (B,) + (Q,) * m)
@@ -702,10 +695,10 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
     psi is symmetric in lambda, but the recursion subtracts the last entry
     and is least accurate when that is the largest, so the active lambda is
     sorted in decreasing order first: every order gives the bits of the
-    sorted one.  A 2-d ``X`` holds row vectors and gives an array of logs.
-    Budget is checked against the predicted node product.  Raises
-    DomainError if 4 len(x) max|lambda| max|x|, which bounds every exponent,
-    overflows.
+    sorted one, and no level slope of the recursion is negative.  A 2-d
+    ``X`` holds row vectors and gives an array of logs.  Budget is checked
+    against the predicted node product.  Raises DomainError if
+    4 len(x) max|lambda| max|x|, which bounds every exponent, overflows.
     """
     plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
     lam = np.asarray(lam, dtype=float)

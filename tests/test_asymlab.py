@@ -151,6 +151,18 @@ def test_prop_in_dixon_anderson_identity():
             assert abs(kv.log_value - ref) < 1e-12
 
 
+def test_prop_in_takes_lambda_out_of_order_within_the_chamber_tolerance():
+    # the closed chamber admits lambda out of order by 1e-12 of its scale,
+    # which would make a level slope negative; it gives lambda = 0's value
+    X = np.array([1.4, 0.2, -0.3, -1.5])
+    for n in (1, 3):
+        rs = rootsystem(n, 0.7)
+        lam = np.zeros(n + 1)
+        lam[-1] = 5e-13
+        ref = prop_In(rs, np.zeros(n + 1), X[:n + 1]).log_value
+        assert abs(prop_In(rs, lam, X[:n + 1]).log_value - ref) < 1e-11
+
+
 def test_prop_in_rank1_exact_constant_relation():
     # I^(1) = Gamma(k)^2/Gamma(2k) e^{-lambda(X)} pi(X)^{2k-1} psi (exact, n=1)
     from dunkl.spherical import spherical_log

@@ -172,6 +172,17 @@ def test_certify_empty_grid_usage_error():
                     "--num", "0"]) == 2
 
 
+@pytest.mark.parametrize("kernel, field", [("spherical", "k"), ("stable", "k"),
+                                           ("stable", "s")])
+def test_sweep_config_refuses_an_empty_cell_list(kernel, field):
+    # a sweep over no k (or no s, for a kernel that takes s) certifies
+    # nothing; it returned ([], True), a pass
+    with pytest.raises(cli.DomainError, match=f"^{field} must list"):
+        cli.SweepConfig(kernel=kernel, **{field: ()})
+    # s is no argument of the spherical kernel, so an empty s is ignored there
+    assert cli.run_certify(cli.SweepConfig(kernel="spherical", s=(), num=2))[0]
+
+
 def test_lemma_command(capsys):
     assert run_cli(["lemma", "lemma_A"]) == 0
     out = capsys.readouterr().out

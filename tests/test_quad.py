@@ -117,15 +117,16 @@ def test_kernel_value_rel_err():
 @pytest.mark.parametrize("Q", [16, 24])
 @pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
 @pytest.mark.parametrize("top_lo", [False, True])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_level_nodes_closed_form(Q, k, top_lo, sign):
+@pytest.mark.parametrize("e", [1.0, -1.0])
+def test_level_nodes_closed_form(Q, k, top_lo, e):
     # int_lo^hi e^{mu y} (y-lo)^a (hi-y)^b dy
     #   = e^{mu lo} L^{a+b+1} B(a+1, b+1) 1F1(a+1; a+b+2; mu L)
+    # at the slopes mu = 7^e, on levels 7 times narrower or wider for one u
     a_exp, b_exp = (0.0 if top_lo else k - 1.0), k - 1.0
-    mu = sign * 7.0
+    mu = 7.0 ** e
     u = np.geomspace(0.1, 500.0, 40)
     lo = np.linspace(-1.0, 1.0, u.size)
-    hi = lo + u / abs(mu)
+    hi = lo + u / mu
     y, logw = level_nodes(lo, hi, a_exp, b_exp, mu, Q)
     tilted = u > min(TILT_SWITCH, 2.0 * Q)
     drops = np.isneginf(logw).any(axis=1)
@@ -138,6 +139,16 @@ def test_level_nodes_closed_form(Q, k, top_lo, sign):
                         + mpmath.log(mpmath.beta(a_exp + 1, b_exp + 1))
                         + mpmath.log(mpmath.hyp1f1(a_exp + 1, a_exp + b_exp + 2, mu * L)))
             assert abs(got[r] - ref) <= 1e-11 * max(1.0, abs(ref)), (r, u[r])
+
+
+def test_level_nodes_rejects_a_negative_slope():
+    # the recursion sorts lambda, so every level slope is >= 0 and a tilted
+    # rule sits at the upper end; a negative slope is refused, not mis-ruled
+    lo, hi = np.array([0.0, 0.0]), np.array([0.1, 10.0])
+    with pytest.raises(DomainError, match="slope"):
+        level_nodes(lo, hi, 0.5, 0.5, -7.0, 16)
+    y, logw = level_nodes(lo, hi, 0.5, 0.5, 0.0, 16)  # slope 0 is a Jacobi rule
+    assert np.all(np.isfinite(logw)) and np.all((lo[:, None] < y) & (y < hi[:, None]))
 
 
 @pytest.mark.parametrize("breakpoints, nodes", [

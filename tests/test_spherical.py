@@ -107,6 +107,21 @@ def test_lambda_order_does_not_change_the_bits():
     assert len(got) == 1
     ref = spherical_log(rs, lam, X, (128, 64))
     assert abs(got.pop() - ref) <= 1e-12 * abs(ref)
+    # the recursion's levels take only slopes >= 0, so every order must give
+    # the decreasing order's bits at every rank: an A_1 batch of Jacobi and
+    # tilted rows, and all 24 orders of an A_3 pairing-grid point
+    rs = rootsystem(1, 0.6)
+    X = np.sort(np.random.default_rng(5).uniform(-1.0, 1.0, (200, 2)), axis=1)[:, ::-1]
+    u = 31.0 * (X[:, 0] - X[:, 1])
+    assert (u > 30.0).any() and (u < 30.0).any()
+    down = spherical_log(rs, np.array([31.0, 0.0]), X)
+    assert down.tobytes() == spherical_log(rs, np.array([0.0, 31.0]), X).tobytes()
+    rs = rootsystem(3, 0.5)
+    lam, X = pairing_sweep_grid(rs)[10]
+    assert np.all(np.diff(lam) < 0)
+    down = spherical_log(rs, lam, X)
+    assert all(spherical_log(rs, lam[list(p)], X) == down
+               for p in itertools.permutations(range(4)))
 
 
 def a2_point(scale, shape, gaps, shift):
@@ -266,24 +281,24 @@ def test_k1_determinant_oracle_in_mpmath(n):
 
 
 @pytest.mark.parametrize("n,plan,rows", [
-    (1, (48,), 5000),
+    (1, (48,), 9000),
     (2, (32, 24), 500),
     (3, (6, 6, 6), 2000),
     (2, (12, 16), 3000),
 ])
 def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
     # the recursion's terminal (m == 0) rows are the predicted evaluations
-    # wherever no row's value is a closed form, also when a batch is chunked
-    # or split into rank-1 blocks: a rank-2 row whose pairs mix Jacobi and
-    # tilted ones still evaluates its two factor grids.  The A_2 rank-2 levels
-    # drop tilted nodes, and (12, 16) puts a rank-2 grid coarser than the
-    # rank-1 rule over them.  A tilted A_1 row, and a rank-2 row whose pairs
-    # are all tilted, is a closed form and evaluates nothing, so on A_1 only
-    # the Jacobi rows count, and a lambda that tilts every pair counts 0
+    # wherever no row's value is a closed form, also when a batch is chunked:
+    # a rank-2 row whose pairs mix Jacobi and tilted ones still evaluates its
+    # two factor grids.  The A_2 rank-2 levels drop tilted nodes, and
+    # (12, 16) puts a rank-2 grid coarser than the rank-1 rule over them.  A
+    # tilted A_1 row, and a rank-2 row whose pairs are all tilted, is a closed
+    # form and evaluates nothing, so on A_1 only the Jacobi rows count, and a
+    # lambda that tilts every pair counts 0
     rng = np.random.default_rng(n)
     gaps = rng.uniform(0.05, 1.0, size=(rows, n))
     X = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
-    assert rows > sph._RANK1_BLOCK if n == 1 else rows * plan[0] ** n > sph._CHUNK
+    assert rows * plan[0] ** n > sph._CHUNK
     terminal, mixed = [0], [0]
     log_psi, jacobi_rows = sph._log_psi, sph._jacobi_rows
 
@@ -339,14 +354,15 @@ def rank1_row_reference(k, lam, hi, lo, Q):
 @pytest.mark.parametrize("mu", [-23.0, 17.0])
 def test_rank1_grid_matches_per_row_rule(k, mu):
     # random A_1 rows that mix Jacobi and tilted ones, tilted rows just past
-    # the switch among them
+    # the switch among them; the reference takes lambda in the given order,
+    # the rank-1 level the decreasing order that spherical_log passes it
     rng = np.random.default_rng(int(10 * k) + (mu > 0))
     Q = 16
     c = rng.uniform(-1.0, 1.0, 105)
     hi = c + rng.uniform(0.0, 2.5, c.size)
     lo = c - rng.uniform(0.0, 2.5, c.size)
     lam = np.array([mu + 0.4, 0.4])
-    got = sph._rank1_grid(k, lam, hi, lo, Q)
+    got = sph._rank1_grid(k, np.sort(lam)[::-1], hi, lo, Q)
     u = abs(mu) * (hi - lo)
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     assert (u <= u0).any() and ((u > u0) & (u < 1.5 * u0)).any() and (u > 2.0 * u0).any()
@@ -359,23 +375,23 @@ def test_rank1_grid_matches_per_row_rule(k, mu):
 @pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
 def test_rank1_grid_tilted_pairs_against_mpmath(k, Q):
     # tilted A_1 rows from just past the switch u0 to u = 1e6, against
-    # log 1F1(k; 2k; -u) at 30 digits: with mu = -1 the row (u, 0) is
-    # log psi = log 1F1(k; 2k; -u), of size k log u; k = 30 takes a fit of
-    # twice the starting degree
+    # log 1F1(k; 2k; u) at 30 digits: with mu = 1 the row (u, 0) is
+    # log psi = log 1F1(k; 2k; u) = u + log 1F1(k; 2k; -u); k = 30 takes a fit
+    # of twice the starting degree
     u0 = min(quad.TILT_SWITCH, 2.0 * Q)
     u = np.concatenate([[u0 * (1.0 + 1e-12), u0 * 1.01], np.geomspace(u0, 1e6, 40)[1:]])
-    got = sph._rank1_grid(k, np.array([-1.0, 0.0]), u, np.zeros_like(u), Q)
+    got = sph._rank1_grid(k, np.array([1.0, 0.0]), u, np.zeros_like(u), Q)
     with mpmath.workdps(30):
-        ref = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, -mpmath.mpf(v))))
+        ref = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, mpmath.mpf(v))))
                         for v in u])
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
 
 def rank2_level_reference(k, lam, X, Q, Qi):
     """The rank-2 level the slow way: ``interlacing_grid``'s log-weights plus
-    every node pair (y1_i, y2_j) evaluated as an A_1 row, then a log-sum-exp."""
-    mu = np.sort(lam)[::-1]
-    (y1, y2), logf = sph.interlacing_grid(k, X, mu, Q)
+    every node pair (y1_i, y2_j) evaluated as an A_1 row, then a log-sum-exp;
+    ``lam`` (decreasing) is also the slopes of the two levels."""
+    (y1, y2), logf = sph.interlacing_grid(k, X, lam, Q)
     B = X.shape[0]
     pairs = np.stack(np.broadcast_arrays(y1, y2), axis=-1).reshape(-1, 2)
     logf = logf + sph._log_psi(k, lam, pairs, (Qi,)).reshape(B, Q, Q)
@@ -383,13 +399,13 @@ def rank2_level_reference(k, lam, X, Q, Qi):
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 2.5])
-@pytest.mark.parametrize("lam", [(30.0, 0.0), (-30.0, 0.0), (0.0, 45.0)])
+@pytest.mark.parametrize("lam", [(30.0, 0.0), (45.0, 15.0), (50.0, 2.5)])
 def test_rank2_level_matches_pairwise_a1_rows(k, lam):
     # rows whose pairs mix Jacobi and tilted ones (a dense block whose Jacobi
     # pairs are summed under a Jacobi-pair mask), rows with none and rows with
     # only Jacobi pairs, i's with no Jacobi partner, and level rules that drop
-    # nodes, at small and large k; both signs of mu = l1 - l2, so tilted level
-    # nodes come descending (a level slope > 0) or ascending (< 0)
+    # nodes, at small and large k; lambda = (l1 >= l2 >= 0), the level slopes,
+    # with a flat second level (l2 = 0) and tilted ones
     lam = np.array(lam)
     Q, Qi = 12, 10
     rng = np.random.default_rng(3)
@@ -397,11 +413,11 @@ def test_rank2_level_matches_pairwise_a1_rows(k, lam):
                            rng.uniform(20.0, 60.0, (2, 2)), [[0.9, 1e-4], [1e-4, 0.9]]])
     X = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
     X = X + rng.uniform(-1.0, 1.0, (X.shape[0], 1))
-    got = sph._rank2_level(k, lam, X, np.sort(lam)[::-1], Q, Qi)
+    got = sph._rank2_level(k, lam, X, Q, Qi)
     ref, y1, y2, logf = rank2_level_reference(k, lam, X, Q, Qi)
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
     # what the rows cover
-    u = abs(lam[0] - lam[1]) * (y1[:, :, None] - y2[:, None, :])
+    u = (lam[0] - lam[1]) * (y1[:, :, None] - y2[:, None, :])
     jacobi = u <= min(quad.TILT_SWITCH, 2.0 * Qi)
     assert jacobi.all(axis=(1, 2)).any() and (~jacobi).all(axis=(1, 2)).any()
     stair = jacobi.any(axis=(1, 2)) & ~jacobi.all(axis=(1, 2))
@@ -412,19 +428,20 @@ def test_rank2_level_matches_pairwise_a1_rows(k, lam):
 @pytest.mark.parametrize("Qi", [6, 16, 48])
 @pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
 def test_rank2_tilted_pairs_against_mpmath(k, Qi):
-    # one node a level makes a rank-2 row one pair (y1, y2), the first level
-    # Jacobi (slope 0) and the second rule's node kept; the pairs run from just
-    # past the switch u0 to u = 1e6, and their log psi_(-1, 0) =
-    # log 1F1(k; 2k; -(y1 - y2)) - y2 is checked against 30 digits
+    # one node a level makes a rank-2 row one pair (y1, y2): lambda = (1, 0)
+    # and X = (1, 0, 1 - 2u) give two Jacobi levels (slopes 1 on a unit
+    # level, and 0) with nodes 0.5 and 0.5 - u; the pairs run from just past
+    # the switch u0 to u = 1e6, and their log psi_(1, 0) =
+    # y2 + log 1F1(k; 2k; y1 - y2) is checked against 30 digits
     u0 = min(quad.TILT_SWITCH, 2.0 * Qi)
     u = np.concatenate([[u0 * (1.0 + 1e-12), u0 * 1.01], np.geomspace(u0, 1e6, 40)[1:]])
-    lam = np.array([-1.0, 0.0])
-    X = np.stack([2.0 * u - 1.0, np.zeros_like(u), -np.ones_like(u)], axis=1)
-    got = sph._rank2_level(k, lam, X, np.sort(lam)[::-1], 1, Qi)
+    lam = np.array([1.0, 0.0])
+    X = np.stack([np.ones_like(u), np.zeros_like(u), 1.0 - 2.0 * u], axis=1)
+    got = sph._rank2_level(k, lam, X, 1, Qi)
     _, y1, y2, logf = rank2_level_reference(k, lam, X, 1, Qi)
     assert np.all(np.abs(y1 - y2)[:, 0] / u - 1.0 < 1e-12)
     with mpmath.workdps(30):
-        pair = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, -(mpmath.mpf(a) - b)))) - b
+        pair = np.array([float(mpmath.log(mpmath.hyp1f1(k, 2 * k, mpmath.mpf(a) - b)) + b)
                          for a, b in zip(y1[:, 0], y2[:, 0])])
     lw = logf[:, 0, 0] - sph._log_psi(k, lam, np.stack([y1[:, 0], y2[:, 0]], axis=1), (Qi,))
     ref = lw + pair
@@ -754,6 +771,22 @@ def test_certify_wall_point_taken_at_collapsed_x():
     assert row["log_exact"] == spherical_log(rs, lam, Xc)
     assert row["log_envelope"] == log_spherical_envelope(rs, lam, Xc)
     assert rep.count == 3 and rep.slope_full is not None
+
+
+def test_certify_zero_pairing_row_stays_out_of_the_drift_fit():
+    # a repeated lambda entry is a legal point whose minimum pairing is 0;
+    # its row joins the bracket and the drift fits skip it (log10(0) warned,
+    # then polyfit raised LinAlgError)
+    rs = rootsystem(2, 0.5)
+    pts = pairing_sweep_grid(rs, num=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = certify_ratio(rs, points=pts + [((3.0, 3.0, 0.0), pts[0][1])])
+        ref = certify_ratio(rs, points=pts)
+    assert rep.count == 5 and rep.rows[-1]["min_pairing"] == 0.0
+    assert (rep.slope_full, rep.slope_tail) == (ref.slope_full, ref.slope_tail)
+    logr = [r["log_ratio"] for r in rep.rows]
+    assert (rep.log_min, rep.log_max) == (min(logr), max(logr))
 
 
 def test_certify_a1_k1_bracket():
