@@ -9,12 +9,11 @@ from .errors import (AccuracyError, BudgetExceededError, DegenerateArgumentError
                      EvaluationError, InvalidExponentError, SingularityError)
 from .quad import KernelValue
 from .report import RatioReport
-from .rootsys import ChamberPoint, RootSystemA, rootsystem
+from .rootsys import RootSystemA, rootsystem
 
 __all__ = [
-    "AccuracyError", "BudgetExceededError", "ChamberPoint",
-    "DegenerateArgumentError", "DivergentTailError", "DomainError",
-    "DunklError", "EvaluationError", "InvalidExponentError", "KernelValue",
-    "RatioReport", "RootSystemA", "SingularityError", "rootsystem",
-    "__version__",
+    "AccuracyError", "BudgetExceededError", "DegenerateArgumentError",
+    "DivergentTailError", "DomainError", "DunklError", "EvaluationError",
+    "InvalidExponentError", "KernelValue", "RatioReport", "RootSystemA",
+    "SingularityError", "rootsystem", "__version__",
 ]

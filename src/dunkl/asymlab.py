@@ -21,7 +21,7 @@ from . import quad
 from .errors import BudgetExceededError, DomainError
 from .quad import KernelValue, exp_weighted_log_integral, logsumexp
 from .rootsys import RootSystemA, ensure_chamber
-from .spherical import default_node_plan, interlacing_grid
+from .spherical import check_plan, default_node_plan, interlacing_grid
 
 #: the relative drift a lemma ratio may show under (a, b) -> (ca, cb)
 SCALE_TOLERANCE = 0.05
@@ -50,15 +50,37 @@ class AsympClaim:
 # ---------------------------------------------------------------------------
 
 def lemma_A_ratio(k: float, x: float) -> float:
-    """[int_0^x u^{k-1} e^{-u} du] / (x/(1+x))^k; the x=0 limit is 1/k."""
-    if not (k > 0 and x >= 0):
-        raise DomainError("need k > 0 and x >= 0")
+    """[int_0^x u^{k-1} e^{-u} du] / (x/(1+x))^k; the x=0 limit is 1/k and
+    the x=inf limit Gamma(k).
+
+    Where Gamma(k) overflows (k >= 171) or P(k, x) leaves the normal float
+    range (x << k), the ratio is summed in log space; raises DomainError
+    where the ratio itself overflows float64.
+    """
+    if not (k > 0 and x >= 0 and math.isfinite(k)):
+        raise DomainError("need finite k > 0 and x >= 0")
     if x == 0.0:
         return 1.0 / k
     if x < 1e-8:
         # Taylor head: gamma(k,x) = x^k/k (1 - k x/(k+1) + ...)
         return (1.0 + x) ** k * (1.0 - k * x / (k + 1.0)) / k
-    return math.gamma(k) * gammainc(k, x) * ((1.0 + x) / x) ** k
+    p = float(gammainc(k, x))
+    if k < 171.0 and p > 1e-290 and x < math.inf:
+        return math.gamma(k) * p * ((1.0 + x) / x) ** k
+    if p > 1e-290:
+        log_ratio = float(gammaln(k)) + math.log(p) + k * math.log1p(1.0 / x)
+    else:
+        # gamma(k,x) = x^k e^{-x} sum_j x^j / (k (k+1) ... (k+j)); p this
+        # small needs x < k, so the terms fall
+        acc, term, j = 0.0, 1.0 / k, 0
+        while term > 1e-17 * acc:
+            acc += term
+            j += 1
+            term *= x / (k + j)
+        log_ratio = k * math.log1p(x) - x + math.log(acc)
+    if log_ratio > 709.0:
+        raise DomainError(f"lemma A ratio overflows float64 at k={k:g}, x={x:g}")
+    return math.exp(log_ratio)
 
 
 def _ratio_integral(k: float, N: float, a: float, b: Sequence[float]) -> float:
@@ -159,7 +181,7 @@ def _log_In(rs: RootSystemA, lam, X, Q: int, restrict_top: bool) -> float:
 def prop_In(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None) -> KernelValue:
     """The n-fold reduction integral I^(n), with refinement error indicator
     (plan[0] nodes a level against twice as many)."""
-    Q = plan[0] if plan is not None else default_node_plan(rs.n)[0]
+    Q = default_node_plan(rs.n)[0] if plan is None else check_plan(plan)[0]
     lv = _log_In(rs, lam, X, Q, restrict_top=False)
     lv2 = _log_In(rs, lam, X, 2 * Q, restrict_top=False)
     return quad.refined(lv, lv2, evals=0)
@@ -188,7 +210,7 @@ def prop_truncated_ratio(rs: RootSystemA, lam, X,
     if gaps[-1] < gaps.max() - 1e-12 * max(1.0, float(np.abs(X_a).max())):
         raise DomainError(
             "precondition: x_n - x_{n+1} must be the largest simple-root gap")
-    Q = plan[0] if plan is not None else default_node_plan(rs.n)[0]
+    Q = default_node_plan(rs.n)[0] if plan is None else check_plan(plan)[0]
     l_full = _log_In(rs, lam, X, Q, restrict_top=False)
     l_half = _log_In(rs, lam, X, Q, restrict_top=True)
     return math.exp(l_half - l_full)

@@ -68,9 +68,8 @@ class SweepConfig:
             lo, hi = getattr(self, name)
             if not 0 < lo < hi:
                 raise DomainError(f"{name} must satisfy 0 < lo < hi, got ({lo:g}, {hi:g})")
-        if self.plan is not None and not (
-                self.plan and all(isinstance(q, int) and q >= 1 for q in self.plan)):
-            raise DomainError(f"node plan entries must be integers >= 1, got {self.plan}")
+        if self.plan is not None:
+            spherical.check_plan(self.plan)
         if self.spread_bound is None:
             self.spread_bound = KERNELS[self.kernel].spread_bound
 

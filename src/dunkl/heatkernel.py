@@ -75,14 +75,13 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
             - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss + lv)
 
 
-def heat_exact(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None,
-               *, with_error: bool = True) -> KernelValue:
+def heat_exact(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None
+               ) -> KernelValue:
     """p_t^W(X,Y) with a node-refinement error indicator."""
     X = rs.check_vector(X)
     plan = plan if plan is not None else default_node_plan(rs.n)
     lv = heat_log(rs, t, X, Y, plan)
-    lv2 = heat_log(rs, t, X, Y, refined_plan(rs.n, plan)) if with_error else lv
-    return refined(lv, lv2, evals=1)
+    return refined(lv, heat_log(rs, t, X, Y, refined_plan(rs.n, plan)), evals=1)
 
 
 def log_heat_envelope(rs: RootSystemA, t: float, X, Y) -> float:

@@ -64,13 +64,11 @@ def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
             + math.log(R2 / 4.0))
 
 
-def newton_exact(rs: RootSystemA, X, Y, plan: Sequence[int] | None = None,
-                 *, with_error: bool = True) -> KernelValue:
+def newton_exact(rs: RootSystemA, X, Y, plan: Sequence[int] | None = None
+                 ) -> KernelValue:
     """N^W(X,Y) with a u-rule refinement error indicator."""
     X = rs.check_vector(X)
     lv = newton_log(rs, X, Y, U_NODES, plan)
-    if not with_error:
-        return refined(lv, lv, U_NODES)
     return refined(lv, newton_log(rs, X, Y, 2 * U_NODES, plan), 3 * U_NODES)
 
 
@@ -130,10 +128,6 @@ def log_newton_envelope_d2_a2(rs: RootSystemA, X, Y) -> float:
     omega2 = min(refl_simple)
     return (math.log(math.log1p(omega2 / R2))
             - _log_reflected_product(rs, X, Y))
-
-
-def newton_envelope_d2_a2(rs: RootSystemA, X, Y) -> float:
-    return math.exp(log_newton_envelope_d2_a2(rs, X, Y))
 
 
 def log_newton_envelope(rs: RootSystemA, X, Y) -> float:

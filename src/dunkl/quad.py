@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import (betaln, roots_genlaguerre, roots_hermite,
-                           roots_jacobi, roots_legendre)
+from scipy.special import (roots_genlaguerre, roots_hermite, roots_jacobi,
+                           roots_legendre)
 
 from .errors import DomainError, EvaluationError, InvalidExponentError
 
@@ -156,12 +156,6 @@ def jacobi_rule(nodes: int, a_exp: float, b_exp: float,
     pts = 0.5 * (hi + lo) + half * x
     wts = w * half ** (a_exp + b_exp + 1.0)
     return pts, wts
-
-
-def jacobi_weight_sum(a_exp: float, b_exp: float, interval) -> float:
-    lo, hi = interval
-    return math.exp(betaln(a_exp + 1.0, b_exp + 1.0)
-                    + (a_exp + b_exp + 1.0) * math.log(hi - lo))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class Kernel:
     args: tuple[str, ...]
     grid: Callable           # (rs, [s,] **options) -> grid points
     grid_options: dict[str, str]  # grid keyword -> the SweepConfig field giving it
-    exact: Callable          # (rs, *args, plan=None, *, with_error=True) -> KernelValue
+    exact: Callable          # (rs, *args, plan=None) -> KernelValue with a refinement error
     log_value: Callable      # (rs, *args, plan=None) -> log value of one row
     log_envelope: Callable   # (rs, *args) -> log envelope
     columns: Callable        # (rs, *args) -> the row's inputs after n and k

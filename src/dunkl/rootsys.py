@@ -3,9 +3,8 @@
 The positive roots are e_i - e_j for i < j within the n+1 active
 coordinates; the Weyl group is the symmetric group permuting those
 coordinates, and the closed positive chamber is x_1 >= ... >= x_{n+1}.
-Pairings, reflections, the weight prod |<alpha,X>|^{2k} and the
-Vandermonde prod (x_i - x_j) are the building blocks for every kernel
-and envelope in this package.
+Pairings, reflections and the weight prod |<alpha,X>|^{2k} are the
+building blocks for every kernel and envelope in this package.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ class RootSystemA:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"rank must be >= 1, got {self.n}")
-        if not (self.k > 0):
-            raise DomainError(f"multiplicity must be > 0, got {self.k}")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise DomainError(f"multiplicity must be finite and > 0, got {self.k}")
         if not self.active_coords:
             object.__setattr__(self, "active_coords", tuple(range(1, self.n + 2)))
         if len(self.active_coords) != self.n + 1 or len(set(self.active_coords)) != self.n + 1:
@@ -102,25 +101,6 @@ def rootsystem(n: int, k: float, d: int | None = None, *, trace_zero: bool = Fal
     return RootSystemA(n=n, d=d, k=k, active_coords=active_coords, trace_zero=trace_zero)
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
-    """A vector constrained to the closed positive Weyl chamber of ``rs``."""
-
-    rs: RootSystemA
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = self.rs.check_vector(self.coords)
-        ensure_chamber(self.rs, coords)
-        coords = np.array(coords, dtype=float)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    def is_interior(self) -> bool:
-        a = self.rs.active(self.coords)
-        return bool(np.all(a[:-1] - a[1:] > CHAMBER_TOL))
-
-
 def ensure_chamber(rs: RootSystemA, X, *, strict: bool = False) -> np.ndarray:
     """Validate X against the closed (or open, if strict) chamber."""
     X = rs.check_vector(X)
@@ -141,29 +121,20 @@ def positive_roots(rs: RootSystemA) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
 
 
-def _root_cols(rs: RootSystemA, root: tuple[int, int]) -> tuple[int, int]:
+def pairing(rs: RootSystemA, root: tuple[int, int], P) -> float:
+    """<alpha_{ij}, P> = p_i - p_j on the active coordinates."""
     i, j = root
     if not (1 <= i < j <= rs.n + 1):
         raise DomainError(f"{root} is not a positive root of A_{rs.n}")
-    return rs.active_coords[i - 1] - 1, rs.active_coords[j - 1] - 1
-
-
-def pairing(rs: RootSystemA, root: tuple[int, int], P) -> float:
-    """<alpha_{ij}, P> = p_i - p_j on the active coordinates."""
-    ci, cj = _root_cols(rs, root)
     P = np.asarray(P, dtype=float)
-    return float(P[ci] - P[cj])
+    return float(P[rs.active_coords[i - 1] - 1] - P[rs.active_coords[j - 1] - 1])
 
 
-def reflect(root: tuple[int, int], Y, rs: RootSystemA | None = None) -> np.ndarray:
+def reflect(root: tuple[int, int], Y) -> np.ndarray:
     """Reflection sigma_alpha for alpha = e_i - e_j: swaps coordinates i and j."""
     Y = np.array(Y, dtype=float)
-    if rs is not None:
-        ci, cj = _root_cols(rs, root)
-    else:
-        i, j = root
-        ci, cj = i - 1, j - 1
-    Y[ci], Y[cj] = Y[cj], Y[ci]
+    i, j = root
+    Y[i - 1], Y[j - 1] = Y[j - 1], Y[i - 1]
     return Y
 
 
@@ -177,27 +148,9 @@ def weight(rs: RootSystemA, X) -> float:
     return w
 
 
-def vandermonde(rs: RootSystemA, X) -> float:
-    """pi(X) = prod_{i<j} (x_i - x_j); nonnegative on the chamber."""
-    a = rs.active(np.asarray(X, dtype=float))
-    p = 1.0
-    for i in range(rs.n + 1):
-        for j in range(i + 1, rs.n + 1):
-            p *= a[i] - a[j]
-    return float(p)
-
-
 def reflected_distance_sq(rs: RootSystemA, root: tuple[int, int], X, Y) -> float:
     """|X - sigma_alpha Y|^2 via the identity |X-Y|^2 + 2 alpha(X) alpha(Y)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     diff = X - Y
     return float(diff @ diff) + 2.0 * pairing(rs, root, X) * pairing(rs, root, Y)
-
-
-def sort_into_chamber(rs: RootSystemA, X) -> np.ndarray:
-    """Permute the active coordinates into decreasing order (a Weyl image)."""
-    X = np.array(np.asarray(X, dtype=float))
-    idx = np.array(rs.active_coords) - 1
-    X[idx] = np.sort(X[idx])[::-1]
-    return X

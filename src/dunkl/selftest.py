@@ -51,20 +51,20 @@ def _check_jacobi():
 def _check_psi0():
     for n, k, X in ((1, 0.5, (1.0, 0.0)), (2, 2.5, (1.3, 0.2, -0.9))):
         rs = rootsys.rootsystem(n, k)
-        kv = spherical.spherical_exact(rs, np.zeros(n + 1), X, with_error=False)
-        _expect(abs(kv.value - 1.0) < 1e-8, f"psi_0 = {kv.value}")
+        v = math.exp(spherical.spherical_log(rs, np.zeros(n + 1), X))
+        _expect(abs(v - 1.0) < 1e-8, f"psi_0 = {v}")
     return "psi_0 == 1 (A_1, A_2)"
 
 
 def _check_oracle_k1():
     rs1 = rootsys.rootsystem(1, 1.0)
-    v = spherical.spherical_exact(rs1, (1.0, 0.0), (1.0, 0.0), with_error=False).value
+    v = math.exp(spherical.spherical_log(rs1, (1.0, 0.0), (1.0, 0.0)))
     ref = math.e - 1.0
     _expect(abs(v / ref - 1.0) < 1e-10)
     _expect(abs(spherical.spherical_oracle_k1(rs1, (1.0, 0.0), (1.0, 0.0)) / ref - 1.0) < 1e-12)
     rs2 = rootsys.rootsystem(2, 1.0)
     lam, X = (2.0, 1.0, 0.0), (1.0, 0.0, -1.0)
-    v = spherical.spherical_exact(rs2, lam, X, with_error=False).value
+    v = math.exp(spherical.spherical_log(rs2, lam, X))
     ref = spherical.spherical_oracle_k1(rs2, lam, X)
     _expect(abs(v / ref - 1.0) < 1e-8)
     return "k=1 determinant oracle (A_1, A_2)"
@@ -111,7 +111,7 @@ def _check_subordinator():
     v = stable.subordinator_density(1.0, 1.0, 1.0)
     ref = math.exp(-0.25) / (2.0 * math.sqrt(math.pi))
     _expect(abs(v / ref - 1.0) < 1e-12)
-    kant = stable.subordinator_density(1.0, 1.0, 1.0, method="kanter")
+    kant = math.exp(stable._kanter_logpdf(0.5, np.array([1.0]))[0])  # Kanter at s = t = u = 1
     _expect(abs(kant / ref - 1.0) < 1e-7)
     lap = quad.log_panel_integral(
         lambda u: stable.subordinator_log_density(0.5, 1.0, u) - u,

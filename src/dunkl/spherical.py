@@ -70,7 +70,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +79,7 @@ from . import quad
 from .errors import (BudgetExceededError, DegenerateArgumentError, DomainError,
                      EvaluationError)
 from .quad import KernelValue, level_nodes, logsumexp
-from .report import Kernel, RatioReport
+from .report import Kernel
 from .rootsys import RootSystemA, ensure_chamber
 
 DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
@@ -112,6 +111,15 @@ def default_node_plan(n: int) -> tuple[int, ...]:
     return (12,) * n
 
 
+def check_plan(plan: Sequence[int]) -> tuple[int, ...]:
+    """A caller's node plan as a tuple; raises DomainError unless it is
+    non-empty and every entry is an int >= 1."""
+    plan = tuple(plan)
+    if not (plan and all(isinstance(q, int) and q >= 1 for q in plan)):
+        raise DomainError(f"node plan entries must be integers >= 1, got {plan}")
+    return plan
+
+
 def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
     """The plan's price: the terminal evaluations of ``batch`` rank-m rows
     when no row's value is a closed form, an upper bound on the work.
@@ -137,7 +145,10 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
     """Perturb X off chamber walls (gap < 1e-13*scale) to 1e-8 spacing.
 
     The recursion holds on the open chamber only; boundary values are taken
-    by continuity at the perturbed point.  |X|^2 must be finite.
+    by continuity at the perturbed point X'.  That moves log psi_lambda by at
+    most max_i |lambda_i| ||X' - X||_1, since grad_X log psi_lambda(e^X) lies
+    in the convex hull of W lambda (M. Roesler, Duke Math. J. 98 (1999)
+    445-463).  |X|^2 must be finite.
     """
     X = np.array(rs.check_vector(X), dtype=float)
     idx = np.array(rs.active_coords) - 1
@@ -696,11 +707,12 @@ def spherical_log(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
     and is least accurate when that is the largest, so the active lambda is
     sorted in decreasing order first: every order gives the bits of the
     sorted one, and no level slope of the recursion is negative.  A 2-d
-    ``X`` holds row vectors and gives an array of logs.  Budget is checked
-    against the predicted node product.  Raises DomainError if
+    ``X`` holds row vectors and gives an array of logs.  A caller's ``plan``
+    passes ``check_plan``; budget is checked against the predicted node
+    product.  Raises DomainError if
     4 len(x) max|lambda| max|x|, which bounds every exponent, overflows.
     """
-    plan = tuple(plan) if plan is not None else default_node_plan(rs.n)
+    plan = default_node_plan(rs.n) if plan is None else check_plan(plan)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (rs.coord_len,):
         raise DomainError(f"lambda must have length {rs.coord_len}")
@@ -747,8 +759,8 @@ def refined_plan(n: int, plan: Sequence[int]) -> tuple[int, ...]:
     return (2 * plan[0],) + tuple(plan[1:])
 
 
-def spherical_exact(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
-                    *, with_error: bool = True) -> KernelValue:
+def spherical_exact(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None
+                    ) -> KernelValue:
     """psi_lambda(e^X) by the rank recursion, with a refinement error bar.
 
     lambda must lie in the closed chamber.  Wall points X are evaluated at the
@@ -761,8 +773,6 @@ def spherical_exact(rs: RootSystemA, lam, X, plan: Sequence[int] | None = None,
     X, _ = collapse_walls(rs, X)
     lv = spherical_log(rs, lam, X, plan)
     evals = int(_predicted_evals(rs.n, plan))
-    if not with_error:
-        return quad.refined(lv, lv, evals)
     plan2 = refined_plan(rs.n, plan)
     return quad.refined(lv, spherical_log(rs, lam, X, plan2),
                         evals + int(_predicted_evals(rs.n, plan2)))
@@ -872,7 +882,4 @@ KERNEL = Kernel(
     log_envelope=log_spherical_envelope, columns=_pairing_columns,
     spread_bound=1e3, psi_rows=1, drift_key="min_pairing", canonical=_collapse)
 spherical_row = KERNEL.row
-
-
-def certify_ratio(rs: RootSystemA, points=None, *, tail_cut: float = 1e2, **kw) -> RatioReport:
-    return replace(KERNEL, tail_cut=tail_cut).certify(rs, points, **kw)
+certify_ratio = KERNEL.certify

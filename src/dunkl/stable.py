@@ -1,17 +1,12 @@
 """s-stable W-invariant semigroups by subordination of the heat kernel.
 
-The subordinator density eta_t (Laplace transform e^{-t z^{s/2}}) has three
-evaluation paths:
-
-* ``closed``    - the s=1 (1/2-stable) closed form t (4 pi)^{-1/2} u^{-3/2}
-                  e^{-t^2/(4u)};
-* ``inversion`` - the pi-rotated Bromwich integral
-                  (1/pi) int_0^inf e^{-ux - t x^b cos(pi b)} sin(t x^b sin(pi b)) dx,
-                  b = s/2, sound only while the oscillatory mass leaves
-                  float64 headroom (it raises an accuracy error otherwise);
-* ``kanter``    - Kanter's positive-integrand form of the Zolotarev
-                  representation, valid for every b in (0,1) and log-space
-                  stable down to the essential singularity at u -> 0.
+The subordinator density eta_t (Laplace transform e^{-t z^{s/2}}) is the
+closed form t (4 pi)^{-1/2} u^{-3/2} e^{-t^2/(4u)} at s = 1 and Kanter's
+positive-integrand form of the Zolotarev representation otherwise, valid
+for every s/2 in (0,1) and log-space stable down to the essential
+singularity at u -> 0.  ``subordinator_inversion``, the pi-rotated Bromwich
+integral, is an independent third evaluation for checks; it is sound only
+while the oscillatory mass leaves float64 headroom.
 
 ``stable_exact`` integrates heat kernels against eta_t over u with log-spaced
 panels about the regime boundary u* = t^{2/s}; the envelope is the
@@ -34,7 +29,7 @@ from .errors import AccuracyError, DomainError, EvaluationError
 from .heatkernel import heat_log_for_times
 from .quad import KernelValue, logsumexp, panel_rule, refined
 from .report import Kernel, RatioReport
-from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
+from .rootsys import RootSystemA, pairing, positive_roots
 
 # ---------------------------------------------------------------------------
 # subordinator density
@@ -49,11 +44,21 @@ def _phi_nodes():
     return panel_rule(sorted(set([0.0] + left + right + [math.pi])), 12)
 
 
-def _check_su(s: float, t: float):
+def _check_su(s: float, t: float) -> float:
+    """The regime boundary u* = t^{2/s}; raises DomainError unless s is in
+    (0, 2), t is finite and > 0, and u* is a positive float."""
     if not (0.0 < s < 2.0):
         raise DomainError(f"stability index must be in (0,2), got {s}")
-    if not t > 0:
-        raise DomainError(f"t must be > 0, got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise DomainError(f"t must be finite and > 0, got {t}")
+    try:
+        u_star = float(t) ** (2.0 / s)
+    except OverflowError:
+        u_star = math.inf
+    if not 0.0 < u_star < math.inf:
+        raise DomainError(f"stable time scale overflows: u* = t^(2/s) is not a "
+                          f"positive float at t={t:g}, s={s:g}")
+    return u_star
 
 
 #: rows of x a block of ``_kanter_logpdf`` sums at once (one 1 MB temporary)
@@ -102,32 +107,22 @@ def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
                 - c * A0 + np.log(np.maximum(inner, 1e-300)) - math.log(math.pi))
 
 
-def subordinator_log_density(s: float, t: float, u, method: str = "auto") -> np.ndarray:
-    """log eta_t(u), vectorized over u > 0."""
-    _check_su(s, t)
+def subordinator_log_density(s: float, t: float, u) -> np.ndarray:
+    """log eta_t(u), vectorized over finite u > 0: the closed form at s = 1,
+    Kanter's form otherwise."""
+    u_star = _check_su(s, t)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u <= 0):
-        raise DomainError("subordinator density needs u > 0")
-    beta = 0.5 * s
-    if method == "auto":
-        method = "closed" if abs(s - 1.0) < 1e-14 else "kanter"
-    if method == "closed":
-        if abs(s - 1.0) > 1e-14:
-            raise DomainError("closed form only at s == 1")
+    if not np.all((u > 0) & np.isfinite(u)):
+        raise DomainError("subordinator density needs finite u > 0")
+    if abs(s - 1.0) < 1e-14:
         return (math.log(t) - 0.5 * math.log(4.0 * math.pi)
                 - 1.5 * np.log(u) - t * t / (4.0 * u))
-    if method == "kanter":
-        theta = t ** (1.0 / beta)
-        return _kanter_logpdf(beta, u / theta) - math.log(theta)
-    if method == "inversion":
-        return np.log(np.maximum(
-            [subordinator_inversion(s, t, float(ui)) for ui in u], 1e-300))
-    raise DomainError(f"unknown method {method!r}")
+    return _kanter_logpdf(0.5 * s, u / u_star) - math.log(u_star)
 
 
-def subordinator_density(s: float, t: float, u, method: str = "auto"):
+def subordinator_density(s: float, t: float, u):
     """eta_t(u); scalar in, scalar out."""
-    out = np.exp(subordinator_log_density(s, t, u, method))
+    out = np.exp(subordinator_log_density(s, t, u))
     return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
@@ -193,60 +188,16 @@ class SubordinatorBounds:
 
 def subordinator_bounds_check(s: float, t: float, u: float) -> SubordinatorBounds:
     """Point check of the global upper bound and the tail two-sided bound."""
-    _check_su(s, t)
+    u_star = _check_su(s, t)
     log_eta = float(subordinator_log_density(s, t, u)[0])
     log_upper = math.log(t) + (-1.0 - 0.5 * s) * math.log(u) - t * u ** (-0.5 * s)
     log_asymp = math.log(t) + (-1.0 - 0.5 * s) * math.log(u)
-    in_tail = u >= t ** (2.0 / s)
+    in_tail = u >= u_star
     return SubordinatorBounds(
         upper_ratio=math.exp(log_eta - log_upper) if log_eta - log_upper < 700 else math.inf,
         asymp_ratio=math.exp(log_eta - log_asymp) if in_tail else None,
         in_asymp_regime=in_tail,
     )
-
-
-def subordinator_bounds_sweep(s: float, t: float,
-                              decades=(-4.0, 4.0), num: int = 33) -> dict:
-    """Recorded constants for the two bounds over u/t^{2/s} in 10^decades."""
-    u_star = t ** (2.0 / s)
-    us = u_star * np.geomspace(10.0 ** decades[0], 10.0 ** decades[1], num)
-    if u_star not in us:
-        us = np.sort(np.append(us, u_star))  # include the crossover point
-    checks = [subordinator_bounds_check(s, t, float(u)) for u in us]
-    upper = [c.upper_ratio for c in checks]
-    asymp = [c.asymp_ratio for c in checks if c.asymp_ratio is not None]
-    return {
-        "s": s, "t": t, "u_over_ustar": (10.0 ** decades[0], 10.0 ** decades[1]),
-        "upper_C": max(upper),
-        "asymp_bracket": (min(asymp), max(asymp)),
-        "count": len(checks),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Euclidean stable envelope
-# ---------------------------------------------------------------------------
-
-def euclid_stable_envelope(d: int, s: float, t: float, X, Y) -> float:
-    """t / (t^{2/s} + |X-Y|^2)^{(d+s)/2}."""
-    _check_su(s, t)
-    diff = np.asarray(X, float) - np.asarray(Y, float)
-    return float(t / (t ** (2.0 / s) + diff @ diff) ** (0.5 * (d + s)))
-
-
-def euclid_stable_min_form(d: int, s: float, t: float, X, Y) -> float:
-    """min{ t^{-d/s}, t |X-Y|^{-(d+s)} }; crossover at t^{2/s} = |X-Y|^2."""
-    _check_su(s, t)
-    diff = np.asarray(X, float) - np.asarray(Y, float)
-    r2 = float(diff @ diff)
-    if r2 == 0.0:
-        return t ** (-d / s)
-    return min(t ** (-d / s), t * r2 ** (-0.5 * (d + s)))
-
-
-def euclid_forms_max_ratio(d: int, s: float) -> float:
-    """The two displayed forms differ by at most 2^{(d+s)/2}."""
-    return 2.0 ** (0.5 * (d + s))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +249,10 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
     EvaluationError where the integrand is not finite (the Kanter path as
     s -> 2).
     """
-    _check_su(s, t)
+    u_star = _check_su(s, t)
     v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES, SPAN_DECADES,
                                        panels_per_decade, nodes)
-    log_p = heat_log_for_times(rs, t ** (2.0 / s) * v, np.asarray(X, float),
+    log_p = heat_log_for_times(rs, u_star * v, np.asarray(X, float),
                                np.asarray(Y, float), plan)
     out = float(logsumexp(log_w + log_p + log_f))
     if not math.isfinite(out):
@@ -315,49 +266,28 @@ LOG_ROWS = _u_rule(SPAN_DECADES, SPAN_DECADES, 3, 12)[0].size
 
 
 def stable_exact(rs: RootSystemA, s: float, t: float, X, Y,
-                 plan: Sequence[int] | None = None, *,
-                 with_error: bool = True) -> KernelValue:
+                 plan: Sequence[int] | None = None) -> KernelValue:
     """h_t^W(X,Y) with a u-rule refinement error indicator (n <= 2)."""
     if rs.n > 2:
         raise DomainError("stable_exact restricted to A_1 and A_2 (cost)")
     X = rs.check_vector(X)
     lv = stable_log(rs, s, t, X, Y, plan)
-    lv2 = (stable_log(rs, s, t, X, Y, plan, nodes=20, panels_per_decade=4)
-           if with_error else lv)
+    lv2 = stable_log(rs, s, t, X, Y, plan, nodes=20, panels_per_decade=4)
     return refined(lv, lv2, evals=0)
 
 
 def log_stable_envelope(rs: RootSystemA, s: float, t: float, X, Y) -> float:
     """Euclidean envelope over prod (t^{2/s} + |X-Y|^2 + alpha(X)alpha(Y))^k."""
-    _check_su(s, t)
+    u_star = _check_su(s, t)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     diff = X - Y
     r2 = float(diff @ diff)
-    out = math.log(t) - 0.5 * (rs.d + s) * math.log(t ** (2.0 / s) + r2)
+    out = math.log(t) - 0.5 * (rs.d + s) * math.log(u_star + r2)
     for root in positive_roots(rs):
-        out -= rs.k * math.log(t ** (2.0 / s) + r2
+        out -= rs.k * math.log(u_star + r2
                                + pairing(rs, root, X) * pairing(rs, root, Y))
     return out
-
-
-def log_stable_envelope_reflected(rs: RootSystemA, s: float, t: float, X, Y) -> float:
-    """The |X - sigma_a Y|^2 variant; within 2^{k |Sigma+|} of the other form."""
-    _check_su(s, t)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    diff = X - Y
-    r2 = float(diff @ diff)
-    out = math.log(t) - 0.5 * (rs.d + s) * math.log(t ** (2.0 / s) + r2)
-    for root in positive_roots(rs):
-        out -= rs.k * math.log(t ** (2.0 / s)
-                               + reflected_distance_sq(rs, root, X, Y))
-    return out
-
-
-def stable_forms_max_log_ratio(rs: RootSystemA) -> float:
-    """The two envelope displays agree within 2^{k |Sigma+|}."""
-    return rs.k * rs.num_positive_roots * math.log(2.0)
 
 
 def stable_sweep_grid(rs: RootSystemA, s: float, num: int = 11
@@ -420,9 +350,8 @@ def stable_mass(rs: RootSystemA, s: float, t: float, X,
     ``stable_log`` over that span, with 10 Gauss-Legendre nodes a panel.
     """
     from .heatkernel import chamber_heat_integral
-    _check_su(s, t)
+    u_star = _check_su(s, t)
     X = rs.check_vector(np.asarray(X, dtype=float))
-    u_star = t ** (2.0 / s)
     v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES,
                                        max(SPAN_DECADES, 6.0 / (0.5 * s)), 3, 10)
     log_mass_u = np.array([chamber_heat_integral(rs, [(u_star * float(vi), X)], plan=plan)

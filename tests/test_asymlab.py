@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,7 +50,27 @@ def test_lemma_A_endpoint_limits():
         assert abs(lemma_A_ratio(k, 0.0) - 1.0 / k) < 1e-14
         assert abs(lemma_A_ratio(k, 1e-7) - 1.0 / k) < 1e-5 / k
         assert abs(lemma_A_ratio(k, 1e6) / math.gamma(k) - 1.0) < 1e-4
+        assert abs(lemma_A_ratio(k, math.inf) / math.gamma(k) - 1.0) < 1e-14
     assert abs(lemma_A_ratio(2.0, 1e-9) - 0.5) < 1e-8
+
+
+@pytest.mark.parametrize("k, x", [(200.0, 1.0), (171.0, 50.0), (100.0, 1e-3),
+                                  (50.0, 1e-2), (400.0, 0.5), (170.5, math.inf)])
+def test_lemma_A_large_k_against_mpmath(k, x):
+    # Gamma(k) overflows from k = 172 on and P(k, x) underflows for x << k,
+    # while the ratio gamma(k, x) ((1+x)/x)^k stays finite
+    if math.isinf(x):
+        ref = mpmath.gamma(k)
+    else:
+        ref = mpmath.gammainc(k, 0, x) * mpmath.power((1 + mpmath.mpf(x)) / x, k)
+    assert abs(lemma_A_ratio(k, x) / float(ref) - 1.0) < 1e-12
+
+
+def test_lemma_A_overflow_is_a_domain_error():
+    # the x = inf limit Gamma(300) ~ 1e612 has no float64 value
+    for x in (299.0, math.inf):
+        with pytest.raises(DomainError, match="overflows float64"):
+            lemma_A_ratio(300.0, x)
 
 
 def test_lemma_A_bracket():
@@ -208,6 +229,14 @@ def test_prop_truncated_a2_and_precondition():
     assert 0.0 < r <= 1.0
     with pytest.raises(DomainError):
         prop_truncated_ratio(rs, (2.0, 1.0, 0.0), (2.0, 0.3, -0.1))
+
+
+@pytest.mark.parametrize("plan", [(), (0,), (2.5,)])
+def test_prop_plans_checked(plan):
+    rs = rootsystem(1, 1.0)
+    for fn in (prop_In, prop_truncated_ratio):
+        with pytest.raises(DomainError, match="node plan entries must be integers >= 1"):
+            fn(rs, (1.0, 0.0), (1.0, 0.0), plan=plan)
 
 
 def test_asymp_claim_validation():

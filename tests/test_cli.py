@@ -429,6 +429,10 @@ def test_certify_span_and_plan_validated(args, message, capsys):
      "lambda and X overflow"),
     (["spherical", "--lambda", "1e300,1e300", "--X", "1e10,0"],
      "lambda and X overflow"),
+    (["stable", "--s", "1.5", "--t", "1e308", "--X", "1,0", "--Y", "0.5,0.1"],
+     "stable time scale overflows"),
+    (["stable", "--s", "0.01", "--t", "1e10", "--X", "1,0", "--Y", "0.5,0.1"],
+     "stable time scale overflows"),
 ])
 def test_eval_overflowing_arguments_exit_2(args, message, capsys):
     # a typed error before numpy overflows, so this holds under python -W error

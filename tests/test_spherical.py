@@ -32,8 +32,7 @@ def test_psi_at_lambda_zero_is_one():
     for n, k in ((1, 0.25), (1, 1.0), (2, 0.5), (2, 2.5)):
         rs = rootsystem(n, k)
         X = np.linspace(1.0, -1.0, n + 1) * 1.3
-        kv = spherical_exact(rs, np.zeros(n + 1), X, with_error=False)
-        assert kv.value == 1.0
+        assert spherical_log(rs, np.zeros(n + 1), X) == 0.0
 
 
 def test_a1_k1_closed_value():
@@ -52,8 +51,7 @@ def test_a2_k1_det_example():
     M = np.exp(np.outer(lam, X))
     direct = 2.0 * np.linalg.det(M) / (2.0 * 2.0)
     assert abs(ref - direct) < 1e-12
-    kv = spherical_exact(rs, lam, X, with_error=False)
-    assert abs(kv.value / ref - 1.0) < 1e-8
+    assert abs(math.exp(spherical_log(rs, lam, X)) / ref - 1.0) < 1e-8
 
 
 def test_oracle_requires_k1_and_distinct():
@@ -714,9 +712,25 @@ def test_wall_collapse_continuity():
     X_wall = np.array([1.0, 0.3, 0.3])
     Xc, moved = collapse_walls(rs, X_wall)
     assert moved
-    kv = spherical_exact(rs, lam, X_wall, with_error=False)
     v_eps = spherical_log(rs, lam, np.array([1.0, 0.3 + 1e-6, 0.3 - 1e-6]))
-    assert abs(kv.log_value - v_eps) < 1e-4
+    assert abs(spherical_log(rs, lam, Xc) - v_eps) < 1e-4
+
+
+@pytest.mark.parametrize("lam, X", [
+    ((1e2, 0.0), (1.0, 1.0)),
+    ((1e4, 0.0), (1.0, 1.0)),
+    ((1e6, 0.0), (1.0, 1.0)),
+    ((1e4, 5e3, 0.0), (1.0, 1.0, 1.0)),
+])
+def test_wall_collapse_error_within_gradient_bound(lam, X):
+    # at X = c(1, ..., 1) psi is e^{lambda.X} exactly; the collapse moves log psi
+    # by at most max|lambda_i| ||X' - X||_1 (grad log psi lies in conv(W lambda))
+    rs = rootsystem(len(X) - 1, 1.0)
+    Xc, moved = collapse_walls(rs, X)
+    assert moved
+    bound = max(abs(v) for v in lam) * float(np.abs(Xc - np.asarray(X)).sum())
+    err = spherical_log(rs, lam, Xc) - float(np.dot(lam, X))
+    assert 0.0 < err <= bound
 
 
 def test_chamber_validation_on_params():
@@ -725,6 +739,13 @@ def test_chamber_validation_on_params():
         spherical_exact(rs, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         spherical_log(rs, (1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("plan", [(), (0, 0), (2.5, 4), (8, -1)])
+def test_caller_plan_checked(plan):
+    rs = rootsystem(2, 1.0)
+    with pytest.raises(DomainError, match="node plan entries must be integers >= 1"):
+        spherical_log(rs, (2.0, 1.0, 0.0), (1.0, 0.0, -1.0), plan=plan)
 
 
 def test_budget_refusal():
@@ -818,9 +839,8 @@ def test_error_indicator_present():
 
 def test_psi0_a3_light_plan():
     rs = rootsystem(3, 0.5)
-    kv = spherical_exact(rs, np.zeros(4), np.array([1.5, 0.6, -0.2, -1.1]),
-                         plan=(12, 10, 10), with_error=False)
-    assert kv.value == 1.0
+    assert spherical_log(rs, np.zeros(4), np.array([1.5, 0.6, -0.2, -1.1]),
+                         plan=(12, 10, 10)) == 0.0
 
 
 def test_a4_batch_mode_with_raised_budget(monkeypatch):

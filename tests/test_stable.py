@@ -6,17 +6,35 @@ import pytest
 from dunkl.errors import AccuracyError, DomainError, EvaluationError
 from dunkl.heatkernel import heat_log, heat_log_for_times
 from dunkl.quad import log_panel_integral, logsumexp
-from dunkl.rootsys import rootsystem
+from dunkl.rootsys import positive_roots, reflected_distance_sq, rootsystem
 from dunkl.stable import (KANTER_BLOCK, LOG_ROWS, SPAN_DECADES, _kanter_logpdf,
                           _scale_free_rule, _u_rule, certify_stable_ratio,
-                          euclid_forms_max_ratio, euclid_stable_envelope,
-                          euclid_stable_min_form, log_stable_envelope,
-                          log_stable_envelope_reflected, stable_exact,
-                          stable_forms_max_log_ratio, stable_log, stable_mass,
-                          stable_scaling_residual, stable_sweep_grid,
-                          subordinator_bounds_check, subordinator_bounds_sweep,
-                          subordinator_density, subordinator_inversion,
-                          subordinator_log_density)
+                          log_stable_envelope, stable_exact, stable_log,
+                          stable_mass, stable_scaling_residual, stable_sweep_grid,
+                          subordinator_bounds_check, subordinator_density,
+                          subordinator_inversion, subordinator_log_density)
+from stable_reference import subordinator_bounds_sweep
+
+
+def kanter_log_density(s, t, u):
+    """log eta_t(u) by Kanter's form at every s, the closed form's check at s = 1."""
+    theta = t ** (2.0 / s)
+    return _kanter_logpdf(0.5 * s, np.asarray(u, float) / theta) - math.log(theta)
+
+
+def euclid_stable_envelope(d, s, t, X, Y):
+    """t / (t^{2/s} + |X-Y|^2)^{(d+s)/2}."""
+    diff = np.asarray(X, float) - np.asarray(Y, float)
+    return float(t / (t ** (2.0 / s) + diff @ diff) ** (0.5 * (d + s)))
+
+
+def euclid_stable_min_form(d, s, t, X, Y):
+    """min{ t^{-d/s}, t |X-Y|^{-(d+s)} }; crossover at t^{2/s} = |X-Y|^2."""
+    diff = np.asarray(X, float) - np.asarray(Y, float)
+    r2 = float(diff @ diff)
+    if r2 == 0.0:
+        return t ** (-d / s)
+    return min(t ** (-d / s), t * r2 ** (-0.5 * (d + s)))
 
 
 def eta_integral(s, t, hi_decades=None):
@@ -40,8 +58,8 @@ def test_s1_closed_form_value():
 def test_kanter_matches_closed_form_across_decades():
     t = 1.3
     us = np.geomspace(1e-4, 1e4, 17) * t * t
-    lk = subordinator_log_density(1.0, t, us, method="kanter")
-    lc = subordinator_log_density(1.0, t, us, method="closed")
+    lk = kanter_log_density(1.0, t, us)
+    lc = subordinator_log_density(1.0, t, us)
     assert np.max(np.abs(np.expm1(lk - lc))) < 1e-6
 
 
@@ -74,7 +92,7 @@ def test_inversion_matches_closed_form_s1():
 def test_inversion_matches_kanter_other_s():
     for s, u in ((0.5, 2.0), (0.5, 50.0), (1.5, 2.0), (1.5, 30.0)):
         a = subordinator_inversion(s, 1.0, u)
-        b = subordinator_density(s, 1.0, u, method="kanter")
+        b = subordinator_density(s, 1.0, u)
         assert abs(a / b - 1.0) < 1e-5
 
 
@@ -92,6 +110,19 @@ def test_domain_errors():
         subordinator_density(1.0, 1.0, -1.0)
     with pytest.raises(DomainError):
         subordinator_density(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("s, t, u, message", [
+    (1.5, math.inf, [1.0], "t must be finite"),
+    (1.5, math.nan, [1.0], "t must be finite"),
+    (1.5, 1e308, [1.0], "stable time scale overflows"),
+    (0.01, 1e10, [1.0], "stable time scale overflows"),
+    (1.5, 1.0, [math.nan], "needs finite u > 0"),
+    (1.0, 1.0, [0.5, math.inf], "needs finite u > 0"),
+])
+def test_density_refuses_non_finite_arguments(s, t, u, message):
+    with pytest.raises(DomainError, match=message):
+        subordinator_log_density(s, t, u)
 
 
 def test_bounds_check_s1_closed_form():
@@ -137,7 +168,7 @@ def test_euclid_envelope_crossover_and_limits():
 
 def test_euclid_forms_within_constant():
     d, s = 3, 1.5
-    bound = euclid_forms_max_ratio(d, s)
+    bound = 2.0 ** (0.5 * (d + s))  # the two displayed forms differ by at most this
     rng = np.random.default_rng(11)
     for _ in range(50):
         t = float(rng.uniform(0.05, 20.0))
@@ -170,9 +201,13 @@ def test_stable_envelope_forms_within_factor():
     X = np.array([1.1, 0.2, -0.5])
     Y = np.array([0.9, 0.0, -0.3])
     a = log_stable_envelope(rs, s, t, X, Y)
-    b = log_stable_envelope_reflected(rs, s, t, X, Y)
+    # the |X - sigma_a Y|^2 display, within 2^{k |Sigma+|} of the other one
+    r2 = float((X - Y) @ (X - Y))
+    b = (math.log(t) - 0.5 * (rs.d + s) * math.log(t ** (2.0 / s) + r2)
+         - sum(rs.k * math.log(t ** (2.0 / s) + reflected_distance_sq(rs, root, X, Y))
+               for root in positive_roots(rs)))
     assert b <= a + 1e-12
-    assert a - b <= stable_forms_max_log_ratio(rs) + 1e-12
+    assert a - b <= rs.k * rs.num_positive_roots * math.log(2.0) + 1e-12
 
 
 def test_stable_mass():
@@ -198,9 +233,9 @@ def test_dual_path_consistency_s1():
     orig = st.subordinator_log_density
     methods = []
 
-    def kanter_only(s, tt, u, method="auto"):
+    def kanter_only(s, tt, u):
         methods.append("kanter")
-        return orig(s, tt, u, method="kanter")
+        return kanter_log_density(s, tt, u)
 
     # the cached rule would otherwise answer without calling the density
     st._scale_free_rule.cache_clear()
@@ -250,8 +285,7 @@ def test_params_validation():
         stable_exact(rs, 2.5, 1.0, np.zeros(2), np.zeros(2))
     with pytest.raises(DomainError):
         stable_exact(rootsystem(3, 1.0), 1.0, 1.0, np.zeros(4), np.zeros(4))
-    kv = stable_exact(rs, 1.0, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]),
-                      with_error=True)
+    kv = stable_exact(rs, 1.0, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]))
     assert kv.rel_err < 1e-6
 
 
