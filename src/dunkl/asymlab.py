@@ -84,8 +84,12 @@ def lemma_A_ratio(k: float, x: float) -> float:
 
 
 def _ratio_integral(k: float, N: float, a: float, b: Sequence[float]) -> float:
-    """log of int_0^inf u^N e^{-u} prod (a + b_i u)^{-k} du (64-node rule)."""
+    """log of int_0^inf u^N e^{-u} prod (a + b_i u)^{-k} du (64-node rule);
+    raises DomainError unless k, N, a and every b_i are finite, before any
+    of them reaches a log."""
     b = [float(bi) for bi in b]
+    if not all(math.isfinite(v) for v in (k, N, a, *b)):
+        raise DomainError(f"need finite k, N, a and b_i, got k={k}, N={N}, a={a}, b={b}")
     if a < 0 or any(bi < 0 for bi in b):
         raise DomainError("need a >= 0 and b_i >= 0")
     if any(a + bi <= 0 for bi in b):

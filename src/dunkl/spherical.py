@@ -21,7 +21,7 @@ rank >= 2 to the exponential substitution rule (``level_nodes``, which drops
 the nodes outside the interval) once the level's tilt is too steep for a
 polynomial rule.
 
-The two innermost levels are summed in closed forms of their own.  A rank-2
+The three innermost levels are summed in closed forms of their own.  A rank-2
 row (``_rank2_level``) sums its level rules' node pairs (y_1, y_2) without a
 grid: every weight of a pair depends on one coordinate except the Vandermonde
 factor y_1 - y_2, which splits into (y_1 - c) + (c - y_2), c the middle
@@ -43,14 +43,26 @@ factor grids (2 Q_{n-2} Q_{n-1} terminal evaluations).  With one, its pairs
 form a dense block of closed forms; its Jacobi pairs, if it has any, are left
 out of the block and summed from the factor grids under the row's Jacobi-pair
 mask, and a row whose pairs are all tilted evaluates nothing.
-``_predicted_evals``, the price the budget guard checks, counts every rank-2
-row as evaluating its factor grids and every A_1 row Q; it is exact when no
-row is all tilted and no A_1 row tilted.  When all entries of lambda are equal, psi_lambda(e^X) =
-e^{lambda_1 sum x} is returned exactly.
+A rank-3 row (``_rank3_level``) takes its rank-2 rows with the factor grids
+shared across its outer grid: the rank-2 level z1 in [y_b, y_a] and its
+grid depend on the outer node pair (a, b) only, and z2 in [y_c, y_b] and
+its grid on (b, c), so the row evaluates 2 Q_0^2 Q_1 Q_2 terminal factors
+where its Q_0^3 rank-2 rows on their own would evaluate Q_0 times as many,
+and the factor-grid sums of its rank-2 rows with no tilted pair are matrix
+products over the third node.  Its rank-2 rows with a tilted pair take the
+dense blocks, with the shared grids.  Levels of rank >= 4 are tensor grids
+(``interlacing_grid``) whose rows go to the rank below.
+``_predicted_evals``, the price the budget guard checks, counts every rank-3
+row as evaluating its shared factor grids, every A_2 row its two factor
+grids and every A_1 row Q; it is exact when every block of rank-3 slabs
+has a Jacobi pair, no A_2 row is all tilted and no A_1 row tilted.  When all
+entries of lambda are equal, psi_lambda(e^X) = e^{lambda_1 sum x} is
+returned exactly.
 
 A batch whose rows put more than ``_CHUNK`` nodes on its level is split into
-chunks of consecutive rows (``_chunked``), run on a thread pool as many at a
-time as the process's affinity mask has CPUs.  numpy releases the GIL in its
+chunks of consecutive rows, and the rank-3 level into blocks of slabs, both
+run by ``_chunked`` on a thread pool as many at a time as the process's
+affinity mask has CPUs.  numpy releases the GIL in its
 ufuncs, and no row's bits depend on its batch, so neither the split nor the
 width changes a value.  The chunks that a chunk reaches run serially; a
 forked child builds a pool of its own, and the workers of a process pool
@@ -95,6 +107,11 @@ _TILT_BLOCK = 16384
 #: together, so that their arrays stay in cache; half of what one chunk at a
 #: time could take, since two pooled chunks hold their blocks at once
 _RANK2_BLOCK = 65536
+#: rank-3 slabs (``_rank3_level``) whose factor grids hold about this many
+#: values go together, one part on the chunk pool: half of ``_RANK2_BLOCK``,
+#: since a block's node weights and matrix products hold about as many
+#: values again and two parts run at once
+_RANK3_BLOCK = 32768
 #: the ladder of Bessel-tail series: rung i covers u >= u0 _RUNG_RATIO^i,
 #: i = 0 ... _TOP_RUNG, and drops trailing coefficients that add at most
 #: _RUNG_TOL max(1, max|H_k|); _LADDER holds U_i/u0 from rung 1 on
@@ -124,21 +141,28 @@ def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
     """The plan's price: the terminal evaluations of ``batch`` rank-m rows
     when no row's value is a closed form, an upper bound on the work.
 
-    Each level of rank >= 3 multiplies the rows by its grid, Q_d^(m-d); each
-    rank-2 row then evaluates the two factor grids of its rank-1 level, one
-    along each of its Q_{m-2}-node level rules, 2 Q_{m-2} Q_{m-1} terminal rows
-    (also where some of its pairs are tilted), and an A_1 row one grid, Q.  A
-    rank-2 row whose pairs are all tilted and a tilted A_1 row take closed
-    forms and evaluate nothing, which the price does not subtract: the budget
-    guard checks it before any level rule is built.
+    Each level of rank >= 4 multiplies the rows by its grid, Q_d^(m-d); each
+    rank-3 row then evaluates the two factor grids of its rank-1 level once
+    for each node pair of its outer levels that they depend on, (y_a, y_b)
+    and (y_b, y_c), 2 Q_{m-3}^2 Q_{m-2} Q_{m-1} terminal rows (also where
+    some of its pairs are tilted); an A_2 row evaluates its two factor grids,
+    2 Q_0 Q_1, and an A_1 row one grid, Q.  An A_2 row whose pairs are all
+    tilted, a rank-3 block of rows none of whose rank-1 pairs is Jacobi, and
+    a tilted A_1 row take closed forms and evaluate nothing, which the price
+    does not subtract: the budget guard checks it before any level rule is
+    built.
     """
     def q(depth):
         return plan[min(depth, len(plan) - 1)]
 
     total = float(batch)
-    for depth in range(m - 2):
+    for depth in range(m - 3):
         total *= q(depth) ** (m - depth)
-    return total * q(0) if m == 1 else total * 2 * q(m - 1) * q(m - 2)
+    if m == 1:
+        return total * q(0)
+    if m == 2:
+        return total * 2 * q(0) * q(1)
+    return total * 2 * q(m - 3) ** 2 * q(m - 2) * q(m - 1)
 
 
 def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
@@ -377,8 +401,127 @@ def _rank2_level(k: float, lam: np.ndarray, X: np.ndarray, Q: int, Qi: int) -> n
     return out + (ma + mb)[:, 0] + mu1 * c
 
 
+def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> np.ndarray:
+    """log of the rank-3 level of each row X = (x0 > x1 > x2 > x3): the sum over
+    the nodes (y_a, y_b, y_c) of its three Q-node level rules of
+    e^{lwa_a + lwb_b + lwc_c} pi(y) psi_lam(e^y), lam (decreasing, >= 0) the
+    A_2 argument and the slopes of the three levels, and plan = (Q, Q1, Q2)
+    the nodes of the levels of rank 3, 2 and 1 (the last entry repeats).
+
+    psi_lam(e^y) is the A_2 recursion, whose rank-2 level at (y_a, y_b, y_c) is
+    that of ``_rank2_level``, but with its levels shared across the outer grid:
+    the level z1 in [y_b, y_a], its rule and its factor grid e^{mu p_q (z1 -
+    y_b)} depend on the pair (a, b) only, and z2 in [y_c, y_b] and its grid
+    on (b, c); only the non-adjacent factors (z1 - y_c)^{k-1} and
+    (y_a - z2)^{k-1} bring in the third node.  So the rows are taken a slab at
+    a time, a slab being one row and one node y_b: its Q^2 rank-2 rows (a, c)
+    share 2 Q Q1 Q2 terminal evaluations, and the sums a0, a1 (b0, b1) of
+    ``_jacobi_rows`` over the rows with no tilted pair are products of the
+    (c, i) node-weight matrix (the (a, j) one) of each a (each c) with the
+    (i, q) factor grid of (a, b) (of (b, c)).  A row with a tilted pair goes
+    to ``_tilted_rows`` with the shared factor grids; the node weights and
+    their scales are those of ``_rank2_level`` for the same row.  Slabs go
+    about ``_RANK3_BLOCK`` factor-grid values at a time, each block a part on
+    the chunk pool (``_chunked``); no row's bits depend on its block.
+    """
+    Q, Q1, Q2 = (plan[min(d, len(plan) - 1)] for d in range(3))
+    B = X.shape[0]
+    (ya, yb, yc), (lwa, lwb, lwc) = _level_rules(k, X, lam, Q)
+    s1, s2 = float(lam[0] - lam[2]), float(lam[1] - lam[2])  # the slopes of z1, z2
+    mu = s1 - s2
+    u0 = min(quad.TILT_SWITCH, 2.0 * Q2)
+    x, w = quad._ref_jacobi(Q2, k - 1.0, k - 1.0)
+    p, wn = 0.5 * (1.0 + x), w / w.sum()
+    term = np.array([mu])
+
+    def grids(d, frac):
+        """e^{mu frac_q e} over e^{mu frac_q e} e, e the offsets d (slab, I)
+        but where ``_offset_grid`` sets them to 0: (slab, 2 Q2, I), the first
+        half from the terminal case"""
+        e = _offset_grid(mu, d, u0)
+        g = np.empty(e.shape[:-1] + (2 * Q2, e.shape[-1]))
+        f = e[..., None, :] * frac[:, None]
+        np.exp(_log_psi(k, term, f.reshape(-1, 1), (Q2,)).reshape(f.shape), out=g[..., :Q2, :])
+        np.multiply(g[..., :Q2, :], e[..., None, :], out=g[..., Q2:, :])
+        return g
+
+    def slabs(part):
+        """the rank-2 levels of the slabs ``part``, laid out (slab, a, c)"""
+        n, owner = part.size, part // Q  # the row of each slab
+        ta, tc, tb = ya[owner], yc[owner], yb.reshape(-1)[part]
+        # the levels z1 of the pairs (a, b) and z2 of (b, c), (slab, a, i) and (slab, c, j)
+        z1, lw1 = level_nodes(np.repeat(tb, Q), ta.reshape(-1), k - 1.0, k - 1.0, s1, Q1)
+        z2, lw2 = level_nodes(tc.reshape(-1), np.repeat(tb, Q), k - 1.0, k - 1.0, s2, Q1)
+        z1, lw1, z2, lw2 = (v.reshape(n, Q, Q1) for v in (z1, lw1, z2, lw2))
+        # node log-weights with e^{s2 z}, relative to their row's largest, laid
+        # out (slab, a, i, c) and (slab, c, j, a): a row's nodes on a middle axis
+        la = np.subtract(z1[..., None], tc[:, None, None, :])
+        lb = np.subtract(ta[:, None, None, :], z2[..., None])
+        for lw, z, v in ((lw1, z1, la), (lw2, z2, lb)):
+            np.log(v, out=v)
+            v *= k - 1.0
+            v += lw[..., None]
+            v += (s2 * z)[..., None]
+        ma, mb = la.max(axis=2), lb.max(axis=2)  # (slab, a, c) and (slab, c, a)
+        ma[~np.isfinite(ma)] = 0.0
+        mb[~np.isfinite(mb)] = 0.0
+        la -= ma[:, :, None, :]
+        lb -= mb[:, :, None, :]
+        u_hi = mu * (z1.max(axis=2)[:, :, None] - z2.min(axis=2)[:, None, :])
+        u_lo = mu * (z1.min(axis=2)[:, :, None] - z2.max(axis=2)[:, None, :])
+        jacobi = u_hi <= u0
+        out = np.empty((n, Q, Q))
+        ga = gb = None  # no Jacobi pair, no factor grid
+        if (u_lo <= u0).any():
+            ga, gb = grids(z1 - tb[:, None, None], p), grids(z2 - tb[:, None, None], 1.0 - p)
+        # the rows with a tilted pair, about _CHUNK node pairs at a time
+        tilted = np.flatnonzero(~jacobi)
+        batches = -(-tilted.size * Q1 * Q1 // _CHUNK)
+        for rows in np.array_split(tilted, batches) if batches else ():
+            slab, a, c = np.unravel_index(rows, (n, Q, Q))
+            ab, bc = slab * Q + a, slab * Q + c
+            shared = None if ga is None else (ga[:, :, :Q2].reshape(n * Q, Q2, Q1), ab,
+                                              gb[:, :, :Q2].reshape(n * Q, Q2, Q1), bc)
+            out.reshape(-1)[rows] = _tilted_rows(
+                k, mu, u0, Q2, z1.reshape(-1, Q1)[ab], z2.reshape(-1, Q1)[bc], tb[slab],
+                la[slab, a, :, c], lb[slab, c, :, a], u_lo.reshape(-1)[rows], shared)
+        if tilted.size < out.size:
+            for v in (la, lb):  # the node weights, in place
+                cut = v < -250.0
+                np.exp(v, out=v)
+                v[cut] = 0.0
+            sa = ga @ la  # (slab, a, 2 Q2, c): a0 over a1
+            sb = (gb @ lb).transpose(0, 3, 2, 1)  # b0 over b1
+            s = np.multiply(sa[:, :, Q2:], sb[:, :, :Q2])
+            sa[:, :, :Q2] *= sb[:, :, Q2:]
+            s -= sa[:, :, :Q2]
+            s *= wn[:, None]
+            with np.errstate(divide="ignore"):
+                out[jacobi] = np.log(s.sum(axis=2)[jacobi])
+        out += ma
+        out += mb.transpose(0, 2, 1)
+        out += mu * tb[:, None, None]
+        return out
+
+    S = B * Q
+    parts = np.array_split(np.arange(S), min(S, -(-S * Q * Q1 * Q2 // _RANK3_BLOCK)))
+    level = _chunked(slabs, np.empty((S, Q, Q)), parts).reshape(B, Q, Q, Q)  # (b, a, c)
+    # each node triple's log-weight and its log psi_lam but the rank-2 level,
+    # added a factor at a time: the node weights with psi_lam's e^{lam_2 y},
+    # pi(y)^(2 - 2k) (the level's pi(y) and psi_lam's pi(y)^(1 - 2k)), and
+    # psi_lam's Gamma(3k)/Gamma(k)^3
+    ya, yb, yc = ya[:, None, :, None], yb[:, :, None, None], yc[:, None, None, :]
+    for lw, y in ((lwa, ya), (lwb, yb), (lwc, yc)):
+        level += lw.reshape(y.shape) + lam[2] * y
+    for hi, lo in ((ya, yb), (ya, yc), (yb, yc)):
+        level += (2.0 - 2.0 * k) * np.log(hi - lo)
+    level += float(gammaln(3.0 * k) - 3.0 * gammaln(k))
+    return logsumexp(level.reshape(B, -1), axis=1)
+
+
 def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
-                 c: np.ndarray, la: np.ndarray, lb: np.ndarray, u_lo: np.ndarray) -> np.ndarray:
+                 c: np.ndarray, la: np.ndarray, lb: np.ndarray, u_lo: np.ndarray,
+                 shared=None) -> np.ndarray:
     """log of the sum over all pairs (i, j) of rank-2 rows that have a tilted pair.
 
     A tilted pair adds e^{H_k - (k - 1) log u + ta_i + tb_j}, u = mu (y1_i -
@@ -394,8 +537,8 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
     blocks are views when one rung holds every row, and gather their rows
     otherwise.  A Jacobi pair takes u = u0 in the block and then weight 0;
     the Jacobi pairs of a row that has any are summed from its factor grids
-    (``_jacobi_rows`` with the row's Jacobi-pair mask) and join the block's
-    log-sum-exp.
+    (``_jacobi_rows`` with the row's Jacobi-pair mask, and ``shared`` its
+    factor grids if given) and join the block's log-sum-exp.
     """
     B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     ta = la + mu1 * (y1 - c[:, None])
@@ -404,9 +547,12 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
     rung = np.searchsorted(u0 * _LADDER, u_lo, side="right")
     s = np.full(B, -np.inf)
     if mixed.any():
+        if shared is not None:
+            ga, ab, gb, bc = shared
+            shared = (ga, ab[mixed], gb, bc[mixed])
         with np.errstate(divide="ignore"):
             s[mixed] = np.log(_jacobi_rows(k, mu1, Qi, y1[mixed], y2[mixed], c[mixed],
-                                           la[mixed], lb[mixed], u0))
+                                           la[mixed], lb[mixed], u0, shared))
     out = np.empty(B)
     step = max(1, _TILT_BLOCK // (I * J))
     for r in np.flatnonzero(np.bincount(rung)).tolist():
@@ -438,7 +584,7 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
 
 def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
                  c: np.ndarray, la: np.ndarray, lb: np.ndarray,
-                 u0: float | None = None) -> np.ndarray:
+                 u0: float | None = None, shared=None) -> np.ndarray:
     """Sum of the Jacobi pairs of each rank-2 row, from its two factor grids.
 
     ``y1`` (B, I) and ``y2`` (B, J) hold the nodes, ``c`` (B,) the middle
@@ -452,7 +598,12 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
     P_qi and R_qi the sums of b_j B_qj and b_j d2_j B_qj over the Jacobi
     partners j of i.  With no ``u0`` these are sums over all j, whose i-sums
     are taken first; with one, products with each row's (I, J) Jacobi-pair
-    mask.  A node weight below e^-250 of its row's largest is taken as 0,
+    mask.  An offset with mu |d| > u0 has no Jacobi partner, and one beyond
+    2 u0 enters its factor grid as 0 (``_offset_grid``), so that no factor
+    overflows.  ``shared`` = (ga, ab, gb, bc) hands the masked sums their
+    factor grids instead: the (Qi, I) grid A of row r is ga[ab[r]] and its
+    (Qi, J) grid B is gb[bc[r]] (``_rank3_level``'s grids of node pairs).
+    A node weight below e^-250 of its row's largest is taken as 0,
     which keeps every product off the slow subnormal range; what it drops is
     below 1e-80 of the row.  Rows go ``_RANK2_BLOCK`` values at a time (masks
     of ``_TILT_BLOCK`` pairs), one row a column, and every sum is added in an
@@ -473,22 +624,14 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
     for r0 in range(0, B, step):
         rows = slice(r0, min(B, r0 + step))
         e1, e2 = d1[:, rows], d2[:, rows]
-        if u0 is not None:
-            mask = y1[rows, :, None] - y2[rows, None, :]
-            mask *= mu
-            mask = mask <= u0
-            # a factor exponent is at most u0 at an i (a j) that has (is) a
-            # Jacobi partner; the others never reach a sum, and take offset 0
-            e1 = np.where(mask.any(axis=2).T, e1, 0.0)
-            e2 = np.where(mask.any(axis=1).T, e2, 0.0)
-        # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
-        fa = _factor_grid(k, term, p, e1, coords)
-        fb = _factor_grid(k, term, 1.0 - p, e2, coords)
-        np.exp(fa, out=fa)
-        np.exp(fb, out=fb)
-        fa *= wa[:, rows]
-        fb *= wb[:, rows]
         if u0 is None:
+            # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
+            fa = _factor_grid(k, term, p, e1, coords)
+            fb = _factor_grid(k, term, 1.0 - p, e2, coords)
+            np.exp(fa, out=fa)
+            np.exp(fb, out=fb)
+            fa *= wa[:, rows]
+            fb *= wb[:, rows]
             a0 = _sum_axis1(fa)
             fa *= e1
             b0 = _sum_axis1(fb)
@@ -496,17 +639,38 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
             s = _sum_axis1(fa) * b0 - a0 * _sum_axis1(fb)
         else:
             # P and R laid out (b, I, Qi), products of (I, J) and (J, Qi) matrices
-            mask = mask.astype(float)
-            fb = np.ascontiguousarray(fb.transpose(2, 1, 0))
+            mask = y1[rows, :, None] - y2[rows, None, :]
+            mask *= mu
+            mask = (mask <= u0).astype(float)
+            if shared is None:
+                fa = _factor_grid(k, term, p, _offset_grid(mu, e1, u0), coords)
+                fa = np.exp(fa, out=fa).transpose(2, 1, 0)
+                fb = _factor_grid(k, term, 1.0 - p, _offset_grid(mu, e2, u0), coords)
+                fb = np.ascontiguousarray(np.exp(fb, out=fb).transpose(2, 1, 0))
+            else:
+                ga, ab, gb, bc = shared
+                fa = ga[ab[rows]].transpose(0, 2, 1)
+                fb = np.ascontiguousarray(gb[bc[rows]].transpose(0, 2, 1))
+            fa *= wa[:, rows].T[:, :, None]
+            fb *= wb[:, rows].T[:, :, None]
             h = mask @ fb
             h *= e1.T[:, :, None]
             fb *= e2.T[:, :, None]
             h -= mask @ fb
-            h *= fa.transpose(2, 1, 0)
+            h *= fa
             s = _sum_axis1(h).T
         s *= (w / w.sum())[:, None]
         out[rows] = np.ascontiguousarray(s.T).sum(axis=1)
     return out
+
+
+def _offset_grid(mu: float, d: np.ndarray, u0: float) -> np.ndarray:
+    """The node offsets d of a level from its row's middle coordinate, each
+    set to 0 where mu |d| > 2 u0: such a node has no Jacobi partner (a pair's
+    u = mu (d1 - d2) is at least mu |d| of either node), so its factor
+    e^{mu p_q d} reaches no sum, and the margin over u0 keeps the nodes of a
+    pair that rounding puts at u0 in place."""
+    return np.where(np.abs(d) * mu > 2.0 * u0, 0.0, d)
 
 
 def _factor_grid(k: float, term: np.ndarray, p: np.ndarray, offset: np.ndarray,
@@ -552,7 +716,8 @@ def _level_rules(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
 
 def interlacing_grid(k: float, X: np.ndarray, mu: Sequence[float], Q: int,
                      top_lo=None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level.
+    """Tensor grid of the interlacing box x_{i+1} <= y_i <= x_i, Q nodes a level:
+    the levels of rank >= 4 of ``_log_psi`` and ``asymlab._log_In``'s grid.
 
     ``X`` holds (B, m+1) active chamber rows, ``mu`` >= 0 the slope of
     e^{mu_i y_i} along each of the m levels.  Returns the level node grids,
@@ -625,9 +790,8 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _chunked(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
-             parts: list[np.ndarray]) -> np.ndarray:
-    """``_log_psi`` of the rows of X, one part (an index array) at a time.
+def _chunked(fn, out: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """``out[part] = fn(part)`` for each part (an index array), returning ``out``.
 
     ``_chunk_width`` runners take the next part in order until none is left:
     the calling thread and the pool's threads, each in a copy of the caller's
@@ -637,7 +801,6 @@ def _chunked(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
     taking parts; once every started part has finished, the first part's
     error in order is raised, the one a serial loop raises.
     """
-    out = np.empty(X.shape[0])
     todo = iter(range(len(parts)))  # next() on a range iterator is atomic under the GIL
     errors: dict[int, BaseException] = {}
 
@@ -647,7 +810,7 @@ def _chunked(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int],
             if errors:
                 return
             try:
-                out[parts[i]] = _log_psi(k, lam, X[parts[i]], plan)
+                out[parts[i]] = fn(parts[i])
             except BaseException as exc:  # re-raised by the caller
                 errors[i] = exc
 
@@ -666,7 +829,9 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
 
     ``lam`` must be decreasing (``spherical_log`` sorts it), which makes
     every level slope lam_i - lam_m >= 0; rows of X must be strictly
-    decreasing.
+    decreasing.  A rank-1 row is ``_rank1_grid``, rank 2 ``_rank2_level``
+    and rank 3 ``_rank3_level``; a row of rank >= 4 sums its interlacing
+    grid's rows of the rank below.
     """
     m = lam.shape[0] - 1
     B = X.shape[0]
@@ -676,7 +841,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
     P = Q ** m
     if B * P > _CHUNK and B > 1:
         nb = min(B, max(2, -(-B * P // _CHUNK)))
-        return _chunked(k, lam, X, plan, np.array_split(np.arange(B), nb))
+        return _chunked(lambda rows: _log_psi(k, lam, X[rows], plan), np.empty(B),
+                        np.array_split(np.arange(B), nb))
     if m == 1:
         return _rank1_grid(k, lam, X[:, 0], X[:, 1], Q)
 
@@ -691,6 +857,8 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
     inner_plan = plan[1:] if len(plan) > 1 else plan
     if m == 2:
         return logpref + base_term + _rank2_level(k, lam0, X, Q, inner_plan[0])
+    if m == 3:
+        return logpref + base_term + _rank3_level(k, lam0, X, plan)
     ygrids, logf = interlacing_grid(k, X, lam0, Q)
     Y = np.empty((B,) + (Q,) * m + (m,))
     for i in range(m):

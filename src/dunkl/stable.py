@@ -136,11 +136,12 @@ def subordinator_inversion(s: float, t: float, u: float) -> float:
     with a geometric mesh at the e^{-ux} decay scale.  Raises AccuracyError
     when float64 cancellation headroom is exhausted (growing envelope for
     b > 1/2, or the essential singularity at small u where the result is
-    ~e^{-30} below the integrand scale).
+    ~e^{-30} below the integrand scale), and DomainError unless u is finite
+    and positive.
     """
     _check_su(s, t)
-    if not u > 0:
-        raise DomainError("u must be > 0")
+    if not (math.isfinite(u) and u > 0):
+        raise DomainError(f"the inversion integral needs finite u > 0, got {u!r}")
     b = 0.5 * s
     cb, sb = math.cos(math.pi * b), math.sin(math.pi * b)
     r = b / (1.0 - b)

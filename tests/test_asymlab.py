@@ -134,6 +134,32 @@ def test_lemma_a1_domain():
         lemma_a1_ratio(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_lemma_ai_refuses_non_finite_arguments(bad, where):
+    # a non-finite a or b_i is a DomainError before any log (under -W error a
+    # RuntimeWarning from np.log escaped in its place)
+    a, b = (bad, [1.0, 2.0]) if where == "a" else (1.0, [1.0, bad])
+    with pytest.raises(DomainError, match="need finite"):
+        lemma_ai_ratio(1.0, 3.0, a, b)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_lemma_a1_refuses_non_finite_arguments(bad, where):
+    args = (bad, 1.0) if where == "a" else (1.0, bad)
+    with pytest.raises(DomainError):
+        lemma_a1_ratio(1.0, *args)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("where", ["a", "b3"])
+def test_lemma_a2_refuses_non_finite_arguments(bad, where):
+    args = (bad, 1.0, 2.0, 3.0) if where == "a" else (1.0, 1.0, 2.0, bad)
+    with pytest.raises(DomainError):
+        lemma_a2_ratio(1.0, *args)
+
+
 def test_lemma_a2_trivial_cases():
     for k in (0.5, 1.0, 2.0):
         ref = math.gamma(3.0 * k) / math.log(2.0)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -305,10 +307,10 @@ def test_counter_equals_predicted_evals(n, plan, rows, monkeypatch):
             terminal[0] += X.shape[0]
         return log_psi(k, lam, X, plan)
 
-    def spying(k, mu, Qi, y1, y2, c, la, lb, u0=None):
+    def spying(k, mu, Qi, y1, y2, c, la, lb, u0=None, shared=None):
         if u0 is not None:  # rows summed under a Jacobi-pair mask
             mixed[0] += y1.shape[0]
-        return jacobi_rows(k, mu, Qi, y1, y2, c, la, lb, u0)
+        return jacobi_rows(k, mu, Qi, y1, y2, c, la, lb, u0, shared)
 
     monkeypatch.setattr(sph, "_log_psi", counting)
     monkeypatch.setattr(sph, "_jacobi_rows", spying)
@@ -446,6 +448,47 @@ def test_rank2_tilted_pairs_against_mpmath(k, Qi):
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
 
+def rank3_level_reference(k, lam, X, plan):
+    """The rank-3 level the slow way: ``interlacing_grid``'s log-weights plus
+    every node triple (y_a, y_b, y_c) evaluated as an A_2 row by ``_log_psi``,
+    then a log-sum-exp; ``lam`` (decreasing) is also the slopes of the three
+    levels.  Returns the log level, the A_2 rows and their log-weights."""
+    ys, logf = sph.interlacing_grid(k, X, lam, plan[0])
+    B = X.shape[0]
+    rows = np.stack(np.broadcast_arrays(*ys), axis=-1).reshape(-1, 3)
+    logf = logf + sph._log_psi(k, lam, rows, plan[1:]).reshape(logf.shape)
+    return quad.logsumexp(logf.reshape(B, -1), axis=1), rows, logf
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("lam", [(45.0, 15.0, 0.0), (50.0, 2.5, 0.0)])
+def test_rank3_level_matches_per_row_rank2_rows(k, lam):
+    # the shared factor grids of the rank-3 level against each of its A_2 rows
+    # on its own: rows whose rank-2 pairs are all Jacobi (matrix products of
+    # shared grids), mixed and all tilted (dense blocks, the mixed ones'
+    # Jacobi pairs under a mask over the shared grids), and level rules that
+    # drop nodes, at small and large k
+    lam = np.array(lam)
+    plan = (8, 10, 10)
+    rng = np.random.default_rng(3)
+    gaps = np.concatenate([rng.uniform(0.02, 0.1, (3, 3)), rng.uniform(0.3, 2.0, (6, 3)),
+                           rng.uniform(20.0, 60.0, (2, 3)),
+                           [[0.9, 1e-4, 0.5], [1e-4, 0.9, 1e-4]]])
+    X = np.concatenate([np.zeros((gaps.shape[0], 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
+    X = X + rng.uniform(-1.0, 1.0, (X.shape[0], 1))
+    got = sph._rank3_level(k, lam, X, plan)
+    ref, rows, logf = rank3_level_reference(k, lam, X, plan)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+    # what the A_2 rows cover
+    (z1, z2), (lw1, lw2) = sph._level_rules(k, rows, lam[:2] - lam[2], plan[1])
+    mu, u0 = lam[0] - lam[1], min(quad.TILT_SWITCH, 2.0 * plan[2])
+    u_hi = mu * (z1.max(axis=1) - z2.min(axis=1))
+    u_lo = mu * (z1.min(axis=1) - z2.max(axis=1))
+    assert (u_hi <= u0).any() and ((u_lo <= u0) & (u_hi > u0)).any() and (u_lo > u0).any()
+    assert np.isneginf(lw1).any() or np.isneginf(lw2).any()  # dropped rank-2 level nodes
+    assert np.isneginf(logf).any() or lam[1] < 10.0  # and rank-3 ones where the middle slope is steep
+
+
 def test_tilted_series_degree_grows_or_refuses():
     # the degree starts at 90/sqrt(u0) and doubles until the fit matches ive
     # to 1e-12; at k = 150, u0 = 2 ive underflows, so no fit passes the check
@@ -530,6 +573,32 @@ def test_rank2_level_peak_memory(lam, bound):
     assert peak <= bound * B * plan[0] ** 2 * 8, peak / (B * plan[0] ** 2 * 8)
 
 
+@pytest.mark.parametrize("lam", [(4.0, 2.5, 1.0, 0.0), (40.0, 25.0, 10.0, 0.0)],
+                         ids=["jacobi", "mixed"])
+def test_rank3_level_peak_memory(lam, monkeypatch):
+    # one chunk-sized A_3 call (B Q^3 = 50 * 20^3 node triples), its parts run
+    # one at a time, holds at most 3.5 arrays of its node-triple size at once:
+    # the rank-3 level takes its slabs (a row and a node y_b) a block at a
+    # time, where all of a row's slabs at once would hold 2 Q^2 Q1 (Q + 2 Q2)
+    # node weights and factor grids, 83 times its Q^3 node triples.  At
+    # (40, 25, 10, 0) about 4% of the A_2 rows have a tilted pair
+    monkeypatch.setattr(sph, "_cpus", lambda: 1)
+    rng = np.random.default_rng(2)
+    B, plan = 50, (20, 16, 16)
+    gaps = rng.uniform(0.2, 1.0, (B, 3))
+    X = np.concatenate([np.zeros((B, 1)), np.cumsum(gaps, axis=1)], axis=1)[:, ::-1]
+    lam = np.array(lam)
+    assert B * plan[0] ** 3 <= sph._CHUNK
+    sph._log_psi(0.7, lam, X, plan)  # the rules are built once, outside the trace
+    tracemalloc.start()
+    try:
+        sph._log_psi(0.7, lam, X, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * B * plan[0] ** 3 * 8, peak / (B * plan[0] ** 3 * 8)
+
+
 def test_rank1_grid_overflowing_factors_raise_no_warning():
     # at pairing 1e4 the factor e^{mu (y1 - x2) p_q} of an A_2 row would
     # overflow; it belongs to an i with no Jacobi partner, which evaluates its
@@ -555,8 +624,10 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
     (2, 700, (50.0, 150.0, 0.0)),
     (2, 700, (3000.0, 1000.0, 0.0)),
     (2, 700, (1000.0, 3000.0, 0.0)),
+    (3, 51, (60.0, 40.0, 20.0, 0.0)),
+    (3, 51, (10000.0, 6000.0, 2000.0, 0.0)),
 ])
-def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
+def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
     # one row alone and inside a chunked batch of random rows gives the same
     # bits (no reduction order or matrix product depends on the block or chunk
     # a row sits in); the A_1 rows mix Jacobi and tilted ones, and the A_2
@@ -564,13 +635,29 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam):
     # (summed under a Jacobi-pair mask) and (but for (60, 20, 0)) all tilted
     # in each chunk, with lambda in either order.  At 3000 each chunk's fully
     # tilted rows sit on two rungs or more of the Bessel-tail ladder, which a
-    # row must pick from its own smallest u, not from its block's
+    # row must pick from its own smallest u, not from its block's.  The A_3
+    # batch runs its two chunks' slabs serially and a lone row's on the chunk
+    # pool; the A_2 rows of its rank-3 levels with a tilted pair mix it with
+    # Jacobi pairs at (60, 40, 20, 0), and most have only tilted ones at
+    # (10000, 6000, 2000, 0)
     rs = rootsystem(n, 0.6)
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
     assert rows * sph.default_node_plan(n)[0] ** n > sph._CHUNK
+    lows, tilted_rows = [], sph._tilted_rows
+
+    def spying(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared=None):
+        lows.append(u_lo / u0)
+        return tilted_rows(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared)
+
+    monkeypatch.setattr(sph, "_tilted_rows", spying)
     batch = spherical_log(rs, np.array(lam), X)
-    if n == 1:
+    if n == 3:
+        # the share of mixed rows among the A_2 rows with a tilted pair
+        mixed = np.mean(np.concatenate(lows) <= 1.0)
+        assert mixed > 0.9 if lam[0] < 1e3 else 0.0 < mixed < 0.1
+        classes = [np.arange(0, rows, 7)]
+    elif n == 1:
         tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0
         classes = [np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4]]
     else:
@@ -648,6 +735,37 @@ def test_pooled_chunks_give_the_serial_bits(case, monkeypatch):
     serial = np.atleast_1d(evaluate())
     assert widths and max(widths) == 1
     assert pooled.tobytes() == serial.tobytes()
+
+
+BLAS_SCRIPT = """
+import sys
+import numpy as np
+from dunkl.rootsys import rootsystem
+from dunkl.spherical import spherical_log
+rs = rootsystem(3, 0.5)
+rng = np.random.default_rng(5)
+X = np.sort(rng.uniform(-1.0, 1.0, (3, 4)), axis=1)[:, ::-1]
+sys.stdout.write(spherical_log(rs, np.array([60.0, 40.0, 15.0, 0.0]), X).tobytes().hex())
+"""
+
+
+def test_rank3_bits_do_not_depend_on_blas_threads():
+    # the rank-3 level's matrix products give one A_3 batch (rows whose rank-2
+    # pairs are all Jacobi, and mixed ones) the same bits with OpenBLAS on one
+    # thread and on two, each in a process of its own
+    src = os.path.dirname(os.path.dirname(sph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", BLAS_SCRIPT], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads))
+             for threads in ("1", "2")]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        outs.append(out)
+    assert len(outs[0]) == 3 * 16 and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("cpus", [3, 1])
@@ -749,10 +867,12 @@ def test_caller_plan_checked(plan):
 
 
 def test_budget_refusal():
+    # the plan's price, 2 Q^2 Q1 Q2 = 2.1e9 terminal evaluations, is over the
+    # default 1e9 cap
     rs = rootsystem(3, 1.0)
     with pytest.raises(BudgetExceededError):
         spherical_log(rs, (3.0, 2.0, 1.0, 0.0), (3.0, 2.0, 1.0, 0.0),
-                      plan=(64, 64, 64))
+                      plan=(256, 128, 128))
 
 
 def test_embedded_inactive_coordinates():

@@ -103,6 +103,13 @@ def test_inversion_accuracy_error_in_cancellation_regime():
         subordinator_inversion(1.0, 2.0, 1e-4)
 
 
+@pytest.mark.parametrize("u", [math.inf, math.nan])
+def test_inversion_refuses_non_finite_u(u):
+    # u = inf reached numpy's untyped geomspace error
+    with pytest.raises(DomainError, match="needs finite u > 0"):
+        subordinator_inversion(1.5, 1.0, u)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         subordinator_density(2.0, 1.0, 1.0)
