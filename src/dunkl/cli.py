@@ -109,6 +109,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _exp(log_value: float) -> float:
+    """e^log_value, or inf past 700, where math.exp overflows."""
+    return math.exp(log_value) if log_value < 700 else math.inf
+
+
 # ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
@@ -132,11 +137,8 @@ def write_csv(path: str, report: RatioReport, config: SweepConfig):
         for row in report.rows:
             vals = [row[k] for k in input_keys]
             cells = [_fmt(v) if isinstance(v, float) else str(v) for v in vals]
-            exact = math.exp(row["log_exact"]) if row["log_exact"] < 700 else math.inf
-            env = math.exp(row["log_envelope"]) if row["log_envelope"] < 700 else math.inf
-            ratio = math.exp(row["log_ratio"])
-            cells += [_fmt(exact), _fmt(env), _fmt(ratio),
-                      _fmt(row["err_indicator"])]
+            cells += [_fmt(_exp(row[key])) for key in ("log_exact", "log_envelope", "log_ratio")]
+            cells.append(_fmt(row["err_indicator"]))
             fh.write(",".join(cells) + "\n")
         # footer spread uses the same division a reader of the data rows does,
         # so re-reading reproduces every summary statistic bit-exactly
@@ -250,8 +252,8 @@ def cmd_eval(args) -> int:
     kv, env = entry.exact(rs, *vals), entry.log_envelope(rs, *vals)
     print(f"value = {_fmt(kv.value)}")
     print(f"log_value = {_fmt(kv.log_value)}")
-    print(f"envelope = {_fmt(math.exp(env) if env < 700 else math.inf)}")
-    print(f"ratio = {_fmt(math.exp(kv.log_value - env))}")
+    print(f"envelope = {_fmt(_exp(env))}")
+    print(f"ratio = {_fmt(_exp(kv.log_value - env))}")
     print(f"err_indicator = {_fmt(kv.err)}")
     return 0
 

@@ -42,7 +42,11 @@ paths by its largest tilt.  With no tilted pair, it is summed from its two
 factor grids (2 Q_{n-2} Q_{n-1} terminal evaluations).  With one, its pairs
 form a dense block of closed forms; its Jacobi pairs, if it has any, are left
 out of the block and summed from the factor grids under the row's Jacobi-pair
-mask, and a row whose pairs are all tilted evaluates nothing.
+mask, and a row whose pairs are all tilted evaluates nothing.  Every factor
+grid has one layout (``_factor_grids``): e^{mu p_q e} over e^{mu p_q e} e, e
+the offsets of a level's nodes from the row's middle coordinate, as the two
+halves of one (2, ..., Q, I) array; every sum over them, of an A_2 row, a
+masked row or a rank-3 slab, ends in one epilogue (``_pair_sums``).
 A rank-3 row (``_rank3_level``) takes its rank-2 rows with the factor grids
 shared across its outer grid: the rank-2 level z1 in [y_b, y_a] and its
 grid depend on the outer node pair (a, b) only, and z2 in [y_c, y_b] and
@@ -103,22 +107,16 @@ DEFAULT_PLANS = {1: (48,), 2: (32, 24), 3: (20, 16, 16)}
 #: batch rows are chunked so the innermost tensors stay ~tens of MB; the
 #: chunks of one call run on the chunk pool, as many at once as there are CPUs
 _CHUNK = 400_000
-#: pairs of a rank-2 level per dense block of rows with a tilted pair (and per
-#: Jacobi-pair mask block), whole rows at a time: a row's pairs are reduced
-#: together.  A block makes about 30 numpy calls, each of which takes the GIL
-#: to start, so pooled runners overlap only with blocks this large; the
-#: peak-memory tests bound it from above (two runners hold their blocks' five
-#: scratch arrays at once)
+#: the size of every block of the rank-2 and rank-3 levels, whole rows (slabs)
+#: at a time: a dense block of rows with a tilted pair holds this many pairs,
+#: as does the Jacobi-pair mask of a block of masked rows; each half of a
+#: factor grid of a block of rank-3 slabs holds this many values, and of a
+#: block of all-Jacobi rank-2 rows twice as many (its grids are the only large
+#: arrays it holds).  A block makes a few dozen numpy calls, each of which
+#: takes the GIL to start, so pooled runners overlap only with blocks this
+#: large; the peak-memory tests bound it from above (two runners hold their
+#: blocks at once)
 _TILT_BLOCK = 32768
-#: rank-2 rows whose factor grids hold about this many values are summed
-#: together, so that their arrays stay in cache; half of what one chunk at a
-#: time could take, since two pooled chunks hold their blocks at once
-_RANK2_BLOCK = 65536
-#: rank-3 slabs (``_rank3_level``) whose factor grids hold about this many
-#: values go together, one part on the chunk pool: half of ``_RANK2_BLOCK``,
-#: since a block's node weights and matrix products hold about as many
-#: values again and two parts run at once
-_RANK3_BLOCK = 32768
 #: the ladder of Bessel-tail series: rung i covers u >= u0 _RUNG_RATIO^i,
 #: i = 0 ... _TOP_RUNG, and drops trailing coefficients that add at most
 #: _RUNG_TOL max(1, max|H_k|); _LADDER holds U_i/u0 from rung 1 on
@@ -460,12 +458,14 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
     a time, a slab being one row and one node y_b: its Q^2 rank-2 rows (a, c)
     share 2 Q Q1 Q2 terminal evaluations, and the sums a0, a1 (b0, b1) of
     ``_jacobi_rows`` over the rows with no tilted pair are products of the
-    (c, i) node-weight matrix (the (a, j) one) of each a (each c) with the
-    (i, q) factor grid of (a, b) (of (b, c)).  A row with a tilted pair goes
-    to ``_tilted_rows`` with the shared factor grids; the node weights and
-    their scales are those of ``_rank2_level`` for the same row.  Slabs go
-    about ``_RANK3_BLOCK`` factor-grid values at a time, each block a part on
-    the chunk pool (``_chunked``); no row's bits depend on its block.
+    (2, Q2, i) factor grid (``_factor_grids``) of (a, b) (of (b, c)) with
+    the (i, c) node-weight matrix (the (j, a) one) of each a (each c), which
+    go to ``_pair_sums``.  The rows with a tilted pair go to
+    ``_tilted_rows`` together, with the shared factor grids; the node weights
+    and their scales are those of ``_rank2_level`` for the same row.  Slabs
+    go in blocks whose factor grids hold about ``_TILT_BLOCK`` values a half,
+    each block a part on the chunk pool (``_chunked``); no row's bits depend
+    on its block.
     """
     Q, Q1, Q2 = (plan[min(d, len(plan) - 1)] for d in range(3))
     B = X.shape[0]
@@ -475,18 +475,6 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
     u0 = min(quad.TILT_SWITCH, 2.0 * Q2)
     x, w = quad._ref_jacobi(Q2, k - 1.0, k - 1.0)
     p, wn = 0.5 * (1.0 + x), w / w.sum()
-    term = np.array([mu])
-
-    def grids(d, frac):
-        """e^{mu frac_q e} over e^{mu frac_q e} e, e the offsets d (slab, I)
-        but where ``_offset_grid`` sets them to 0: (slab, 2 Q2, I), the first
-        half from the terminal case"""
-        e = _offset_grid(mu, d, u0)
-        g = np.empty(e.shape[:-1] + (2 * Q2, e.shape[-1]))
-        f = e[..., None, :] * frac[:, None]
-        np.exp(_log_psi(k, term, f.reshape(-1, 1), (Q2,)).reshape(f.shape), out=g[..., :Q2, :])
-        np.multiply(g[..., :Q2, :], e[..., None, :], out=g[..., Q2:, :])
-        return g
 
     def slabs(part):
         """the rank-2 levels of the slabs ``part``, laid out (slab, a, c)"""
@@ -516,38 +504,33 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
         out = np.empty((n, Q, Q))
         ga = gb = None  # no Jacobi pair, no factor grid
         if (u_lo <= u0).any():
-            ga, gb = grids(z1 - tb[:, None, None], p), grids(z2 - tb[:, None, None], 1.0 - p)
-        # the rows with a tilted pair, about _CHUNK node pairs at a time
+            ga = _factor_grids(k, mu, z1 - tb[:, None, None], p, u0)  # (2, slab, a, Q2, i)
+            gb = _factor_grids(k, mu, z2 - tb[:, None, None], 1.0 - p, u0)  # (2, slab, c, Q2, j)
         tilted = np.flatnonzero(~jacobi)
-        batches = -(-tilted.size * Q1 * Q1 // _CHUNK)
-        for rows in np.array_split(tilted, batches) if batches else ():
-            slab, a, c = np.unravel_index(rows, (n, Q, Q))
+        if tilted.size:
+            slab, a, c = np.unravel_index(tilted, (n, Q, Q))
             ab, bc = slab * Q + a, slab * Q + c
-            shared = None if ga is None else (ga[:, :, :Q2].reshape(n * Q, Q2, Q1), ab,
-                                              gb[:, :, :Q2].reshape(n * Q, Q2, Q1), bc)
-            out.reshape(-1)[rows] = _tilted_rows(
+            shared = None if ga is None else (ga.reshape(2, n * Q, Q2, Q1), ab,
+                                              gb.reshape(2, n * Q, Q2, Q1), bc)
+            out.reshape(-1)[tilted] = _tilted_rows(
                 k, mu, u0, Q2, z1.reshape(-1, Q1)[ab], z2.reshape(-1, Q1)[bc], tb[slab],
-                la[slab, a, :, c], lb[slab, c, :, a], u_lo.reshape(-1)[rows], shared)
+                la[slab, a, :, c], lb[slab, c, :, a], u_lo.reshape(-1)[tilted], shared)
         if tilted.size < out.size:
             for v in (la, lb):  # the node weights, in place
                 cut = v < -250.0
                 np.exp(v, out=v)
                 v[cut] = 0.0
-            sa = ga @ la  # (slab, a, 2 Q2, c): a0 over a1
-            sb = (gb @ lb).transpose(0, 3, 2, 1)  # b0 over b1
-            s = np.multiply(sa[:, :, Q2:], sb[:, :, :Q2])
-            sa[:, :, :Q2] *= sb[:, :, Q2:]
-            s -= sa[:, :, :Q2]
-            s *= wn[:, None]
+            # a0 over a1 (b0 over b1) of each row, laid out (2, slab, a, Q2, c)
+            s = _pair_sums(ga @ la, np.swapaxes(gb @ lb, 2, 4), wn)
             with np.errstate(divide="ignore"):
-                out[jacobi] = np.log(s.sum(axis=2)[jacobi])
+                out[jacobi] = np.log(s[jacobi])
         out += ma
         out += mb.transpose(0, 2, 1)
         out += mu * tb[:, None, None]
         return out
 
     S = B * Q
-    parts = np.array_split(np.arange(S), min(S, -(-S * Q * Q1 * Q2 // _RANK3_BLOCK)))
+    parts = np.array_split(np.arange(S), min(S, -(-S * Q * Q1 * Q2 // _TILT_BLOCK)))
     level = _chunked(slabs, np.empty((S, Q, Q)), parts).reshape(B, Q, Q, Q)  # (b, a, c)
     # each node triple's log-weight and its log psi_lam but the rank-2 level,
     # added a factor at a time: the node weights with psi_lam's e^{lam_2 y},
@@ -652,102 +635,91 @@ def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,
         sum_q w_q sum_i a_i A_qi [d1_i P_qi - R_qi],
 
     P_qi and R_qi the sums of b_j B_qj and b_j d2_j B_qj over the Jacobi
-    partners j of i.  With no ``u0`` these are sums over all j, whose i-sums
-    are taken first; with one, products with each row's (I, J) Jacobi-pair
-    mask.  An offset with mu |d| > u0 has no Jacobi partner, and one beyond
-    2 u0 enters its factor grid as 0 (``_offset_grid``), so that no factor
-    overflows.  ``shared`` = (ga, ab, gb, bc) hands the masked sums their
-    factor grids instead: the (Qi, I) grid A of row r is ga[ab[r]] and its
-    (Qi, J) grid B is gb[bc[r]] (``_rank3_level``'s grids of node pairs).
-    A node weight below e^-250 of its row's largest is taken as 0,
-    which keeps every product off the slow subnormal range; what it drops is
-    below 1e-80 of the row.  Rows go ``_RANK2_BLOCK`` values at a time (masks
-    of ``_TILT_BLOCK`` pairs), one row a column, and every sum is added in an
-    order that does not depend on a row's batch.
+    partners j of i.  A block of rows takes its factor grids
+    (``_factor_grids``): A over A d1 as a (2, b, Qi, I) array and B over B d2
+    as a (2, b, Qi, J) one.  With no ``u0``, P and R do not depend on i, so
+    the grids times the node weights are summed over i and j first, as
+    stacked matrix products (b, Qi, I) @ (b, I, 1), and ``_pair_sums``
+    takes sum_q w_q (a1 b0 - a0 b1).  With one, P and R are one product of
+    b_j B over b_j B d2 with each row's (J, I) Jacobi-pair mask, and
+    ``_pair_sums`` takes the same sum of a_i A d1 P - a_i A R before the
+    i-sum.  An offset beyond 2 u0 has no Jacobi partner and enters its grid
+    as 0 (``_offset_grid``), so that no factor overflows.  ``shared`` =
+    (ga, ab, gb, bc) hands the masked sums their factor grids instead: those
+    of row r are ga[:, ab[r]] and gb[:, bc[r]] (``_rank3_level``'s grids of
+    node pairs).  A node weight below e^-250 of its row's largest is taken
+    as 0, which keeps every product off the slow subnormal range; what it
+    drops is below 1e-80 of the row.  Rows go in blocks sized from
+    ``_TILT_BLOCK``, and every sum is added in an order that does not depend
+    on a row's batch.
     """
     B, I, J = y1.shape[0], y1.shape[1], y2.shape[1]
     x, w = quad._ref_jacobi(Qi, k - 1.0, k - 1.0)
-    p = 0.5 * (1.0 + x)
-    term = np.array([mu])
-    wa, wb = np.exp(la.T), np.exp(lb.T)
-    wa[la.T < -250.0] = 0.0
-    wb[lb.T < -250.0] = 0.0
-    d1 = np.ascontiguousarray((y1 - c[:, None]).T)
-    d2 = np.ascontiguousarray((y2 - c[:, None]).T)
-    out = np.empty(B)
-    step = max(1, _RANK2_BLOCK // (Qi * max(I, J)) if u0 is None else _TILT_BLOCK // (I * J))
-    coords = np.empty(Qi * max(I, J) * min(B, step))
-    for r0 in range(0, B, step):
-        rows = slice(r0, min(B, r0 + step))
-        e1, e2 = d1[:, rows], d2[:, rows]
-        if u0 is None:
-            # the terminal case on the factor grids, laid out (Qi, I, b) and (Qi, J, b)
-            fa = _factor_grid(k, term, p, e1, coords)
-            fb = _factor_grid(k, term, 1.0 - p, e2, coords)
-            np.exp(fa, out=fa)
-            np.exp(fb, out=fb)
-            fa *= wa[:, rows]
-            fb *= wb[:, rows]
-            a0 = _sum_axis1(fa)
-            fa *= e1
-            b0 = _sum_axis1(fb)
-            fb *= e2
-            s = _sum_axis1(fa) * b0 - a0 * _sum_axis1(fb)
+    p, wn = 0.5 * (1.0 + x), w / w.sum()
+    wa, wb = np.exp(la), np.exp(lb)
+    wa[la < -250.0] = 0.0
+    wb[lb < -250.0] = 0.0
+    cap = math.inf if u0 is None else u0  # no offset of an all-Jacobi row is beyond u0
+
+    def block(rows):
+        """the sums of the rows ``rows``, whose arrays go with the call"""
+        if shared is None:
+            ga = _factor_grids(k, mu, y1[rows] - c[rows, None], p, cap)
+            gb = _factor_grids(k, mu, y2[rows] - c[rows, None], 1.0 - p, cap)
         else:
-            # P and R laid out (b, I, Qi), products of (I, J) and (J, Qi) matrices
-            mask = y1[rows, :, None] - y2[rows, None, :]
-            mask *= mu
-            mask = (mask <= u0).astype(float)
-            # B first and A last, and the second product into ``coords``, so
-            # that a block holds its mask and three (b, I, Qi) arrays at most
-            if shared is None:
-                fb = _factor_grid(k, term, 1.0 - p, _offset_grid(mu, e2, u0), coords)
-                fb = np.ascontiguousarray(np.exp(fb, out=fb).transpose(2, 1, 0))
-            else:
-                ga, ab, gb, bc = shared
-                fb = np.ascontiguousarray(gb[bc[rows]].transpose(0, 2, 1))
-            fb *= wb[:, rows].T[:, :, None]
-            h = mask @ fb
-            h *= e1.T[:, :, None]
-            fb *= e2.T[:, :, None]
-            h -= np.matmul(mask, fb, out=coords[:h.size].reshape(h.shape))
-            del mask, fb
-            if shared is None:
-                fa = _factor_grid(k, term, p, _offset_grid(mu, e1, u0), coords)
-                fa = np.exp(fa, out=fa).transpose(2, 1, 0)
-            else:
-                fa = ga[ab[rows]].transpose(0, 2, 1)
-            fa *= wa[:, rows].T[:, :, None]
-            h *= fa
-            s = _sum_axis1(h).T
-        s *= (w / w.sum())[:, None]
-        out[rows] = np.ascontiguousarray(s.T).sum(axis=1)
+            ga, ab, gb, bc = shared
+            ga, gb = ga[:, ab[rows]], gb[:, bc[rows]]
+        if u0 is None:
+            return _pair_sums(ga @ wa[rows, :, None], gb @ wb[rows, :, None], wn)[:, 0]
+        mask = np.subtract(y1[rows, None, :], y2[rows, :, None])
+        mask *= mu
+        mask = (mask <= u0).astype(float)
+        ga *= wa[rows, None, :]
+        gb *= wb[rows, None, :]
+        return _pair_sums(ga, gb @ mask, wn).sum(axis=1)
+
+    step = max(1, 2 * _TILT_BLOCK // (Qi * max(I, J)) if u0 is None else _TILT_BLOCK // (I * J))
+    out = np.empty(B)
+    for r0 in range(0, B, step):
+        out[r0:r0 + step] = block(slice(r0, r0 + step))
     return out
 
 
+def _pair_sums(a: np.ndarray, b: np.ndarray, wn: np.ndarray) -> np.ndarray:
+    """sum_q wn_q (a1 b0 - a0 b1) over the second-last axis q of the halves
+    (a0, a1) = a and (b0, b1) = b, in b's array: the Jacobi pairs of a rank-2
+    row from its sums over the factor grids (``_jacobi_rows``).  The q-sum is
+    pairwise where the last extent is 1 and in q order otherwise, in either
+    case the same for a row alone and in a batch."""
+    s = np.multiply(a[1], b[0], out=b[0])
+    b[1] *= a[0]
+    s -= b[1]
+    s *= wn[:, None]
+    return s.sum(axis=-2)
+
+
 def _offset_grid(mu: float, d: np.ndarray, u0: float) -> np.ndarray:
-    """The node offsets d of a level from its row's middle coordinate, each
-    set to 0 where mu |d| > 2 u0: such a node has no Jacobi partner (a pair's
-    u = mu (d1 - d2) is at least mu |d| of either node), so its factor
-    e^{mu p_q d} reaches no sum, and the margin over u0 keeps the nodes of a
-    pair that rounding puts at u0 in place."""
+    """The offsets e of ``_factor_grids``: the node offsets d of a level from
+    its row's middle coordinate, each set to 0 where mu |d| > 2 u0 (none at
+    u0 = inf, which rows whose pairs are all Jacobi take): such a node has
+    no Jacobi partner (a pair's u = mu (d1 - d2) is at least mu |d| of either
+    node), so its factor e^{mu p_q d} reaches no sum, and the margin over u0
+    keeps the nodes of a pair that rounding puts at u0 in place."""
     return np.where(np.abs(d) * mu > 2.0 * u0, 0.0, d)
 
 
-def _factor_grid(k: float, term: np.ndarray, p: np.ndarray, offset: np.ndarray,
-                 coords: np.ndarray) -> np.ndarray:
-    """mu p_q offset on the (Qi,) + offset.shape grid, through the recursion's
-    terminal case; ``coords`` is scratch space for the grid."""
-    shape = p.shape + offset.shape
-    grid = np.multiply.outer(p, offset, out=coords[:math.prod(shape)].reshape(shape))
-    return _log_psi(k, term, grid.reshape(-1, 1), p.shape).reshape(shape)
-
-
-def _sum_axis1(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a 3-d array, added in index order: numpy sums a middle
-    axis so while the last extent is above 1, and pairwise at 1, which would
-    make a lone row's bits differ from its bits in a batch."""
-    return a.sum(axis=1) if a.shape[2] > 1 else np.cumsum(a, axis=1)[:, -1]
+def _factor_grids(k: float, mu: float, d: np.ndarray, frac: np.ndarray,
+                  u0: float) -> np.ndarray:
+    """The factor grids of a level's node offsets d (..., I), (2, ..., Qi, I):
+    e^{mu frac_q e_i} over e^{mu frac_q e_i} e_i, e = ``_offset_grid(mu, d,
+    u0)``; the first half is the recursion's terminal case."""
+    e = _offset_grid(mu, d, u0)
+    f = _log_psi(k, np.array([mu]), (e[..., None, :] * frac[:, None]).reshape(-1, 1),
+                 frac.shape)
+    g = np.empty((2,) + e.shape[:-1] + (frac.size, e.shape[-1]))
+    np.exp(f.reshape(g.shape[1:]), out=g[0])
+    np.multiply(g[0], e[..., None, :], out=g[1])
+    return g
 
 
 def _level_rules(k: float, X: np.ndarray, mu: Sequence[float], Q: int,

@@ -1,9 +1,12 @@
-"""Ratchet on the library's public surface: a public module-level function or
-class of ``src/dunkl`` must be used inside the package, or be listed here.
+"""Ratchet on the library's surface: a public module-level function or class
+of ``src/dunkl`` must be used inside the package, or be listed here, and a
+private module-level function, class or constant must be referenced inside
+the package beyond its own definition.
 
 A use is any reference by name or attribute; its definition, an import and
 an ``__all__`` entry are not uses.  A name that only tests call belongs in
-the tests, as a test-local reference.
+the tests, as a test-local reference; a private name nothing reads is dead
+code, such as a helper or block size that a refactor left behind.
 """
 
 import ast
@@ -88,3 +91,39 @@ def test_every_public_definition_is_used_or_listed():
 def test_listed_names_exist():
     # a deleted name leaves the list too
     assert not sorted(ALLOWED - _defined_names(_modules()))
+
+
+def _private_definitions(modules):
+    """(module, name, node) of every private module-level function, class and
+    constant (dunder names aside), node the statement that defines it."""
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            yield from ((mod, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_is_referenced():
+    modules = _modules()
+    reads = {}  # name -> the nodes that read it: loads by name, and attributes
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+    unreferenced = []
+    for mod, name, definition in _private_definitions(modules):
+        own = {id(node) for node in ast.walk(definition)}
+        if all(id(node) in own for node in reads.get(name, ())):
+            unreferenced.append(f"{mod}.{name}")
+    assert not unreferenced, (
+        f"private names nothing in src/dunkl reads beyond their own definition: "
+        f"{unreferenced}; delete them")

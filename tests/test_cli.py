@@ -69,6 +69,27 @@ def test_certify_csv_roundtrip(tmp_path, capsys):
     assert header[-4:] == ["exact", "envelope", "ratio", "err_indicator"]
 
 
+def test_ratio_past_float64_prints_inf(tmp_path, capsys):
+    # at k = 200 the exact value outgrows the envelope by more than e^700:
+    # eval prints the ratio as inf, as it does the value, and certify, whose
+    # sweep reaches log ratios 283.6 and 1132.6, reports the unbounded spread
+    # as FAIL and still writes a report that re-reads to its summary
+    assert run_cli(["eval", "spherical", "--n", "1", "--k", "200",
+                    "--lambda", "1000,0", "--X", "1,0"]) == 0
+    vals = dict(ln.split(" = ") for ln in capsys.readouterr().out.strip().splitlines())
+    assert vals["value"] == vals["ratio"] == "inf"
+    out = tmp_path / "rep.csv"
+    assert run_cli(["certify", "spherical", "--n", "1", "--k", "200",
+                    "--num", "3", "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    rows, summary = read_csv_report(str(out))
+    ratios = np.array([r["ratio"] for r in rows])
+    assert len(rows) == summary["count"] == 3
+    assert math.isfinite(ratios[1]) and ratios[1] > 1e100 and ratios[2] == math.inf
+    assert summary["min_ratio"] == ratios.min() and summary["max_ratio"] == math.inf
+    assert summary["spread"] == math.inf
+
+
 def test_certify_reports_are_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

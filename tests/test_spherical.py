@@ -637,9 +637,11 @@ def test_tilted_rows_bits_do_not_depend_on_block_size(monkeypatch):
 def test_rank2_level_peak_memory(lam, bound):
     # one chunk-sized A_2 call (B Q^2 = 390 * 32^2 nodes) holds at most
     # ``bound`` arrays of its node-pair size at once: its rank-2 level keeps
-    # factor grids of (I + J) Qi values a row, not I J; a call with tilted pairs
-    # holds the dense closed-form blocks of _TILT_BLOCK pairs, and, where a
-    # row's pairs mix, the factor grids and Jacobi-pair mask of a block's rows
+    # the two halves of a row's factor grids, 2 (I + J) Qi values, for a block
+    # of rows (2 _TILT_BLOCK values a half), not I J values for every row;
+    # a call with tilted pairs holds the dense closed-form blocks of
+    # _TILT_BLOCK pairs, and, where a row's pairs mix, the factor grids,
+    # Jacobi-pair mask and mask products of a block of _TILT_BLOCK pairs
     rng = np.random.default_rng(2)
     B, plan = 390, (32, 24)
     gaps = rng.uniform(0.2, 1.0, (B, 2))
@@ -705,17 +707,23 @@ def test_rank1_grid_overflowing_factors_raise_no_warning():
     assert abs(both[0] - swapped) < 1e-9 * abs(both[0])
 
 
-@pytest.mark.parametrize("n,rows,lam", [
-    (1, 9000, (31.0, 0.0)),
-    (2, 700, (60.0, 20.0, 0.0)),
-    (2, 700, (150.0, 50.0, 0.0)),
-    (2, 700, (50.0, 150.0, 0.0)),
-    (2, 700, (3000.0, 1000.0, 0.0)),
-    (2, 700, (1000.0, 3000.0, 0.0)),
-    (3, 51, (60.0, 40.0, 20.0, 0.0)),
-    (3, 51, (10000.0, 6000.0, 2000.0, 0.0)),
-])
-def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
+@pytest.mark.parametrize("n,rows,lam,plan", [
+    (1, 9000, (31.0, 0.0), None),
+    (2, 700, (60.0, 20.0, 0.0), None),
+    (2, 700, (150.0, 50.0, 0.0), None),
+    (2, 700, (50.0, 150.0, 0.0), None),
+    (2, 700, (3000.0, 1000.0, 0.0), None),
+    (2, 700, (1000.0, 3000.0, 0.0), None),
+    (3, 51, (60.0, 40.0, 20.0, 0.0), None),
+    (3, 51, (10000.0, 6000.0, 2000.0, 0.0), None),
+    (2, 3000, (30.0, 10.0, 0.0), (12, 1)),
+    (2, 9000, (30.0, 10.0, 0.0), (7, 3)),
+    (2, 700, (30.0, 10.0, 0.0), (32, 1)),
+    (3, 2000, (15.0, 10.0, 5.0, 0.0), (6, 5, 1)),
+], ids=["1-9000-lam0", "2-700-lam1", "2-700-lam2", "2-700-lam3", "2-700-lam4", "2-700-lam5",
+        "3-51-lam6", "3-51-lam7", "2-3000-plan12_1", "2-9000-plan7_3", "2-700-plan32_1",
+        "3-2000-plan6_5_1"])
+def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, plan, monkeypatch):
     # one row alone and inside a chunked batch of random rows gives the same
     # bits (no reduction order or matrix product depends on the block or chunk
     # a row sits in); the A_1 rows mix Jacobi and tilted ones, and the A_2
@@ -727,11 +735,15 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
     # batch runs its two chunks' slabs serially and a lone row's on the chunk
     # pool; the A_2 rows of its rank-3 levels with a tilted pair mix it with
     # Jacobi pairs at (60, 40, 20, 0), and most have only tilted ones at
-    # (10000, 6000, 2000, 0)
+    # (10000, 6000, 2000, 0).  The plans with a one- or three-node terminal
+    # rule give the factor grids a q axis of extent 1 or 3 (at 1 numpy drops
+    # the axis from its loops and the matrix products become dot products),
+    # where a sum's order could follow the batch's extent
     rs = rootsystem(n, 0.6)
     rng = np.random.default_rng(7)
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
-    assert rows * sph.default_node_plan(n)[0] ** n > sph._CHUNK
+    plan = sph.default_node_plan(n) if plan is None else plan
+    assert rows * plan[0] ** n > sph._CHUNK
     lows, tilted_rows = [], sph._tilted_rows
 
     def spying(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared=None):
@@ -739,7 +751,7 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
         return tilted_rows(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared)
 
     monkeypatch.setattr(sph, "_tilted_rows", spying)
-    batch = spherical_log(rs, np.array(lam), X)
+    batch = spherical_log(rs, np.array(lam), X, plan)
     if n == 3:
         # the share of mixed rows among the A_2 rows with a tilted pair
         mixed = np.mean(np.concatenate(lows) <= 1.0)
@@ -749,7 +761,7 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
         tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0
         classes = [np.flatnonzero(tilted)[:60], np.flatnonzero(~tilted)[:4]]
     else:
-        Q, Qi = sph.default_node_plan(n)
+        Q, Qi = plan
         lam0 = np.array(lam[:2]) - lam[2]
         (y1, y2), _ = sph._level_rules(rs.k, X, np.sort(lam0)[::-1], Q)
         amu, u0 = abs(lam0[0] - lam0[1]), min(quad.TILT_SWITCH, 2.0 * Qi)
@@ -769,7 +781,7 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, monkeypatch):
                    for cls in (jacobi, ~jacobi & ~tilted)
                    + tuple(tilted & (rung == r) for r in np.unique(rung[tilted]))]
     for r in np.concatenate(classes + [[rows // 3, rows - 1]]).astype(int):
-        assert batch[r] == spherical_log(rs, np.array(lam), X[r]), r
+        assert batch[r] == spherical_log(rs, np.array(lam), X[r], plan), r
 
 
 def _a2_rows(rows, seed=7):
