@@ -73,13 +73,28 @@ class SweepConfig:
         if self.spread_bound is None:
             self.spread_bound = KERNELS[self.kernel].spread_bound
 
-    def predicted_evals(self) -> float:
-        """Innermost evaluations of the sweep: psi rows x the recursion's
-        node product for one row x cells (certification rows do not refine)."""
+    def cells(self):
+        """(rs, kernel record) of each cell the sweep certifies, k by k."""
         entry = KERNELS[self.kernel]
+        for k in self.k:
+            rs = rootsystem(self.n, k, self.d, trace_zero=self.trace_zero)
+            for s in self.s if "s" in entry.args else (None,):
+                yield rs, replace(entry, s=s)
+
+    def grid_options(self) -> dict:
+        entry = KERNELS[self.kernel]
+        return {key: getattr(self, name) for key, name in entry.grid_options.items()}
+
+    def predicted_evals(self) -> float:
+        """Innermost evaluations of the sweep: the psi rows each grid point
+        evaluates (``Kernel.psi_rows``, which runs the kernel's row pruning
+        without a psi call) x the recursion's node product for one row
+        (certification rows do not refine)."""
         plan = self.plan if self.plan is not None else spherical.default_node_plan(self.n)
-        cells = len(self.k) * (len(self.s) if "s" in entry.args else 1)
-        return entry.psi_rows * self.num * spherical._predicted_evals(self.n, plan) * cells
+        rows = sum(entry.psi_rows(rs, *entry.args_at(rs, point))
+                   for rs, entry in self.cells()
+                   for point in entry.points(rs, **self.grid_options()))
+        return rows * spherical._predicted_evals(self.n, plan)
 
     def validate_budget(self):
         """Refuse before evaluating anything if the sweep cannot fit the cap."""
@@ -214,16 +229,11 @@ def _mapper(workers: int):
 
 def run_certify(config: SweepConfig) -> tuple[list[RatioReport], bool]:
     config.validate_budget()
-    entry = KERNELS[config.kernel]
-    options = {key: getattr(config, name) for key, name in entry.grid_options.items()}
     mapper, pool = _mapper(config.workers)
-    reports = []
     try:
-        for k in config.k:
-            rs = rootsystem(config.n, k, config.d, trace_zero=config.trace_zero)
-            for s in config.s if "s" in entry.args else (None,):
-                reports.append(replace(entry, s=s).certify(rs, plan=config.plan,
-                                                           mapper=mapper, **options))
+        reports = [entry.certify(rs, plan=config.plan, mapper=mapper,
+                                 **config.grid_options())
+                   for rs, entry in config.cells()]
     finally:
         if pool is not None:
             pool.close()

@@ -8,15 +8,34 @@ The kernel is evaluated through the spherical function,
 
 where c = int e^{-|x|^2/2} omega_k(x) dx is the Macdonald-Mehta-Selberg
 product (2 pi)^{d/2} prod_{j=1}^{n+1} Gamma(1+jk)/Gamma(1+k); the mass
-identity |W| int_{a+} p_t^W(X,Y) omega_k(Y) dY = 1 checks the chamber rule.  Only
-``heat_log_for_times`` evaluates it, at a batch of times: ``heat_log`` is
-its one-time case, and the Newton and s-stable kernels integrate its rows.
+identity |W| int_{a+} p_t^W(X,Y) omega_k(Y) dY = 1 checks the chamber rule.
+``heat_log_for_times`` evaluates it at a batch of times, and ``heat_log`` is
+its one-time case.
+
+The Newton and s-stable kernels are positive sums of heat rows,
+sum_j e^{w_j} p_{t_j}(X, Y), and ``heat_log_sum`` evaluates only the rows
+that can matter.  psi_X(e^x) is the mean of e^{<X, xi>} under a W-invariant
+probability measure on the convex hull of Wx (M. Roesler, Duke Math. J. 98
+(1999) 445-463), so before any psi call
+
+    (sum X)(sum x)/(n+1) <= log psi_X(e^x) <= <X, x>,
+
+with X and x sorted in decreasing order on the right (``psi_log_bounds``).
+The rows with the smallest upper bounds are left out while those bounds sum
+to at most e^-PRUNE_MARGIN = e^-37 (~8.5e-17) times the sum of the lower
+bounds, a lower bound of the whole sum; the rows left out thus carry less
+than e^-37 of it, and log of the sum moves by less than 8.5e-17.  A row is
+never left out where a log-weight or bound is not finite, nor on A_1, where a
+batch of psi rows costs about the same at any size (``PRUNE_FROM_RANK``).
+The kept set depends only on the point and its rule, so a sweep's price
+counts it without a psi call (``Kernel.psi_rows``).
 
 Chamber integrals (mass, Chapman-Kolmogorov, subordination mass) split Y
 into its mean direction (a Gaussian integrated in closed form) and Y0 = B s
 over the simple-root gaps s_i > 0; the gap basis B holds the fundamental
 coweights, and one tensor rule (``_gap_rule``) absorbs omega_k and the
-Gaussian envelope into generalized Laguerre rules in w = q s^2.
+Gaussian envelope into generalized Laguerre rules in w = q s^2.  On A_2 their
+nodes are pruned by the same bounds, summed over the factors of the integrand.
 """
 
 from __future__ import annotations
@@ -33,8 +52,8 @@ from .quad import (KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp,
                    refined)
 from .report import Kernel
 from .rootsys import RootSystemA, positive_roots, pairing
-from .spherical import (collapse_walls, default_node_plan, refined_plan,
-                        spherical_log)
+from .spherical import (_predicted_evals, collapse_walls, default_node_plan,
+                        psi_log_bounds, refined_plan, spherical_log)
 
 
 @functools.cache
@@ -51,9 +70,11 @@ def heat_log(rs: RootSystemA, t: float, X, Y,
     return float(heat_log_for_times(rs, [t], X, Y, plan)[0])
 
 
-def heat_log_for_times(rs: RootSystemA, times, X, Y,
-                       plan: Sequence[int] | None = None) -> np.ndarray:
-    """log p_t^W(X, Y) for an array of times t (one batched psi call).
+def _heat_terms(rs: RootSystemA, times, X, Y
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(head, Y', rows) with log p_t^W(X, Y) = head + log psi_X(e^row) at
+    each time t: Y' is Y taken off the walls by ``collapse_walls`` and
+    row = Y'/(2t).
 
     Raises DomainError unless every t > 0 and |X|^2, |Y|^2,
     (|X|^2+|Y|^2)/(4t) and Y/(2t) are finite.
@@ -63,25 +84,97 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
         raise DomainError("times must be > 0")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
+    Yc = collapse_walls(rs, Y)[0]
     # an overflow here leaves a non-finite value (collapse_walls raises on |Y|^2)
     with np.errstate(over="ignore", invalid="ignore"):
         gauss = (float(X @ X) + float(Y @ Y)) / (4.0 * times)
-        rows = collapse_walls(rs, Y)[0][None, :] / (2.0 * times[:, None])
+        rows = Yc[None, :] / (2.0 * times[:, None])
     if not (np.all(np.isfinite(gauss)) and np.all(np.isfinite(rows))):
         raise DomainError("heat kernel argument overflows: |X|^2, |Y|^2, "
                           "(|X|^2+|Y|^2)/(4t) and Y/(2t) must be finite")
-    lv = spherical_log(rs, X, rows, plan)
-    return (-log_mehta_selberg(rs) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
-            - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss + lv)
+    head = (-log_mehta_selberg(rs) - (rs.gamma + 0.5 * rs.d) * math.log(2.0)
+            - (0.5 * rs.d + rs.gamma) * np.log(times) - gauss)
+    return head, Yc, rows
+
+
+def heat_log_for_times(rs: RootSystemA, times, X, Y,
+                       plan: Sequence[int] | None = None) -> np.ndarray:
+    """log p_t^W(X, Y) for an array of times t (one batched psi call).
+
+    Raises DomainError unless every t > 0 and |X|^2, |Y|^2,
+    (|X|^2+|Y|^2)/(4t) and Y/(2t) are finite.
+    """
+    head, _, rows = _heat_terms(rs, times, X, Y)
+    return head + spherical_log(rs, X, rows, plan)
+
+
+#: a positive sum leaves out only terms whose upper bounds sum to at most
+#: e^-PRUNE_MARGIN (~8.5e-17) times a lower bound of the whole sum
+PRUNE_MARGIN = 37.0
+#: the lowest rank whose sums are pruned: a batch of A_1 psi rows costs about
+#: the same at any size up to a few hundred rows (on a 2-vCPU Xeon, 150 us
+#: for 64 Newton rows and 147 us for 32 of them), so there the bounds cost
+#: more than they save
+PRUNE_FROM_RANK = 2
+
+
+def _kept(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the terms of a positive sum, with log bounds lo <= log term
+    <= hi, that can matter.  The terms with the smallest upper bounds are
+    left out while those bounds sum to at most e^-PRUNE_MARGIN times
+    sum(e^lo), so the terms left out carry less than e^-PRUNE_MARGIN of the
+    sum.  Every term is kept when a bound is not finite (a NaN compares
+    False)."""
+    keep = np.ones(hi.shape, dtype=bool)
+    if np.isfinite(lo).all() and np.isfinite(hi).all():
+        top = lo.max()
+        floor = top + math.log(np.exp(lo - top).sum()) - PRUNE_MARGIN
+        # each upper bound in units of the floor; a term above it is kept anyway
+        share = np.exp(np.minimum(hi - floor, 1.0))
+        order = np.argsort(share)
+        keep[order[np.cumsum(share[order]) <= 1.0]] = False
+    return keep
+
+
+def heat_sum_terms(rs: RootSystemA, log_ws: Sequence[np.ndarray], times, X, Y
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The rows of sum_j e^{w_j} p_{t_j}(X, Y) that can matter, known
+    before any psi call: ``_heat_terms``' (head, rows) and the parts of the
+    log-weights w = sum(log_ws), at the rows that ``_kept`` keeps on the
+    bounds of ``psi_log_bounds``."""
+    head, Yc, rows = _heat_terms(rs, times, X, Y)
+    if rs.n < PRUNE_FROM_RANK:
+        return head, rows, list(log_ws)
+    log_w = sum(log_ws) + head
+    # the bounds are homogeneous in the row: those of Y' over 2t
+    lo, hi = psi_log_bounds(rs, X, Yc)
+    scale = 2.0 * np.asarray(times, dtype=float)
+    keep = _kept(log_w + lo / scale, log_w + hi / scale)
+    return head[keep], rows[keep], [w[keep] for w in log_ws]
+
+
+def heat_log_sum(rs: RootSystemA, log_ws: Sequence[np.ndarray], times, X, Y,
+                 plan: Sequence[int] | None = None) -> float:
+    """log sum_j e^{w_j} p_{t_j}(X, Y) over the rows that can matter (the
+    bounds and the keep rule are in the module docstring), in one batched
+    psi call; the parts of w = sum(log_ws) are added to log p in turn, the
+    order in which the Newton and stable rules write their terms."""
+    head, rows, log_ws = heat_sum_terms(rs, log_ws, times, X, Y)
+    terms = head + spherical_log(rs, X, rows, plan)
+    for log_w in log_ws:
+        terms = terms + log_w
+    return float(logsumexp(terms))
 
 
 def heat_exact(rs: RootSystemA, t: float, X, Y, plan: Sequence[int] | None = None
                ) -> KernelValue:
-    """p_t^W(X,Y) with a node-refinement error indicator."""
+    """p_t^W(X,Y) with a node-refinement error indicator; ``evals`` counts
+    the terminal evaluations of the psi row on both plans."""
     X = rs.check_vector(X)
     plan = plan if plan is not None else default_node_plan(rs.n)
-    lv = heat_log(rs, t, X, Y, plan)
-    return refined(lv, heat_log(rs, t, X, Y, refined_plan(rs.n, plan)), evals=1)
+    plan2 = refined_plan(rs.n, plan)
+    return refined(heat_log(rs, t, X, Y, plan), heat_log(rs, t, X, Y, plan2),
+                   int(_predicted_evals(rs.n, plan) + _predicted_evals(rs.n, plan2)))
 
 
 def log_heat_envelope(rs: RootSystemA, t: float, X, Y) -> float:
@@ -165,7 +258,10 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
     the peak escapes (t_f << gap^2, the kernel concentrates at Y ~ A), a
     shifted Gauss-Hermite rule centered at s* takes over, with omega_k in
     its log-weights.  Both rules have 48 nodes per gap; |A_f|^2, 1/t_f,
-    A_f/t_f and |A_f|^2/t_f must be finite.
+    A_f/t_f and |A_f|^2/t_f must be finite.  A node's log term is bracketed
+    by its log-weight plus the sum over the factors of ``psi_log_bounds``,
+    and ``_kept`` leaves out the nodes that carry less than e^-37 of the
+    sum together, as ``heat_log_sum`` does with its rows (on A_2).
     """
     if rs.n > 2:
         raise DomainError("chamber integrals implemented for A_1 and A_2 only")
@@ -212,8 +308,16 @@ def chamber_heat_integral(rs: RootSystemA, factors: Sequence[tuple[float, np.nda
         logw += (peak - 0.5 * math.log(np.linalg.det(M)) - s @ lin
                  + _log_omega(rs, s))
     Y0 = s @ B.T
-    for t_f, A0 in zip(ts, A0s):
-        logw = logw + spherical_log(rs, A0, Y0 / (2.0 * t_f), plan)
+    rows = [Y0 / (2.0 * t_f) for t_f in ts]
+    if rs.n >= PRUNE_FROM_RANK:
+        lo, hi = logw, logw
+        for A0, row in zip(A0s, rows):
+            lo_f, hi_f = psi_log_bounds(rs, A0, row)
+            lo, hi = lo + lo_f, hi + hi_f
+        keep = _kept(lo, hi)
+        logw, rows = logw[keep], [row[keep] for row in rows]
+    for A0, row in zip(A0s, rows):
+        logw = logw + spherical_log(rs, A0, row, plan)
     return (math.log(rs.weyl_order) - 0.5 * math.log(m) + const
             + float(logsumexp(logw)))
 
@@ -294,14 +398,14 @@ def _heat_columns(rs: RootSystemA, t: float, X, Y) -> dict:
     return {"t": t, "max_pairing": aa, "regime": "t>=aa" if t >= aa else "t<aa"}
 
 
-#: heat_exact/heat_envelope sweep, two psi rows a step (a generic and a wall
+#: heat_exact/heat_envelope sweep, one psi row a point (a generic and a wall
 #: Y per time); spread is reported modulo the single global constant per
 #: (n,k), which cancels in max/min
 KERNEL = Kernel(
     label="heat n={rs.n} k={rs.k}", args=("t", "X", "Y"),
     grid=heat_sweep_grid, grid_options={"t_span": "t_span", "t_num": "num"},
     exact=heat_exact, log_value=heat_log, log_envelope=log_heat_envelope,
-    columns=_heat_columns, spread_bound=1e2, psi_rows=2)
+    columns=_heat_columns, spread_bound=1e2)
 heat_row = KERNEL.row
 certify_heat_ratio = KERNEL.certify
 

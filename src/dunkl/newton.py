@@ -8,7 +8,13 @@ Jacobian dt = R^2/(4u^2) du the integrand is
     p_{R^2/(4u)}^W(X,Y) R^2/(4u^2) = u^{d/2+gamma-2} e^{-u} g(u),
 
 where the rule keeps u^{d/2+gamma-2} e^{-u} and g(u) is slowly varying (its
-log decays like the envelope denominators), so the rule converges fast.
+log decays like the envelope denominators), so the rule converges fast.  The
+rows are one ``heatkernel.heat_log_sum``: by the bounds
+(sum X)(sum Y)/(2t(n+1)) <= log psi_X(e^{Y/2t}) <= <X, Y>/(2t) (both
+sorted in decreasing order), it leaves out the rows whose upper bounds sum
+to at most e^-37 times a lower bound of the whole sum, so the rows left out
+carry less than e^-37 (~8.5e-17) of it.  31-64 of the 64 rows are kept on
+the default A_2 and A_3 sweeps at k in [0.25, 2.5]; A_1 sums keep every row.
 
 Envelopes: |X-Y|^{2-d} / prod |X - sigma_a Y|^{2k} for d >= 3, and the two
 log-corrected d=2 forms (A_1, and A_2 on the trace-zero plane).
@@ -22,10 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergentTailError, DomainError, SingularityError
-from .heatkernel import heat_log_for_times
-from .quad import KernelValue, _ref_genlaguerre, logsumexp, refined
+from .heatkernel import heat_log_sum, heat_sum_terms
+from .quad import KernelValue, _ref_genlaguerre, refined
 from .report import Kernel
 from .rootsys import RootSystemA, pairing, positive_roots, reflected_distance_sq
+from .spherical import _predicted_evals, default_node_plan
 
 #: Gauss-Laguerre nodes of the u-rule; newton_exact refines with twice as many
 U_NODES = 64
@@ -48,28 +55,43 @@ def _check_tail(rs: RootSystemA):
             f"time integral diverges: d/2 + gamma = {0.5 * rs.d + rs.gamma} <= 1")
 
 
-def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
-               plan: Sequence[int] | None = None) -> float:
-    """log N^W(X,Y) = log int_0^inf p_t^W(X,Y) dt, by Gauss-Laguerre in
-    u = |X-Y|^2/(4t) over one batch of heat rows."""
+def _u_terms(rs: RootSystemA, X, Y, uQ: int) -> tuple[tuple, np.ndarray, float]:
+    """(parts of the log-weights, times, R^2) of the u-rule's heat rows:
+    the rule's weight carries u^alpha e^{-u}, dt = R^2/(4u^2) du at
+    t = R^2/(4u)."""
     _check_tail(rs)
     R2 = _dist_sq(X, Y)
     if R2 == 0.0:
         raise SingularityError("Newton kernel is singular at X == Y")
     alpha = 0.5 * rs.d + rs.gamma - 2.0
     u, w = _ref_genlaguerre(uQ, alpha)
-    log_p = heat_log_for_times(rs, R2 / (4.0 * u), X, Y, plan)
-    # the rule's weight carries u^alpha e^{-u}, dt = R^2/(4u^2) du
-    return (float(logsumexp(np.log(w) + log_p + u - (alpha + 2.0) * np.log(u)))
-            + math.log(R2 / 4.0))
+    return (np.log(w), u, -(alpha + 2.0) * np.log(u)), R2 / (4.0 * u), R2
+
+
+def newton_log(rs: RootSystemA, X, Y, uQ: int = U_NODES,
+               plan: Sequence[int] | None = None) -> float:
+    """log N^W(X,Y) = log int_0^inf p_t^W(X,Y) dt, by Gauss-Laguerre in
+    u = |X-Y|^2/(4t) over one sum of heat rows (``heat_log_sum``: a row
+    whose bounds prove it carries less than e^-37 of the sum is left out)."""
+    log_ws, times, R2 = _u_terms(rs, X, Y, uQ)
+    return heat_log_sum(rs, log_ws, times, X, Y, plan) + math.log(R2 / 4.0)
+
+
+def _psi_rows(rs: RootSystemA, X, Y, uQ: int = U_NODES) -> int:
+    """The psi rows ``newton_log`` evaluates at (X, Y)."""
+    return len(heat_sum_terms(rs, *_u_terms(rs, X, Y, uQ)[:2], X, Y)[1])
 
 
 def newton_exact(rs: RootSystemA, X, Y, plan: Sequence[int] | None = None
                  ) -> KernelValue:
-    """N^W(X,Y) with a u-rule refinement error indicator."""
+    """N^W(X,Y) with a u-rule refinement error indicator; ``evals`` counts
+    the terminal evaluations of both rules' psi rows."""
     X = rs.check_vector(X)
+    plan = plan if plan is not None else default_node_plan(rs.n)
     lv = newton_log(rs, X, Y, U_NODES, plan)
-    return refined(lv, newton_log(rs, X, Y, 2 * U_NODES, plan), 3 * U_NODES)
+    rows = _psi_rows(rs, X, Y) + _psi_rows(rs, X, Y, 2 * U_NODES)
+    return refined(lv, newton_log(rs, X, Y, 2 * U_NODES, plan),
+                   rows * int(_predicted_evals(rs.n, plan)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +203,7 @@ KERNEL = Kernel(
     label="newton n={rs.n} k={rs.k} d={rs.d}{trace0}", args=("X", "Y"),
     grid=newton_sweep_grid, grid_options={"num": "num"},
     exact=newton_exact, log_value=newton_log, log_envelope=log_newton_envelope,
-    columns=_quotient_columns, spread_bound=1e2, psi_rows=U_NODES,
+    columns=_quotient_columns, spread_bound=1e2, psi_rows=_psi_rows,
     drift_key="quotient", tail_cut=math.inf)
 newton_row = KERNEL.row
 certify_newton_ratio = KERNEL.certify

@@ -110,6 +110,10 @@ def build_ratio_report(grid: str, rows: Sequence[dict], *,
     )
 
 
+def _one_psi_row(rs, *args) -> int:
+    return 1
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One kernel, declared once for its sweeps and the CLI.  Its functions
@@ -125,17 +129,24 @@ class Kernel:
     log_envelope: Callable   # (rs, *args) -> log envelope
     columns: Callable        # (rs, *args) -> the row's inputs after n and k
     spread_bound: float      # default PASS threshold on the certified spread
-    psi_rows: int            # psi rows a sweep evaluates per step of --num
+    psi_rows: Callable = _one_psi_row  # (rs, *args) -> the psi rows one row evaluates
     drift_key: str | None = None
     tail_cut: float = 1e2
     canonical: Callable | None = None  # (rs, *args) -> the args a row is taken at
     s: float | None = None
 
+    def points(self, rs, **options) -> list:
+        """The default grid, built with ``options``."""
+        return self.grid(rs, *(() if self.s is None else (self.s,)), **options)
+
+    def args_at(self, rs, point) -> tuple:
+        """The arguments a row is taken at, after ``rs``."""
+        args = (*point,) if self.s is None else (self.s, *point)
+        return args if self.canonical is None else self.canonical(rs, *args)
+
     def row(self, rs, point, plan: Sequence[int] | None = None) -> dict:
         """One certification row: inputs, log exact/envelope/ratio at a point."""
-        args = (*point,) if self.s is None else (self.s, *point)
-        if self.canonical is not None:
-            args = self.canonical(rs, *args)
+        args = self.args_at(rs, point)
         # the log value as its module binds it now, so that a wrapper put on
         # the module (a tracer, a test double) also sees the rows' calls
         log_value = getattr(sys.modules[self.log_value.__module__], self.log_value.__name__)
@@ -151,7 +162,7 @@ class Kernel:
         ``options``); the drift is fitted against ``drift_key`` over the rows
         with drift_key >= tail_cut."""
         if points is None:
-            points = self.grid(rs, *(() if self.s is None else (self.s,)), **options)
+            points = self.points(rs, **options)
         rows = list(mapper(partial(self.row, rs, plan=plan), points))
         title = self.label.format(rs=rs, s=self.s,
                                   trace0=" trace0" if rs.trace_zero else "")

@@ -48,12 +48,28 @@ def _check_jacobi():
     return "Jacobi weight-sum Beta identities"
 
 
+#: (n, k, X) of the psi_0 and psi-bound checks
+_PSI_CELLS = ((1, 0.5, (1.0, 0.0)), (2, 2.5, (1.3, 0.2, -0.9)))
+
+
 def _check_psi0():
-    for n, k, X in ((1, 0.5, (1.0, 0.0)), (2, 2.5, (1.3, 0.2, -0.9))):
+    for n, k, X in _PSI_CELLS:
         rs = rootsys.rootsystem(n, k)
         v = math.exp(spherical.spherical_log(rs, np.zeros(n + 1), X))
         _expect(abs(v - 1.0) < 1e-8, f"psi_0 = {v}")
     return "psi_0 == 1 (A_1, A_2)"
+
+
+def _check_psi_bounds():
+    # the bounds that prune the heat rows: the Jensen mean below, the orbit
+    # maximum above
+    for n, k, X in _PSI_CELLS:
+        rs = rootsys.rootsystem(n, k)
+        lam = 3.0 * np.asarray(X)[::-1]
+        lv = spherical.spherical_log(rs, lam, X)
+        (lo,), (hi,) = spherical.psi_log_bounds(rs, lam, X)
+        _expect(lo <= lv <= hi, f"log psi = {lv} outside [{lo}, {hi}]")
+    return "(sum lambda)(sum x)/(n+1) <= log psi <= <lambda, x> (A_1, A_2)"
 
 
 def _check_oracle_k1():
@@ -141,6 +157,7 @@ CHECKS = [
     Check("rootsys", _check_roots),
     Check("jacobi-weight-sum", _check_jacobi),
     Check("psi0-normalization", _check_psi0),
+    Check("psi-bounds", _check_psi_bounds),
     Check("k1-oracle", _check_oracle_k1),
     Check("spherical-envelope", _check_envelope),
     Check("heat-mass-identity", _check_heat_mass),

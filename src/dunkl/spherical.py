@@ -206,6 +206,32 @@ def collapse_walls(rs: RootSystemA, X) -> tuple[np.ndarray, bool]:
     return X, True
 
 
+def psi_log_bounds(rs: RootSystemA, lam, X) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= log psi_lambda(e^x) <= hi for the rows x of X, before
+    any psi call.
+
+    psi_lambda(e^x) is the mean of e^{<lambda, xi>} under a W-invariant
+    probability measure on the convex hull of the orbit Wx (M. Roesler,
+    Duke Math. J. 98 (1999) 445-463).  The measure's mean is W-fixed, so
+    Jensen gives lo = (sum lambda)(sum x)/(n+1), and the orbit maximum gives
+    hi = <lambda, x> with both sorted in decreasing order, over the active
+    coordinates; the inactive ones add their plain pairing to both.
+    """
+    lam = np.asarray(lam, dtype=float)
+    rows = np.atleast_2d(np.asarray(X, dtype=float))
+    idx = np.array(rs.active_coords) - 1
+    lam_a = np.sort(lam[idx])
+    rows_a = np.sort(rows[:, idx], axis=1)  # both increasing: the same pairing
+    lo = lam_a.sum() / (rs.n + 1) * rows_a.sum(axis=1)
+    hi = rows_a @ lam_a
+    if rs.coord_len > rs.n + 1:
+        mask = np.ones(rs.coord_len, dtype=bool)
+        mask[idx] = False
+        rest = rows[:, mask] @ lam[mask]
+        lo, hi = lo + rest, hi + rest
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # the recursion (batched, log space)
 # ---------------------------------------------------------------------------
@@ -1082,6 +1108,6 @@ KERNEL = Kernel(
     grid=pairing_sweep_grid, grid_options={"span": "span", "num": "num"},
     exact=spherical_exact, log_value=spherical_log,
     log_envelope=log_spherical_envelope, columns=_pairing_columns,
-    spread_bound=1e3, psi_rows=1, drift_key="min_pairing", canonical=_collapse)
+    spread_bound=1e3, drift_key="min_pairing", canonical=_collapse)
 spherical_row = KERNEL.row
 certify_ratio = KERNEL.certify

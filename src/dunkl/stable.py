@@ -13,7 +13,13 @@ panels about the regime boundary u* = t^{2/s}; the envelope is the
 Euclidean stable bound divided by prod (t^{2/s} + |X-Y|^2 + alpha(X)alpha(Y))^k.
 The u-rule is scale free: eta_t(u* v) = f_beta(v) / u* with f_beta = eta_1, so
 the rule is built once in v = u/u* and log f_beta on its nodes is cached per
-(s, rule); each row evaluates only its heat kernels at u = u* v.
+(s, rule); each row evaluates only its heat kernels at u = u* v, and of
+those only the ones that can matter: ``heatkernel.heat_log_sum`` brackets
+each heat row by (sum X)(sum Y)/(2u(n+1)) <= log psi_X(e^{Y/2u}) <=
+<X, Y>/(2u) (both sorted in decreasing order) and leaves out the rows whose
+upper bounds sum to at most e^-37 times a lower bound of the whole sum, so
+the rows left out carry less than e^-37 (~8.5e-17) of it.  Where the Kanter
+density is not finite (s -> 2), and on A_1, every row is kept.
 """
 
 from __future__ import annotations
@@ -26,10 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AccuracyError, DomainError, EvaluationError
-from .heatkernel import heat_log_for_times
+from .heatkernel import heat_log_sum, heat_sum_terms
 from .quad import KernelValue, logsumexp, panel_rule, refined
 from .report import Kernel, RatioReport
 from .rootsys import RootSystemA, pairing, positive_roots
+from .spherical import _predicted_evals, default_node_plan
 
 # ---------------------------------------------------------------------------
 # subordinator density
@@ -236,6 +243,15 @@ def _scale_free_rule(s: float, lo_decades: float, hi_decades: float,
     return v, log_w, log_f
 
 
+def _u_terms(s: float, t: float, nodes: int, panels_per_decade: int
+             ) -> tuple[tuple, np.ndarray]:
+    """(parts of the log-weights, times) of ``stable_log``'s heat rows."""
+    u_star = _check_su(s, t)
+    v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES, SPAN_DECADES,
+                                       panels_per_decade, nodes)
+    return (log_w, log_f), u_star * v
+
+
 def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
                plan: Sequence[int] | None = None, nodes: int = 12,
                panels_per_decade: int = 3) -> float:
@@ -246,35 +262,44 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
     the subordinator's essential singularity, the tail by
     u^{-1-s/2-d/2-gamma} decay.  The rule is the cached scale-free one:
     u = u* v, log w = log w_v + log u* and log eta_t(u) = log f_beta(v) -
-    log u*, so the two log u* terms cancel in the sum.  Raises
-    EvaluationError where the integrand is not finite (the Kanter path as
-    s -> 2).
+    log u*, so the two log u* terms cancel in the sum.  The heat rows are
+    one ``heat_log_sum``: a row whose bounds prove it carries less than
+    e^-37 of the sum is left out (at the default rule 48-320 of the 504
+    rows are kept on the A_2 and A_3 sweeps at k in [0.25, 2.5] and s in
+    {0.5, 1, 1.5}; A_1 sums keep every row).  Raises EvaluationError where the integrand is not
+    finite (the Kanter path as s -> 2, where every row is kept).
     """
-    u_star = _check_su(s, t)
-    v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES, SPAN_DECADES,
-                                       panels_per_decade, nodes)
-    log_p = heat_log_for_times(rs, u_star * v, np.asarray(X, float),
-                               np.asarray(Y, float), plan)
-    out = float(logsumexp(log_w + log_p + log_f))
+    log_ws, times = _u_terms(s, t, nodes, panels_per_decade)
+    out = heat_log_sum(rs, log_ws, times, np.asarray(X, float),
+                       np.asarray(Y, float), plan)
     if not math.isfinite(out):
         raise EvaluationError(f"non-finite stable value {out!r} at s={s:g}, t={t:.6g}",
                               location=(s, t))
     return out
 
 
-#: heat times (psi rows) one ``stable_log`` call evaluates at its default rule
+#: heat times one ``stable_log`` call sums at its default rule (the psi rows
+#: it evaluates are those of them that ``heat_log_sum`` keeps)
 LOG_ROWS = _u_rule(SPAN_DECADES, SPAN_DECADES, 3, 12)[0].size
+
+
+def _psi_rows(rs: RootSystemA, s: float, t: float, X, Y, nodes: int = 12,
+              panels_per_decade: int = 3) -> int:
+    """The psi rows ``stable_log`` evaluates at (s, t, X, Y)."""
+    return len(heat_sum_terms(rs, *_u_terms(s, t, nodes, panels_per_decade),
+                              np.asarray(X, float), np.asarray(Y, float))[1])
 
 
 def stable_exact(rs: RootSystemA, s: float, t: float, X, Y,
                  plan: Sequence[int] | None = None) -> KernelValue:
-    """h_t^W(X,Y) with a u-rule refinement error indicator (n <= 2)."""
-    if rs.n > 2:
-        raise DomainError("stable_exact restricted to A_1 and A_2 (cost)")
+    """h_t^W(X,Y) with a u-rule refinement error indicator; ``evals`` counts
+    the terminal evaluations of both rules' psi rows."""
     X = rs.check_vector(X)
+    plan = plan if plan is not None else default_node_plan(rs.n)
     lv = stable_log(rs, s, t, X, Y, plan)
     lv2 = stable_log(rs, s, t, X, Y, plan, nodes=20, panels_per_decade=4)
-    return refined(lv, lv2, evals=0)
+    rows = _psi_rows(rs, s, t, X, Y) + _psi_rows(rs, s, t, X, Y, 20, 4)
+    return refined(lv, lv2, rows * int(_predicted_evals(rs.n, plan)))
 
 
 def log_stable_envelope(rs: RootSystemA, s: float, t: float, X, Y) -> float:
@@ -320,7 +345,7 @@ KERNEL = Kernel(
     label="stable n={rs.n} k={rs.k} s={s}", args=("s", "t", "X", "Y"),
     grid=stable_sweep_grid, grid_options={"num": "num"},
     exact=stable_exact, log_value=stable_log, log_envelope=log_stable_envelope,
-    columns=_crossover_columns, spread_bound=1e2, psi_rows=LOG_ROWS)
+    columns=_crossover_columns, spread_bound=1e2, psi_rows=_psi_rows)
 
 
 def stable_row(rs: RootSystemA, s: float, point, plan: Sequence[int] | None = None) -> dict:

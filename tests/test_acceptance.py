@@ -19,7 +19,7 @@ import pytest
 from dunkl.asymlab import (lemma_A_ratio, lemma_a1_ratio, lemma_a2_ratio,
                            lemma_ai_ratio)
 from dunkl.heatkernel import (certify_heat_ratio, chapman_kolmogorov_check,
-                              generator_check, heat_mass,
+                              generator_check, heat_mass, log_mehta_selberg,
                               parabolic_rescale_residual)
 from dunkl.newton import (certify_newton_ratio, homogeneity_residual,
                           newton_sweep_grid)
@@ -29,9 +29,10 @@ from dunkl.selftest import run_selftest
 from dunkl.spherical import (_pairing_columns, certify_ratio,
                              log_spherical_envelope, pairing_sweep_grid,
                              spherical_log, spherical_oracle_k1)
-from dunkl.stable import (certify_stable_ratio, stable_scaling_residual,
-                          subordinator_density, subordinator_inversion,
-                          subordinator_log_density)
+from dunkl.stable import (certify_stable_ratio, log_stable_envelope,
+                          stable_log, stable_scaling_residual,
+                          stable_sweep_grid, subordinator_density,
+                          subordinator_inversion, subordinator_log_density)
 from stable_reference import subordinator_bounds_sweep
 
 MODULE_T0 = time.time()
@@ -311,6 +312,27 @@ def test_criterion_7_theorem_stable(s):
         f"2^(gamma+d/2) c) is ~401 at (k=1, s=0.5) while the opposite regime "
         f"saturates near 0.04, so no correct evaluation on a crossover-"
         f"straddling grid can meet this bound")
+
+
+# the green companion of the A_3 stable sweep (k = 1, s = 1.5), whose spread
+# 2.0e5 is the mathematics: at deep time exact/envelope tends to
+# Gamma((d/2+gamma)/beta) / (beta Gamma(d/2+gamma) 2^{gamma+d/2} c) = 1.51408e-4;
+# it read 1.5159e-4 at t = 1e3 and 1.5142e-4 at t = 1e4
+def test_criterion_7_a3_ratio_tends_to_deep_time_constant():
+    rs = rootsystem(3, 1.0)
+    s, beta = 1.5, 0.75
+    a = 0.5 * rs.d + rs.gamma
+    log_const = (math.lgamma(a / beta) - math.log(beta) - math.lgamma(a)
+                 - a * math.log(2.0) - log_mehta_selberg(rs))
+    _, X, Y = stable_sweep_grid(rs, s, num=3)[0]
+    errs = [abs(math.expm1(stable_log(rs, s, t, X, Y)
+                           - log_stable_envelope(rs, s, t, X, Y) - log_const))
+            for t in (1e3, 1e4)]
+    ok = errs[1] < errs[0] and errs[1] <= 2e-4
+    _report(f"criterion-7 companion[A_3, k=1, s=1.5]: |ratio/C - 1| at "
+            f"t = 1e3, 1e4: {errs[0]:.3g}, {errs[1]:.3g} (C = "
+            f"{math.exp(log_const):.6g}, bound 2e-4) -> {'PASS' if ok else 'FAIL'}")
+    assert ok, errs
 
 
 def test_criterion_7_scaling():
