@@ -112,9 +112,10 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
 #: e^-PRUNE_MARGIN (~8.5e-17) times a lower bound of the whole sum
 PRUNE_MARGIN = 37.0
 #: the lowest rank whose sums are pruned: a batch of A_1 psi rows costs about
-#: the same at any size up to a few hundred rows (on a 2-vCPU Xeon, 150 us
-#: for 64 Newton rows and 147 us for 32 of them), so there the bounds cost
-#: more than they save
+#: the same at any size up to a few hundred rows (on a 2-vCPU Xeon, 90 us for
+#: the 64 rows of an A_1 Newton point and for the 32 of them it keeps), so
+#: there the bounds (about 40 us a sum) cost more than they save; pruning A_1
+#: made the benchmark's A_1-heavy sweep_small point_p50_ms 9% slower
 PRUNE_FROM_RANK = 2
 
 

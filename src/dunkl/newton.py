@@ -1,15 +1,15 @@
 """W-invariant Newton kernel N^W = int_0^inf p_t^W dt and its sharp envelopes.
 
-The time integral runs over heat rows: ``heat_log_for_times`` evaluates
-p_t^W at t = R^2/(4u), R = |X-Y|, for the nodes u of one generalized
-Gauss-Laguerre rule (the substitution the d >= 3 proof uses).  With the
-Jacobian dt = R^2/(4u^2) du the integrand is
+The time integral runs over the heat rows p_t^W at t = R^2/(4u), R = |X-Y|,
+for the nodes u of one generalized Gauss-Laguerre rule (the substitution the
+d >= 3 proof uses); ``heatkernel.heat_log_sum`` evaluates only the rows it
+keeps.  With the Jacobian dt = R^2/(4u^2) du the integrand is
 
     p_{R^2/(4u)}^W(X,Y) R^2/(4u^2) = u^{d/2+gamma-2} e^{-u} g(u),
 
 where the rule keeps u^{d/2+gamma-2} e^{-u} and g(u) is slowly varying (its
 log decays like the envelope denominators), so the rule converges fast.  The
-rows are one ``heatkernel.heat_log_sum``: by the bounds
+rows are one ``heat_log_sum``: by the bounds
 (sum X)(sum Y)/(2t(n+1)) <= log psi_X(e^{Y/2t}) <= <X, Y>/(2t) (both
 sorted in decreasing order), it leaves out the rows whose upper bounds sum
 to at most e^-37 times a lower bound of the whole sum, so the rows left out

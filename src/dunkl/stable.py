@@ -266,8 +266,9 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
     one ``heat_log_sum``: a row whose bounds prove it carries less than
     e^-37 of the sum is left out (at the default rule 48-320 of the 504
     rows are kept on the A_2 and A_3 sweeps at k in [0.25, 2.5] and s in
-    {0.5, 1, 1.5}; A_1 sums keep every row).  Raises EvaluationError where the integrand is not
-    finite (the Kanter path as s -> 2, where every row is kept).
+    {0.5, 1, 1.5}; A_1 sums keep every row).  Raises EvaluationError where
+    the integrand is not finite (the Kanter path as s -> 2, where every row
+    is kept).
     """
     log_ws, times = _u_terms(s, t, nodes, panels_per_decade)
     out = heat_log_sum(rs, log_ws, times, np.asarray(X, float),
@@ -276,11 +277,6 @@ def stable_log(rs: RootSystemA, s: float, t: float, X, Y,
         raise EvaluationError(f"non-finite stable value {out!r} at s={s:g}, t={t:.6g}",
                               location=(s, t))
     return out
-
-
-#: heat times one ``stable_log`` call sums at its default rule (the psi rows
-#: it evaluates are those of them that ``heat_log_sum`` keeps)
-LOG_ROWS = _u_rule(SPAN_DECADES, SPAN_DECADES, 3, 12)[0].size
 
 
 def _psi_rows(rs: RootSystemA, s: float, t: float, X, Y, nodes: int = 12,

@@ -28,6 +28,8 @@ class KeptSpy:
 
 
 KEPT = heatkernel._kept
+#: heat rows of one ``stable_log`` call at its default rule
+STABLE_ROWS = 504
 
 
 def pruned_and_full(monkeypatch, fn):
@@ -58,7 +60,8 @@ def test_pruned_newton_equals_full_sum(n, k, monkeypatch):
         pruned, full, calls = pruned_and_full(
             monkeypatch, lambda: newton.newton_log(rs, X, Y, plan=_plan(n)))
         assert_close(pruned, full)
-        assert calls == ([] if n == 1 else [(newton._psi_rows(rs, X, Y), 64)])
+        assert calls == ([] if n == 1 else
+                         [(newton._psi_rows(rs, X, Y), newton.U_NODES)])
 
 
 @pytest.mark.parametrize("n, k", [(1, 1.0), (2, 0.5), (3, 1.0)])
@@ -70,7 +73,7 @@ def test_pruned_stable_equals_full_sum(n, k, monkeypatch):
             monkeypatch, lambda: stable.stable_log(rs, 1.5, t, X, Y, plan=_plan(n)))
         assert_close(pruned, full)
         assert calls == ([] if n == 1 else
-                         [(stable._psi_rows(rs, 1.5, t, X, Y), stable.LOG_ROWS)])
+                         [(stable._psi_rows(rs, 1.5, t, X, Y), STABLE_ROWS)])
         kept += calls
     if n == 2:
         assert all(k < total for k, total in kept), kept
@@ -133,7 +136,7 @@ def test_non_finite_log_weights_keep_every_row(s):
     rs = rootsystem(2, 0.5)
     X, Y = np.array([1.0, 0.0, -0.4]), np.array([0.5, 0.1, -0.2])
     with np.errstate(all="ignore"):
-        assert stable._psi_rows(rs, s, 1.0, X, Y) == stable.LOG_ROWS
+        assert stable._psi_rows(rs, s, 1.0, X, Y) == STABLE_ROWS
     lo = np.array([0.0, -80.0, math.nan])
     assert KEPT(lo, lo + 1.0).all()
 
@@ -172,7 +175,7 @@ def test_budget_prices_the_pruned_rows_a_sweep_makes(kernel, monkeypatch):
     config = cli.SweepConfig(kernel=kernel, n=2, k=(0.5,), s=(1.5,), num=3,
                              plan=(6, 5))
     priced = config.predicted_evals()
-    every_row = 3 * {"newton": newton.U_NODES, "stable": stable.LOG_ROWS}[kernel]
+    every_row = 3 * {"newton": newton.U_NODES, "stable": STABLE_ROWS}[kernel]
     assert priced < every_row * spherical._predicted_evals(2, (6, 5))
     monkeypatch.setattr(config, "validate_budget", lambda: None)
     seen = _counting(monkeypatch)
