@@ -45,7 +45,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .quad import (KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp,
@@ -59,9 +58,9 @@ from .spherical import (_predicted_evals, collapse_walls, default_node_plan,
 @functools.cache
 def log_mehta_selberg(rs: RootSystemA) -> float:
     """log c = (d/2) log 2 pi + sum_{j=1}^{n+1} [log Gamma(1+jk) - log Gamma(1+k)]."""
-    return float(0.5 * rs.d * math.log(2 * math.pi)
-                 + sum(gammaln(1.0 + j * rs.k) - gammaln(1.0 + rs.k)
-                       for j in range(1, rs.n + 2)))
+    return (0.5 * rs.d * math.log(2 * math.pi)
+            + sum(math.lgamma(1.0 + j * rs.k) - math.lgamma(1.0 + rs.k)
+                  for j in range(1, rs.n + 2)))
 
 
 def heat_log(rs: RootSystemA, t: float, X, Y,

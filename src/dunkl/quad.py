@@ -1,8 +1,10 @@
 """Quadrature engine: Gauss rules with algebraic endpoint singularities,
 exponentially tilted level rules, and semi-infinite log-space integrals.
 
-Every quadrature rule in the package starts here, from scipy's reference rules (cached
-per size and exponent) or ``panel_rule``'s Gauss-Legendre panels.  Two regimes matter:
+Every quadrature rule in the package starts here, from the reference Gauss
+rules that ``_gauss`` builds with numpy from their three-term recurrences
+(cached per size and exponent) or ``panel_rule``'s Gauss-Legendre panels.
+Two regimes matter:
 
 * endpoint-singular algebraic factors (x-lo)^a (hi-x)^b with a, b > -1 are
   absorbed into Gauss-Jacobi weights so the integrand handed to a rule is
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import (roots_genlaguerre, roots_hermite, roots_jacobi,
-                           roots_legendre)
 
 from .errors import DomainError, EvaluationError, InvalidExponentError
 
@@ -104,38 +104,117 @@ def refined(lv: float, lv_fine: float, evals: int) -> KernelValue:
 # cached reference rules
 # ---------------------------------------------------------------------------
 
+def _gauss(diag: np.ndarray, beta: np.ndarray, ratio: np.ndarray, end: float,
+           mu0: float, even: bool = False):
+    """Gauss rule of the monic orthogonal polynomials p_{j+1} = (x - diag[j])
+    p_j - beta[j] p_{j-1}, j < n = len(diag), beta[0] = 0, whose weight has
+    mass ``mu0``; ``ratio`` holds p_{j+1}(end)/p_j(end) at an end of the
+    support, in closed form.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub and Welsch,
+    Math. Comp. 23 (1969) 221-230), improved by one Newton step on the
+    recurrence; the weights are the Christoffel numbers
+    1/sum_{j<n} p_j(x)^2/||p_j||^2 at the nodes, normalized to ``mu0``: a
+    sum of positive terms, which keeps the relative accuracy of the tiny
+    Laguerre tail weights that eigenvectors would not, and which moves
+    less with a node's rounding near an end than 1/(p_{n-1} p_n') does.
+    The recurrence runs on q_j = p_j(x)/p_j(end) and its steps
+    q_j - q_{j-1}, which carry the factor x - end explicitly (the form of
+    scipy's Laguerre and Jacobi evaluations), so the nodes that crowd at that
+    end keep their relative accuracy.  It rescales its state every eight
+    steps and keeps the log of the scale.  An even weight (``even``,
+    ``end`` = 1) gets its nodes and weights mirrored from the upper half.
+    """
+    n = len(diag)
+    off = np.sqrt(beta[1:])
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    gain = 1.0 / ratio
+    carry = beta * np.append(0.0, gain[:-1]) * gain
+    # p_j(end)^2/||p_j||^2 up to a constant factor, ||p_j||^2 = mu0 beta_1 ... beta_j
+    norm = np.exp(np.cumsum(np.append(0.0, 2.0 * np.log(np.abs(ratio[:-1]))
+                                      - np.log(beta[1:]))))
+
+    def recur(x):
+        """q_n' and q_n at x and sum_{j<n} norm_j q_j^2, the first two divided
+        by e^{logscale} and the sum by its square."""
+        t = x - end
+        q, dq = np.ones_like(x), np.zeros_like(x)
+        step, dstep = np.zeros_like(x), np.zeros_like(x)
+        christoffel = np.zeros_like(x)
+        logscale = np.zeros_like(x)
+        for j in range(n):
+            christoffel += norm[j] * q * q
+            gt = gain[j] * t
+            dstep = carry[j] * dstep + gain[j] * q + gt * dq
+            step = carry[j] * step + gt * q
+            q, dq = q + step, dq + dstep
+            if j % 8 == 7:  # eight steps grow the state by far less than 1e300
+                scale = np.abs(q) + np.abs(step)
+                q, dq, step, dstep = q / scale, dq / scale, step / scale, dstep / scale
+                christoffel /= scale * scale
+                logscale += np.log(scale)
+        return dq, q, christoffel, logscale
+
+    dq, q, _, _ = recur(x)
+    x = x - q / dq
+    _, _, christoffel, logscale = recur(x)
+    logw = -np.log(christoffel) - 2.0 * logscale
+    w = np.exp(logw - logw.max())
+    if even:  # the upper half is the accurate one
+        half = n // 2
+        x[:half], w[:half] = -x[:n - half - 1:-1], w[:n - half - 1:-1]
+        x[half:n - half] = 0.0
+    return x, w * (mu0 / w.sum())
+
+
 @functools.cache
 def _ref_jacobi(nodes: int, a_exp: float, b_exp: float):
     """Reference rule on [-1,1] for weight (1+x)^a_exp (1-x)^b_exp."""
     if a_exp <= -1 or b_exp <= -1:
         raise InvalidExponentError(
             f"Jacobi exponents must be > -1, got ({a_exp}, {b_exp})")
-    # scipy weight is (1-x)^alpha (1+x)^beta
-    return roots_jacobi(nodes, b_exp, a_exp)
+    # the Jacobi polynomials P^(a, b), weight (1-x)^a (1+x)^b, at end x = 1
+    a, b = b_exp, a_exp
+    j = np.arange(nodes, dtype=float)
+    s = 2.0 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):  # j = 0 and 1 are set below
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        beta = 4.0 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+        ratio = 2.0 * (j + a + 1.0) * (j + a + b + 1.0) / ((s + 1.0) * (s + 2.0))
+    diag[0], beta[0], ratio[0] = (b - a) / (a + b + 2.0), 0.0, 2.0 * (a + 1.0) / (a + b + 2.0)
+    if nodes > 1:
+        beta[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                   + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return _gauss(diag, beta, ratio, 1.0, mu0, a == b)
 
 
 @functools.cache
 def _ref_genlaguerre(nodes: int, alpha: float):
     if alpha <= -1:
         raise InvalidExponentError(f"Laguerre exponent must be > -1, got {alpha}")
-    return roots_genlaguerre(nodes, alpha)
-
-
-@functools.cache
-def _ref_legendre(nodes: int):
-    return roots_legendre(nodes)
+    j = np.arange(nodes, dtype=float)
+    mu0 = math.gamma(alpha + 1.0) if alpha < 170.0 else math.inf
+    return _gauss(2.0 * j + alpha + 1.0, j * (j + alpha), -(j + alpha + 1.0), 0.0, mu0)
 
 
 @functools.cache
 def _ref_hermite(nodes: int):
-    return roots_hermite(nodes)
+    """Gauss-Hermite from Gauss-Laguerre in t = x^2: H_{2m}(x) and
+    H_{2m+1}(x)/x are multiples of L_m^(-1/2)(x^2) and L_m^(1/2)(x^2)."""
+    m, odd = divmod(nodes, 2)
+    t, w = _ref_genlaguerre(m, odd - 0.5) if m else (np.zeros(0), np.zeros(0))
+    x, w = np.sqrt(t), (w / (2.0 * t) if odd else 0.5 * w)
+    mid = [math.sqrt(math.pi) - 2.0 * w.sum()] if odd else []
+    return (np.concatenate([-x[::-1], [0.0] * odd, x]),
+            np.concatenate([w[::-1], mid, w]))
 
 
 def panel_rule(breakpoints, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights, ``nodes`` on each panel between
     consecutive breakpoints, panel by panel in breakpoint order."""
     bps = np.asarray(breakpoints, dtype=float)
-    xr, wr = _ref_legendre(nodes)
+    xr, wr = _ref_jacobi(nodes, 0.0, 0.0)
     mid = 0.5 * (bps[:-1] + bps[1:])
     half = 0.5 * (bps[1:] - bps[:-1])
     return ((mid[:, None] + half[:, None] * xr[None, :]).ravel(),
@@ -227,8 +306,9 @@ def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
     ``log_g`` maps an array of u > 0 to log g(u) (g > 0).  When ``scales``
     lists small positive structure scales of g (positions of near-axis
     poles, e.g. a/b_i), the plain generalized-Laguerre rule is replaced by
-    geometric panels resolving those scales, with the u^alpha factor absorbed
-    on the head panel.
+    ``panel_rule``'s geometric panels resolving those scales, with the
+    u^alpha factor absorbed on a Jacobi head panel; either rule's nodes take
+    one ``log_g`` call and one logsumexp.
     """
 
     def run(Q: int) -> tuple[float, int]:
@@ -240,21 +320,13 @@ def exp_weighted_log_integral(log_g, alpha: float, nodes: int = 64,
         s_min = min(min(finite_scales) * 1e-2, 1e-3)
         s_max = max(60.0, alpha + 20.0 * math.sqrt(abs(alpha) + 1.0))
         n_pan = max(4, int(3 * math.log10(s_max / s_min)) + 1)
-        bps = np.geomspace(s_min, s_max, n_pan)
-        pieces = []
-        evals = 0
-        # head panel [0, s_min]: absorb u^alpha, keep e^{-u} in the integrand
-        x, w = jacobi_rule(max(8, Q // 4), alpha, 0.0, (0.0, s_min))
-        pieces.append(logsumexp(np.log(w) - x + np.asarray(log_g(x), dtype=float)))
-        evals += len(x)
-        xr, wr = _ref_legendre(max(8, Q // 4))
-        for lo, hi in zip(bps[:-1], bps[1:]):
-            half = 0.5 * (hi - lo)
-            x = 0.5 * (hi + lo) + half * xr
-            lw = np.log(wr * half) + alpha * np.log(x) - x
-            pieces.append(logsumexp(lw + np.asarray(log_g(x), dtype=float)))
-            evals += len(x)
-        return float(logsumexp(np.array(pieces))), evals
+        # head panel [0, s_min] absorbs u^alpha; e^{-u} stays in the integrand
+        q = max(8, Q // 4)
+        xh, wh = jacobi_rule(q, alpha, 0.0, (0.0, s_min))
+        xp, wp = panel_rule(np.geomspace(s_min, s_max, n_pan), q)
+        x = np.concatenate([xh, xp])
+        lw = np.concatenate([np.log(wh), np.log(wp) + alpha * np.log(xp)]) - x
+        return float(logsumexp(lw + np.asarray(log_g(x), dtype=float))), len(x)
 
     lv_coarse, n1 = run(nodes)
     lv_fine, n2 = run(2 * nodes)

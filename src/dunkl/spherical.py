@@ -93,7 +93,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, ive
 
 from . import quad
 from .errors import (BudgetExceededError, DegenerateArgumentError, DomainError,
@@ -236,6 +235,93 @@ def psi_log_bounds(rs: RootSystemA, lam, X) -> tuple[np.ndarray, np.ndarray]:
 # the recursion (batched, log space)
 # ---------------------------------------------------------------------------
 
+#: ``_log_ive`` serves I_{k-1/2} at 0 < k <= _IVE_K_MAX where e^{-x} I is at
+#: least 1e3 times float64's smallest normal number (its log >= _LOG_TINY):
+#: the range of the float64 Bessel function (AMOS ive) that the fit was
+#: first checked against, which flushes smaller values to 0.  The tilted fit
+#: refuses outside it; the cap on k bounds the series' length
+_IVE_K_MAX = 256.0
+_LOG_TINY = math.log(1e3 * np.finfo(float).tiny)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+#: Stirling's series of lgamma(n+1) - (n+1/2) log n + n - log(2 pi)/2
+#: (DLMF 5.11.1), to 1e-16 from n = 10 on
+_STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
+             -691.0 / 360360, 1.0 / 156)
+
+
+def _stirling(n: np.ndarray) -> np.ndarray:
+    """lgamma(n+1) - (n+1/2) log n + n - log(2 pi)/2 at n >= 10 (DLMF 5.11.1)."""
+    inv2 = 1.0 / (n * n)
+    acc = np.zeros_like(n)
+    for c in reversed(_STIRLING):
+        acc = acc * inv2 + c
+    return acc / n
+
+
+def _log_poisson(n: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """n log y - y - log Gamma(n+1) at n >= 0, y > 0, to a few ulps of
+    |y - n| + n |log(y/n)| rather than of n log y.  From n = 10 on it is
+    -stirling - n (r - 1 - log r) - log(2 pi n)/2, r = y/n, with
+    r - 1 - log r = d - log1p(d), d = r - 1, where |d| < 1/2; below,
+    lgamma(n+1) is lgamma(n+11) less the log of the ten factors between."""
+    big = np.maximum(n, 10.0)
+    r = y / big
+    d = r - 1.0
+    near = np.abs(d) < 0.5
+    gap = np.where(near, d - np.log1p(np.where(near, d, 0.0)), d - np.log(r))
+    out = -_stirling(big) - big * gap - 0.5 * np.log(big) - _HALF_LOG_2PI
+    small = n < 10.0
+    if small.any():
+        ns, ys = n[small], y[small]
+        m = ns + 10.0
+        lgam = (m + 0.5) * np.log(m) - m + _HALF_LOG_2PI + _stirling(m)
+        lgam -= np.log(np.prod(ns[:, None] + np.arange(1.0, 11.0), axis=1))
+        out[small] = ns * np.log(ys) - ys - lgam
+    return out
+
+
+def _log_ive(nu: float, x: np.ndarray) -> np.ndarray:
+    """log(e^{-x} I_nu(x)) at x > 0 for nu = k - 1/2, 0 < k <= _IVE_K_MAX;
+    NaN for other nu and where the value is below _LOG_TINY.
+
+    Below x = max(60, 2 nu^2) it sums the positive power series
+    sum_j (x/2)^{2j+nu}/(j! Gamma(j+nu+1)) (DLMF 10.25.2) outward from its
+    largest term by term ratios, the log of that term being two
+    ``_log_poisson`` values at x/2; above it, the Hankel expansion
+    e^x/sqrt(2 pi x) sum_j (-1)^j a_j(nu)/x^j (DLMF 10.40.1), whose terms
+    fall at least fourfold a step there.
+    """
+    x = np.asarray(x, dtype=float)
+    if not 0.0 < nu + 0.5 <= _IVE_K_MAX:
+        return np.full_like(x, np.nan)
+    out = np.empty_like(x)
+    hankel = x >= max(60.0, 2.0 * nu * nu)
+    xs = x[hankel]
+    term, acc = np.ones_like(xs), np.ones_like(xs)
+    j = 0
+    while term.size and np.max(np.abs(term)) > 1e-17 * np.min(np.abs(acc)):
+        j += 1
+        term *= -(4.0 * nu * nu - (2.0 * j - 1.0) ** 2) / (8.0 * j * xs)
+        acc += term
+    out[hankel] = np.log(acc) - 0.5 * np.log(2.0 * math.pi * xs)
+
+    xs = x[~hankel]
+    y = 0.5 * xs
+    y2 = y * y
+    peak = np.floor(0.5 * (np.sqrt(nu * nu + xs * xs) - nu))
+    up, down, acc = np.ones_like(xs), np.ones_like(xs), np.ones_like(xs)
+    i = 0
+    while xs.size and np.max((up + down) / acc) > 1e-17:
+        i += 1
+        up *= y2 / ((peak + i) * (peak + i + nu))
+        lo = np.maximum(peak - i + 1.0, 0.0)  # down stays 0 once j = 0 is passed
+        down *= lo * (lo + nu) / y2
+        acc += up + down
+    out[~hankel] = (_log_poisson(peak, y) + _log_poisson(peak + nu, y) + np.log(acc))
+    out[out < _LOG_TINY] = np.nan
+    return out
+
+
 @functools.cache
 def _tilted_series(k: float, u0: float) -> np.ndarray:
     """Chebyshev coefficients of H_k(u) = G_k(u) - u/2 + k log u on u >= u0,
@@ -243,20 +329,20 @@ def _tilted_series(k: float, u0: float) -> np.ndarray:
 
     G_k(u) = log Gamma(k+1/2) + (1/2-k) log(u/4) + log I_{k-1/2}(u/2) is
     log psi_{(mu, 0)}(e^{(a, b)}) - mu (a+b)/2 at u = mu (a-b) (DLMF 13.6.9),
-    so H_k = log Gamma(k+1/2) + (2k-1) log 2 + log u/2 + log ive(k-1/2, u/2)
-    is bounded, with H_k(inf) = log Gamma(2k)/Gamma(k).  The e^{-u} part of
+    so H_k = log Gamma(k+1/2) + (2k-1) log 2 + log u/2 + log ive(k-1/2, u/2),
+    ive(nu, x) = e^{-x} I_nu(x) (``_log_ive``), is bounded, with H_k(inf) = log Gamma(2k)/Gamma(k).  The e^{-u} part of
     I_{k-1/2} makes H_k smooth but not analytic at x = -1, so the degree
     starts at 90/sqrt(u0) (17 at u0 = 30); it doubles, up to 256 (for
-    large k), until the fit matches ``ive`` on a grid 8 times as dense to
+    large k), until the fit matches ``_log_ive`` on a grid 8 times as dense to
     1e-12 max(1, max|H_k|), and the fit raises EvaluationError if none does.
     """
     def h(x):
         u = 2.0 * u0 / (x + 1.0)
-        return (gammaln(k + 0.5) + (2.0 * k - 1.0) * math.log(2.0)
-                + 0.5 * np.log(u) + np.log(ive(k - 0.5, 0.5 * u)))
+        return (math.lgamma(k + 0.5) + (2.0 * k - 1.0) * math.log(2.0)
+                + 0.5 * np.log(u) + _log_ive(k - 0.5, 0.5 * u))
 
     degree = math.ceil(90.0 / math.sqrt(u0))
-    with np.errstate(all="ignore"):  # ive underflows at k >> u0; the check fails then
+    with np.errstate(all="ignore"):  # NaN where ive nears underflow (k >> u0): no fit passes
         while degree <= 256:
             theta = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
             coef = np.cos(np.outer(np.arange(degree + 1), theta)) @ h(np.cos(theta))
@@ -567,7 +653,7 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
         level += lw.reshape(y.shape) + lam[2] * y
     for hi, lo in ((ya, yb), (ya, yc), (yb, yc)):
         level += (2.0 - 2.0 * k) * np.log(hi - lo)
-    level += float(gammaln(3.0 * k) - 3.0 * gammaln(k))
+    level += math.lgamma(3.0 * k) - 3.0 * math.lgamma(k)
     return logsumexp(level.reshape(B, -1), axis=1)
 
 
@@ -907,7 +993,7 @@ def _log_psi(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) -> n
         return _rank1_grid(k, lam, X[:, 0], X[:, 1], Q)
 
     lam0 = lam[:m] - lam[m]  # decreasing, and the slope seen by y_i
-    logpref = float(gammaln(k * (m + 1)) - (m + 1) * gammaln(k))
+    logpref = math.lgamma(k * (m + 1)) - (m + 1) * math.lgamma(k)
     logpi = np.zeros(B)
     for i in range(m + 1):
         for j in range(i + 1, m + 1):

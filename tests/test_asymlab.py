@@ -9,6 +9,7 @@ from dunkl.asymlab import (AsympClaim, lemma_A_ratio, lemma_a1_ratio,
                            prop_In, prop_truncated_ratio, sweep_claim)
 from dunkl.errors import DomainError
 from dunkl.rootsys import rootsystem
+from dunkl.spherical import default_node_plan
 
 # E_1(1), the exponential integral at 1 (cross-checked below by its series)
 E1_AT_1 = 0.21938393439552026256
@@ -64,6 +65,20 @@ def test_lemma_A_large_k_against_mpmath(k, x):
     else:
         ref = mpmath.gammainc(k, 0, x) * mpmath.power((1 + mpmath.mpf(x)) / x, k)
     assert abs(lemma_A_ratio(k, x) / float(ref) - 1.0) < 1e-12
+
+
+def test_gammainc_against_mpmath():
+    # the regularized lower incomplete gamma behind lemma A, on both sides of
+    # its switch from the series to the continued fraction at x = a + 1
+    from dunkl.asymlab import _gammainc
+    for a in (0.25, 0.5, 1.0, 2.5, 4.0, 30.0, 171.0, 300.0, 1e3):
+        for x in (1e-6, 0.5, 1.0, 3.0, 25.0, 80.0, 0.9 * a, a + 1.0, 1.1 * a + 2.0,
+                  1e4, 1e6):
+            ref = mpmath.gammainc(a, 0, x, regularized=True)
+            if ref > 1e-290:
+                assert abs(_gammainc(a, x) / float(ref) - 1.0) < 1e-12, (a, x)
+        assert _gammainc(a, math.inf) == 1.0
+    assert _gammainc(400.0, 0.5) == 0.0  # below the float range
 
 
 def test_lemma_A_overflow_is_a_domain_error():
@@ -196,6 +211,19 @@ def test_prop_in_dixon_anderson_identity():
             ref = ((n + 1) * math.lgamma(k) - math.lgamma((n + 1) * k)
                    + (2 * k - 1.0) * logpi)
             assert abs(kv.log_value - ref) < 1e-12
+
+
+def test_prop_in_counts_its_grid_nodes():
+    # evals is the size of the two interlacing grids, Q^n and (2Q)^n nodes
+    from dunkl.spherical import interlacing_grid
+    X = np.array([1.4, 0.2, -0.3, -1.5])
+    for n, plan in ((1, None), (2, None), (2, (10,)), (3, (6,))):
+        rs = rootsystem(n, 0.7)
+        Q = default_node_plan(n)[0] if plan is None else plan[0]
+        sizes = [interlacing_grid(0.7, X[None, :n + 1], np.ones(n), q)[1].size
+                 for q in (Q, 2 * Q)]
+        assert sizes == [Q ** n, (2 * Q) ** n]
+        assert prop_In(rs, np.zeros(n + 1), X[:n + 1], plan).evals == sum(sizes)
 
 
 def test_prop_in_takes_lambda_out_of_order_within_the_chamber_tolerance():

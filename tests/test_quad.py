@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
+from dunkl import quad
 from dunkl.errors import DomainError, EvaluationError, InvalidExponentError
 from dunkl.quad import (TILT_SWITCH, KernelValue, _ref_genlaguerre, budget_cap,
                         exp_weighted_log_integral, jacobi_rule,
@@ -176,3 +177,44 @@ def test_panel_rule_is_exact_per_panel(breakpoints, nodes):
         for p in range(2 * nodes):
             exact = float((Fraction(hi) ** (p + 1) - Fraction(lo) ** (p + 1)) / (p + 1))
             assert abs(ws @ xs ** p - exact) <= 1e-13 * exact, (j, p)
+
+
+# the reference rules against scipy's, at the sizes and exponents the package
+# builds: Jacobi (k-1, k-1) at every level, (0, k-1) at the top level and
+# (alpha, 0) on the head panel of the lemma integrals; Laguerre k-1 (tilted
+# levels) and k-1/2 (heat gap rule), Hermite 48 (heat peak rule).  The 1e-10
+# on the weights is scipy's own error next to x = +-1 (against mpmath)
+RULE_SIZES = (6, 12, 16, 20, 24, 32, 48, 64, 96, 128)
+RULE_KS = (0.25, 0.5, 0.75, 1.0, 1.3, 2.5)
+
+
+def assert_rule_matches(got, ref, mass):
+    (x, w), (xr, wr) = got, ref
+    assert np.all(np.abs(x - xr) <= 1e-14 * np.maximum(1.0, np.abs(xr)))
+    assert np.all(np.abs(w - wr) <= 1e-10 * wr)
+    assert abs(w.sum() / float(mass) - 1.0) < 1e-14
+
+
+def test_jacobi_rules_match_scipy():
+    from scipy.special import roots_jacobi  # roots_jacobi(n, al, be) weighs (1-x)^al (1+x)^be
+    for n in RULE_SIZES:
+        for k in RULE_KS:
+            for a_exp, b_exp in ((k - 1.0, k - 1.0), (0.0, k - 1.0)):
+                mass = 2 ** mpmath.mpf(a_exp + b_exp + 1) * mpmath.beta(a_exp + 1, b_exp + 1)
+                assert_rule_matches(quad._ref_jacobi(n, a_exp, b_exp),
+                                    roots_jacobi(n, b_exp, a_exp), mass)
+    for n in (16, 32):
+        for alpha in (-0.5, 0.5, 1.2, 2.5, 6.0):
+            assert_rule_matches(quad._ref_jacobi(n, alpha, 0.0), roots_jacobi(n, 0.0, alpha),
+                                2 ** mpmath.mpf(alpha + 1) / (alpha + 1))
+
+
+def test_laguerre_hermite_legendre_rules_match_scipy():
+    from scipy.special import roots_genlaguerre, roots_hermite, roots_legendre
+    for n in RULE_SIZES:
+        for alpha in sorted({e for k in RULE_KS for e in (k - 1.0, k - 0.5)}):
+            assert_rule_matches(_ref_genlaguerre(n, alpha), roots_genlaguerre(n, alpha),
+                                mpmath.gamma(alpha + 1))
+        assert_rule_matches(quad._ref_jacobi(n, 0.0, 0.0), roots_legendre(n), 2.0)
+    for n in (5, 48, 49):
+        assert_rule_matches(quad._ref_hermite(n), roots_hermite(n), mpmath.sqrt(mpmath.pi))

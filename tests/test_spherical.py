@@ -500,6 +500,24 @@ def test_tilted_series_degree_grows_or_refuses():
         sph._tilted_series(150.0, 2.0)
 
 
+def test_log_ive_matches_scipy():
+    # the numpy Bessel helper of the tilted fit against scipy's ive, on both
+    # sides of its switch from the power series to the Hankel expansion at
+    # x = max(60, 2 nu^2); NaN outside k in (0, _IVE_K_MAX] and where ive
+    # would come within 1e3 of float64 underflow
+    for k in (0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.3, 2.5, 4.0, 10.0, 30.0):
+        nu = k - 0.5
+        switch = max(60.0, 2.0 * nu * nu)
+        x = np.concatenate([np.geomspace(1.0, 1e6, 300), switch * np.array([0.99, 1.0, 1.01])])
+        got = sph._log_ive(nu, x)
+        assert np.max(np.abs(got - np.log(ive(nu, x)))) <= 1e-13, k
+    assert np.isnan(sph._log_ive(sph._IVE_K_MAX + 0.5, np.array([30.0]))).all()
+    assert np.isnan(sph._log_ive(-0.5, np.array([30.0]))).all()
+    x = np.array([1.0, 1.2])  # log ive(149.5, x) = -707.14 and -680.08
+    assert np.isnan(sph._log_ive(149.5, x)[0])
+    assert abs(sph._log_ive(149.5, x)[1] - np.log(ive(149.5, 1.2))) <= 1e-13 * 680
+
+
 @pytest.mark.parametrize("u0", [12.0, 30.0])
 @pytest.mark.parametrize("k", [0.1, 0.25, 1.0, 2.5, 4.0, 30.0])
 def test_tilted_rungs_match_rung_zero(k, u0):
