@@ -86,6 +86,15 @@ def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
     floating-point warnings.  The phi sum runs KANTER_BLOCK rows of x at a
     time, each row summed on its own, so a value does not depend on the
     other entries of x.
+
+    An exponent -c (A - A0) below -708 (log DBL_MIN = -708.40) is set to
+    -inf, so its term sums as exactly 0: exp returns no subnormal number,
+    and the product and the row sum see almost none (arithmetic on
+    subnormals runs ~15x slower).  Leaving those terms out moves no finite
+    value's last bit: a row sum either holds its phi -> 0 terms (exponent
+    near 0, size ~1e-14 and up), against which they are below rounding,
+    or falls to the 1e-300 floor, where -c A0 is so large that log(inner)
+    cannot move the result.
     """
     x = np.asarray(x, dtype=float)
     phi, w = _phi_nodes()
@@ -97,7 +106,7 @@ def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
         A0 = beta ** r * (1.0 - beta)
         # A >= A0 = A(0+); rounding can push the difference to ~-1e-16, which
         # a huge c would blow up into a fake positive exponent.  Overflow of
-        # the product to -inf is harmless under the -745 clamp.
+        # the product to -inf gives the same 0 as an exponent cut to -inf.
         dA = np.maximum(A - A0, 0.0)
         wA = w * A
         c = x ** (-r)
@@ -106,7 +115,8 @@ def _kanter_logpdf(beta: float, x: np.ndarray) -> np.ndarray:
         for lo in range(0, c.size, KANTER_BLOCK):
             blk = buf[:c.size - lo]
             np.multiply(-c[lo:lo + KANTER_BLOCK, None], dA, out=blk)
-            np.maximum(blk, -745.0, out=blk)
+            # e^x is subnormal below x = -708.40: sum those terms as 0
+            np.copyto(blk, -np.inf, where=blk < -708.0)
             np.exp(blk, out=blk)
             blk *= wA
             inner[lo:lo + KANTER_BLOCK] = blk.sum(axis=1)
@@ -127,9 +137,19 @@ def subordinator_log_density(s: float, t: float, u) -> np.ndarray:
     return _kanter_logpdf(0.5 * s, u / u_star) - math.log(u_star)
 
 
+def _finite_log_density(log_eta: np.ndarray, s: float, t: float) -> np.ndarray:
+    """log_eta, or EvaluationError where an entry is nan or +inf (the
+    Kanter path as s -> 2); -inf is a density that underflows to 0."""
+    if not np.all(log_eta < math.inf):
+        raise EvaluationError(f"non-finite subordinator density at s={s:g}, t={t:.6g}",
+                              location=(s, t))
+    return log_eta
+
+
 def subordinator_density(s: float, t: float, u):
-    """eta_t(u); scalar in, scalar out."""
-    out = np.exp(subordinator_log_density(s, t, u))
+    """eta_t(u); scalar in, scalar out.  Raises EvaluationError where the
+    density is not finite."""
+    out = np.exp(_finite_log_density(subordinator_log_density(s, t, u), s, t))
     return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
@@ -195,9 +215,10 @@ class SubordinatorBounds:
 
 
 def subordinator_bounds_check(s: float, t: float, u: float) -> SubordinatorBounds:
-    """Point check of the global upper bound and the tail two-sided bound."""
+    """Point check of the global upper bound and the tail two-sided bound;
+    raises EvaluationError where the density is not finite."""
     u_star = _check_su(s, t)
-    log_eta = float(subordinator_log_density(s, t, u)[0])
+    log_eta = float(_finite_log_density(subordinator_log_density(s, t, u), s, t)[0])
     log_upper = math.log(t) + (-1.0 - 0.5 * s) * math.log(u) - t * u ** (-0.5 * s)
     log_asymp = math.log(t) + (-1.0 - 0.5 * s) * math.log(u)
     in_tail = u >= u_star
@@ -370,12 +391,15 @@ def stable_mass(rs: RootSystemA, s: float, t: float, X,
     truncation must reach ~10^{6/beta} above t^{2/s} to keep the missing
     mass below 1e-6.  The u-rule is the cached scale-free one of
     ``stable_log`` over that span, with 10 Gauss-Legendre nodes a panel.
+    Raises EvaluationError before any chamber integral where the density is
+    not finite on that rule (s -> 2).
     """
     from .heatkernel import chamber_heat_integral
     u_star = _check_su(s, t)
     X = rs.check_vector(np.asarray(X, dtype=float))
     v, log_w, log_f = _scale_free_rule(s, SPAN_DECADES,
                                        max(SPAN_DECADES, 6.0 / (0.5 * s)), 3, 10)
+    _finite_log_density(log_f, s, t)
     log_mass_u = np.array([chamber_heat_integral(rs, [(u_star * float(vi), X)], plan=plan)
                            for vi in v])
     return float(np.exp(logsumexp(log_w + log_f + log_mass_u)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from dunkl.errors import AccuracyError, DomainError, EvaluationError
 from dunkl.heatkernel import heat_log, heat_log_for_times
 from dunkl.quad import log_panel_integral, logsumexp
 from dunkl.rootsys import positive_roots, reflected_distance_sq, rootsystem
-from dunkl.stable import (KANTER_BLOCK, SPAN_DECADES, _kanter_logpdf,
+from dunkl.stable import (KANTER_BLOCK, SPAN_DECADES, _kanter_logpdf, _phi_nodes,
                           _scale_free_rule, _u_rule, certify_stable_ratio,
                           log_stable_envelope, stable_exact, stable_log,
                           stable_mass, stable_scaling_residual, stable_sweep_grid,
@@ -299,10 +300,31 @@ def test_params_validation():
 
 @pytest.mark.parametrize("s", [1.95, 1.99])
 def test_stable_log_raises_where_kanter_overflows(s):
-    # the Kanter subordinator path overflows as s -> 2: inf at 1.95, nan at 1.99
+    # the Kanter subordinator path overflows as s -> 2: nan at 1.95 and 1.99
     rs = rootsystem(1, 1.0)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite"):
         stable_log(rs, s, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.1]))
+
+
+@pytest.mark.parametrize("s", [1.95, 1.99])
+def test_density_users_raise_where_kanter_is_not_finite(s, monkeypatch):
+    import dunkl.heatkernel
+
+    def no_chamber_integral(*args, **kwargs):
+        raise AssertionError("a chamber integral ran on a non-finite u-rule")
+
+    monkeypatch.setattr(dunkl.heatkernel, "chamber_heat_integral", no_chamber_integral)
+    rs = rootsystem(1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite subordinator density"):
+            subordinator_density(s, 1.0, 0.5)
+        with pytest.raises(EvaluationError, match="non-finite subordinator density"):
+            subordinator_bounds_check(s, 1.0, 0.5)
+        with pytest.raises(EvaluationError, match="non-finite subordinator density"):
+            stable_mass(rs, s, 1.0, (1.0, 0.0))
+        # the log density stays raw: heat_log_sum keeps every row on it
+        assert not np.isfinite(subordinator_log_density(s, 1.0, 0.5)[0])
 
 
 @pytest.mark.parametrize("n, k", [(1, 1.0), (2, 0.5)])
@@ -342,6 +364,64 @@ def test_kanter_blocks_equal_elementwise_calls():
         whole = _kanter_logpdf(beta, x)
         single = np.array([_kanter_logpdf(beta, x[i:i + 1])[0] for i in range(x.size)])
         assert np.array_equal(whole, single)
+
+
+def test_kanter_exponentials_stay_normal(monkeypatch):
+    # an exponent below log DBL_MIN would make exp, the product and the row
+    # sum run on subnormal numbers
+    log_tiny = math.log(np.finfo(float).tiny)
+    exp = np.exp
+    low = []
+
+    def checked_exp(x, *args, **kwargs):
+        a = np.asarray(x)
+        low.append(int(np.count_nonzero(np.isfinite(a) & (a < log_tiny))))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", checked_exp)
+    _scale_free_rule.cache_clear()
+    _scale_free_rule(1.5, SPAN_DECADES, SPAN_DECADES, 3, 12)
+    assert low and sum(low) == 0
+
+
+def clamped_kanter_logpdf(beta, x):
+    """``_kanter_logpdf`` as it was with exponents clamped at -745 (where
+    exp gives the smallest subnormal) instead of summed as 0 below -708."""
+    phi, w = _phi_nodes()
+    r = beta / (1.0 - beta)
+    with np.errstate(all="ignore"):
+        A = np.exp(r * np.log(np.sin(beta * phi)) + np.log(np.sin((1.0 - beta) * phi))
+                   - (1.0 + r) * np.log(np.sin(phi)))
+        A0 = beta ** r * (1.0 - beta)
+        dA = np.maximum(A - A0, 0.0)
+        wA = w * A
+        c = x ** (-r)
+        inner = np.empty_like(c)
+        buf = np.empty((min(c.size, KANTER_BLOCK), dA.size))
+        for lo in range(0, c.size, KANTER_BLOCK):
+            blk = buf[:c.size - lo]
+            np.multiply(-c[lo:lo + KANTER_BLOCK, None], dA, out=blk)
+            np.maximum(blk, -745.0, out=blk)
+            np.exp(blk, out=blk)
+            blk *= wA
+            inner[lo:lo + KANTER_BLOCK] = blk.sum(axis=1)
+        return (math.log(beta / (1.0 - beta)) - np.log(x) / (1.0 - beta)
+                - c * A0 + np.log(np.maximum(inner, 1e-300)) - math.log(math.pi))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 1.5, 1.9, 1.95, 1.99])
+def test_kanter_keeps_the_bits_of_the_clamped_sum(s):
+    # stable_log's rule, its refinement and stable_mass's span
+    rules = [(SPAN_DECADES, 3, 12), (SPAN_DECADES, 4, 20),
+             (max(SPAN_DECADES, 6.0 / (0.5 * s)), 3, 10)]
+    for hi_decades, panels_per_decade, nodes in rules:
+        v, _ = _u_rule(SPAN_DECADES, hi_decades, panels_per_decade, nodes)
+        new = _kanter_logpdf(0.5 * s, v)
+        old = clamped_kanter_logpdf(0.5 * s, v)
+        finite = np.isfinite(new)
+        assert np.array_equal(finite, np.isfinite(old))
+        assert np.array_equal(new[finite], old[finite])
+        assert finite.all() == (s < 1.92)
 
 
 @pytest.mark.parametrize("nodes, panels_per_decade", [(12, 3), (20, 4)])
