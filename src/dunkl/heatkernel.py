@@ -24,7 +24,9 @@ with X and x sorted in decreasing order on the right (``psi_log_bounds``).
 The rows with the smallest upper bounds are left out while those bounds sum
 to at most e^-PRUNE_MARGIN = e^-37 (~8.5e-17) times the sum of the lower
 bounds, a lower bound of the whole sum; the rows left out thus carry less
-than e^-37 of it, and log of the sum moves by less than 8.5e-17.  A row is
+than e^-37 of it, and log of the sum moves by less than 8.5e-17.  This keep
+rule (``_kept``, with ``PRUNE_MARGIN``) lives in ``spherical``, whose
+rank-3 level prunes its rank-2 rows by it, and is imported here.  A row is
 never left out where a log-weight or bound is not finite, nor on A_1, where a
 batch of psi rows costs about the same at any size (``PRUNE_FROM_RANK``).
 The kept set depends only on the point and its rule, so a sweep's price
@@ -51,8 +53,9 @@ from .quad import (KernelValue, _ref_genlaguerre, _ref_hermite, logsumexp,
                    refined)
 from .report import Kernel
 from .rootsys import RootSystemA, positive_roots, pairing
-from .spherical import (_predicted_evals, collapse_walls, default_node_plan,
-                        psi_log_bounds, refined_plan, spherical_log)
+# PRUNE_MARGIN and _kept, the keep rule of the sums below, keep their names here
+from .spherical import (PRUNE_MARGIN, _kept, _predicted_evals, collapse_walls,
+                        default_node_plan, psi_log_bounds, refined_plan, spherical_log)
 
 
 @functools.cache
@@ -107,33 +110,12 @@ def heat_log_for_times(rs: RootSystemA, times, X, Y,
     return head + spherical_log(rs, X, rows, plan)
 
 
-#: a positive sum leaves out only terms whose upper bounds sum to at most
-#: e^-PRUNE_MARGIN (~8.5e-17) times a lower bound of the whole sum
-PRUNE_MARGIN = 37.0
 #: the lowest rank whose sums are pruned: a batch of A_1 psi rows costs about
 #: the same at any size up to a few hundred rows (on a 2-vCPU Xeon, 90 us for
 #: the 64 rows of an A_1 Newton point and for the 32 of them it keeps), so
 #: there the bounds (about 40 us a sum) cost more than they save; pruning A_1
 #: made the benchmark's A_1-heavy sweep_small point_p50_ms 9% slower
 PRUNE_FROM_RANK = 2
-
-
-def _kept(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask of the terms of a positive sum, with log bounds lo <= log term
-    <= hi, that can matter.  The terms with the smallest upper bounds are
-    left out while those bounds sum to at most e^-PRUNE_MARGIN times
-    sum(e^lo), so the terms left out carry less than e^-PRUNE_MARGIN of the
-    sum.  Every term is kept when a bound is not finite (a NaN compares
-    False)."""
-    keep = np.ones(hi.shape, dtype=bool)
-    if np.isfinite(lo).all() and np.isfinite(hi).all():
-        top = lo.max()
-        floor = top + math.log(np.exp(lo - top).sum()) - PRUNE_MARGIN
-        # each upper bound in units of the floor; a term above it is kept anyway
-        share = np.exp(np.minimum(hi - floor, 1.0))
-        order = np.argsort(share)
-        keep[order[np.cumsum(share[order]) <= 1.0]] = False
-    return keep
 
 
 def heat_sum_terms(rs: RootSystemA, log_ws: Sequence[np.ndarray], times, X, Y

@@ -53,13 +53,25 @@ grid depend on the outer node pair (a, b) only, and z2 in [y_c, y_b] and
 its grid on (b, c), so the row evaluates 2 Q_0^2 Q_1 Q_2 terminal factors
 where its Q_0^3 rank-2 rows on their own would evaluate Q_0 times as many,
 and the factor-grid sums of its rank-2 rows with no tilted pair are matrix
-products over the third node.  Its rank-2 rows with a tilted pair take the
-dense blocks, with the shared grids.  Levels of rank >= 4 are tensor grids
+products over the third node, taken only on the node stacks that hold such
+a row.  Its rank-2 rows with a tilted pair take the dense blocks, with the
+shared grids, but it sums only those of its rows whose pairs are all tilted
+that can matter.  At large pairing the sharp estimate below puts the mass
+at the top corner of the box, and most of these rows carry less than e^-37
+of it.  Before any row is summed, each such row's log term is bounded by
+the log-sum-exp of its node terms, the range c_0 -+ sum_{j>=1} |c_j| of its
+rung's Chebyshev series, -(k - 1) log u at the ends of its u, and the
+row's outer factors, widened by a float margin (``_tilted_bounds``); one
+keep rule a rank-3 row (``_kept``, the rule of ``heatkernel``'s sums)
+leaves out rows whose upper bounds sum to at most e^-PRUNE_MARGIN times the
+sum of the lower bounds, so log psi moves by less than 1e-16.  Rows with a
+Jacobi pair are always kept.  Levels of rank >= 4 are tensor grids
 (``interlacing_grid``) whose rows go to the rank below.
 ``_predicted_evals``, the price the budget guard checks, counts every rank-3
 row as evaluating its shared factor grids, every A_2 row its two factor
 grids and every A_1 row Q; it is exact when every block of rank-3 slabs
-has a Jacobi pair, no A_2 row is all tilted and no A_1 row tilted.  When all
+has a Jacobi pair, no A_2 row is all tilted and no A_1 row tilted; rows
+left out by the keep rule are all tilted, and so change nothing.  When all
 entries of lambda are equal, psi_lambda(e^X) = e^{lambda_1 sum x} is
 returned exactly.
 
@@ -123,6 +135,12 @@ _RUNG_RATIO = 4.0
 _TOP_RUNG = 8
 _RUNG_TOL = 1e-14
 _LADDER = _RUNG_RATIO ** np.arange(1, _TOP_RUNG + 1)
+#: the bounds of a fully tilted rank-2 row's term in the rank-3 level are
+#: widened by this share of 1 + the absolute sum of their parts and of the
+#: products of a slope and a coordinate: above the rounding of the term and of
+#: the bounds (a few dozen float operations, each off by <= 1.1e-16 of what
+#: it adds)
+_BOUND_SLACK = 1e-12
 
 
 def default_node_plan(n: int) -> tuple[int, ...]:
@@ -159,7 +177,10 @@ def _predicted_evals(m: int, plan: Sequence[int], batch: int = 1) -> float:
     tilted, a rank-3 block of rows none of whose rank-1 pairs is Jacobi, and
     a tilted A_1 row take closed forms and evaluate nothing, which the price
     does not subtract: the budget guard checks it before any level rule is
-    built.
+    built.  The rank-2 rows that the rank-3 level's keep rule leaves out
+    have only tilted pairs, so they evaluate no terminal case either way,
+    and their block still evaluates its factor grids where another row in it
+    has a Jacobi pair: the price stays exact where it was.
     """
     def q(depth):
         return plan[min(depth, len(plan) - 1)]
@@ -229,6 +250,29 @@ def psi_log_bounds(rs: RootSystemA, lam, X) -> tuple[np.ndarray, np.ndarray]:
         rest = rows[:, mask] @ lam[mask]
         lo, hi = lo + rest, hi + rest
     return lo, hi
+
+
+#: a positive sum leaves out only terms whose upper bounds sum to at most
+#: e^-PRUNE_MARGIN (~8.5e-17) times a lower bound of the whole sum
+PRUNE_MARGIN = 37.0
+
+
+def _kept(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the terms of a positive sum, with log bounds lo <= log term
+    <= hi, that can matter.  The terms with the smallest upper bounds are
+    left out while those bounds sum to at most e^-PRUNE_MARGIN times
+    sum(e^lo), so the terms left out carry less than e^-PRUNE_MARGIN of the
+    sum.  Every term is kept when a bound is not finite (a NaN compares
+    False)."""
+    keep = np.ones(hi.shape, dtype=bool)
+    if np.isfinite(lo).all() and np.isfinite(hi).all():
+        top = lo.max()
+        floor = top + math.log(np.exp(lo - top).sum()) - PRUNE_MARGIN
+        # each upper bound in units of the floor; a term above it is kept anyway
+        share = np.exp(np.minimum(hi - floor, 1.0))
+        order = np.argsort(share)
+        keep[order[np.cumsum(share[order]) <= 1.0]] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +616,32 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
     ``_jacobi_rows`` over the rows with no tilted pair are products of the
     (2, Q2, i) factor grid (``_factor_grids``) of (a, b) (of (b, c)) with
     the (i, c) node-weight matrix (the (j, a) one) of each a (each c), which
-    go to ``_pair_sums``.  The rows with a tilted pair go to
-    ``_tilted_rows`` together, with the shared factor grids; the node weights
-    and their scales are those of ``_rank2_level`` for the same row.  Slabs
-    go in blocks whose factor grids hold about ``_TILT_BLOCK`` values a half,
-    each block a part on the chunk pool (``_chunked``); no row's bits depend
-    on its block.
+    go to ``_pair_sums``; the products are taken only on the stacks (slab,
+    a) of ga and la, and (slab, c) of gb and lb, that hold such a row (each
+    stack is a product of its own, so a row's bits do not depend on the
+    others).  The rows with a tilted pair go to ``_tilted_rows`` together,
+    with the shared factor grids; the node weights and their scales are
+    those of ``_rank2_level`` for the same row.  Slabs go in blocks whose
+    factor grids hold about ``_TILT_BLOCK`` values a half, each block a part
+    on the chunk pool (``_chunked``); no row's bits depend on its block.
+
+    The rows whose pairs are all tilted (u_lo > u0) are pruned first.  The
+    log of such a row's sum in ``_tilted_rows`` lies within lse_i ta_i +
+    lse_j tb_j + c_0 -+ sum_{j>=1} |c_j|, the coefficients c of its rung,
+    less (k - 1) log u at whichever end of [u_lo, u_hi] gives the larger
+    (smaller) value (``_tilted_bounds``).  With the row's outer terms (its
+    node weights' scales ma and mb, e^{mu y_b}, the three level log-weights
+    with e^{lam_2 y}, pi(y)^(2 - 2k) and the Gamma constant) and a float
+    margin (``_BOUND_SLACK``) these bound its term of the level's sum, and
+    ``_kept`` runs once a row of X over those of its rank-2 rows with finite
+    bounds: a row left out carries, with the others left out, less than
+    e^-PRUNE_MARGIN of the sum, and enters the final log-sum-exp as -inf.
+    Rows with a Jacobi pair are always kept, and rows whose upper bound is
+    -inf are left out.  The bound pass runs on the same parts, and not at
+    all where mu (y_a - y_c) <= u0 at every node pair, since z1 - z2 <
+    y_a - y_c: there no rank-2 row can have only tilted pairs.  The node
+    weights are computed again in the sum pass, a part at a time, so no
+    part's arrays outlive it.
     """
     Q, Q1, Q2 = (plan[min(d, len(plan) - 1)] for d in range(3))
     B = X.shape[0]
@@ -587,38 +651,107 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
     u0 = min(quad.TILT_SWITCH, 2.0 * Q2)
     x, w = quad._ref_jacobi(Q2, k - 1.0, k - 1.0)
     p, wn = 0.5 * (1.0 + x), w / w.sum()
+    keep = None  # the rank-2 rows that are summed, (slab, a, c); None for all
 
-    def slabs(part):
-        """the rank-2 levels of the slabs ``part``, laid out (slab, a, c)"""
+    def rank2_rules(part):
+        """the outer nodes of the slabs ``part``, the levels z1 of the pairs
+        (a, b) and z2 of (b, c), (slab, a, i) and (slab, c, j), and the ends
+        of each rank-2 row's u, (slab, a, c)"""
         n, owner = part.size, part // Q  # the row of each slab
         ta, tc, tb = ya[owner], yc[owner], yb.reshape(-1)[part]
-        # the levels z1 of the pairs (a, b) and z2 of (b, c), (slab, a, i) and (slab, c, j)
         z1, lw1 = level_nodes(np.repeat(tb, Q), ta.reshape(-1), k - 1.0, k - 1.0, s1, Q1)
         z2, lw2 = level_nodes(tc.reshape(-1), np.repeat(tb, Q), k - 1.0, k - 1.0, s2, Q1)
         z1, lw1, z2, lw2 = (v.reshape(n, Q, Q1) for v in (z1, lw1, z2, lw2))
-        # node log-weights with e^{s2 z}, relative to their row's largest, laid
-        # out (slab, a, i, c) and (slab, c, j, a): a row's nodes on a middle axis
+        u_hi = mu * (z1.max(axis=2)[:, :, None] - z2.min(axis=2)[:, None, :])
+        u_lo = mu * (z1.min(axis=2)[:, :, None] - z2.max(axis=2)[:, None, :])
+        return (ta, tb, tc), (z1, lw1, z2, lw2), u_lo, u_hi
+
+    def node_weights(ta, tc, z1, lw1, z2, lw2, slope):
+        """the node log-weights with e^{slope z1} and e^{s2 z2}, laid out
+        (slab, a, i, c) and (slab, c, j, a): a row's nodes on a middle axis"""
         la = np.subtract(z1[..., None], tc[:, None, None, :])
         lb = np.subtract(ta[:, None, None, :], z2[..., None])
-        for lw, z, v in ((lw1, z1, la), (lw2, z2, lb)):
+        for lw, z, v, s in ((lw1, z1, la, slope), (lw2, z2, lb, s2)):
             np.log(v, out=v)
             v *= k - 1.0
             v += lw[..., None]
-            v += (s2 * z)[..., None]
-        ma, mb = la.max(axis=2), lb.max(axis=2)  # (slab, a, c) and (slab, c, a)
+            v += (s * z)[..., None]
+        return la, lb
+
+    def outer_terms(row, b):
+        """what each node triple (a, c) of the rows ``row`` at their nodes
+        y_b ``b`` (broadcast together) adds to the log of its rank-2 level,
+        laid out (..., a, c), but the node weights' scales and psi_lam's
+        e^{mu y_b}, a factor at a time: the node weights with psi_lam's
+        e^{lam_2 y}, pi(y)^(2 - 2k) (the level's pi(y) and psi_lam's
+        pi(y)^(1 - 2k)), and psi_lam's Gamma(3k)/Gamma(k)^3"""
+        y = (ya[row][..., :, None], yb[row, b][..., None, None], yc[row][..., None, :])
+        lw = (lwa[row][..., :, None], lwb[row, b][..., None, None], lwc[row][..., None, :])
+        for i in range(3):
+            yield lw[i] + lam[2] * y[i]
+        for hi, lo in ((y[0], y[1]), (y[0], y[2]), (y[1], y[2])):
+            yield (2.0 - 2.0 * k) * np.log(hi - lo)
+        yield math.lgamma(3.0 * k) - 3.0 * math.lgamma(k)
+
+    def bounds(part):
+        """the bounds lo <= log term <= hi of each node triple of the slabs
+        ``part`` whose rank-2 pairs are all tilted, and NaN for the others,
+        laid out (slab, 2, a, c)"""
+        (ta, tb, tc), (z1, lw1, z2, lw2), u_lo, u_hi = rank2_rules(part)
+        out = np.full((part.size, 2, Q, Q), np.nan)
+        tilted = u_lo > u0
+        if tilted.any():
+            # the log-sum-exp of each row's ta and tb in _tilted_rows, with
+            # the node weights' scales and e^{mu y_b}: those of the node
+            # weights with e^{s1 z1} (not s2) and of those over mu
+            la, lb = node_weights(ta, tc, z1, lw1, z2, lw2, s1)
+            with np.errstate(divide="ignore"):  # -inf where a row's weights all are 0
+                sa, sb = logsumexp(la, axis=2), logsumexp(lb, axis=2)
+            # the sum of the terms but the pairs', and of their sizes and of
+            # those that the rounding of a row's sum sees but its bounds do
+            # not (ma, mb, mu y_b and mu (z1 - y_b), each at most lam_0 max|x|
+            # of its row of X)
+            base = sa + sb.transpose(0, 2, 1)
+            base -= math.log(mu)
+            size = np.abs(sa) + np.abs(sb).transpose(0, 2, 1)
+            size += abs(math.log(mu))
+            size += 4.0 * lam[0] * np.abs(X[part // Q]).max(axis=1)[:, None, None]
+            for term in outer_terms(*np.divmod(part, Q)):
+                base += term
+                size += np.abs(term)
+            lo, hi, pair = _tilted_bounds(k, u0, u_lo[tilted], u_hi[tilted])
+            lo += base[tilted]
+            hi += base[tilted]
+            size = size[tilted] + pair
+            slack = np.where(np.isfinite(hi), _BOUND_SLACK * (1.0 + size), 0.0)
+            out[:, 0][tilted] = lo - slack
+            out[:, 1][tilted] = hi + slack
+        return out
+
+    def slabs(part):
+        """the log terms of the node triples of the slabs ``part``, laid out
+        (slab, a, c), but the terms of ``outer_terms``; -inf where a row is
+        not in ``keep``"""
+        (ta, tb, tc), (z1, lw1, z2, lw2), u_lo, u_hi = rank2_rules(part)
+        # relative to their row's largest, ma (slab, a, c) and mb (slab, c, a)
+        la, lb = node_weights(ta, tc, z1, lw1, z2, lw2, s2)
+        ma, mb = la.max(axis=2), lb.max(axis=2)
         ma[~np.isfinite(ma)] = 0.0
         mb[~np.isfinite(mb)] = 0.0
         la -= ma[:, :, None, :]
         lb -= mb[:, :, None, :]
-        u_hi = mu * (z1.max(axis=2)[:, :, None] - z2.min(axis=2)[:, None, :])
-        u_lo = mu * (z1.min(axis=2)[:, :, None] - z2.max(axis=2)[:, None, :])
+        n = part.size
         jacobi = u_hi <= u0
         out = np.empty((n, Q, Q))
         ga = gb = None  # no Jacobi pair, no factor grid
         if (u_lo <= u0).any():
             ga = _factor_grids(k, mu, z1 - tb[:, None, None], p, u0)  # (2, slab, a, Q2, i)
             gb = _factor_grids(k, mu, z2 - tb[:, None, None], 1.0 - p, u0)  # (2, slab, c, Q2, j)
-        tilted = np.flatnonzero(~jacobi)
+        tilted = ~jacobi
+        if keep is not None:
+            out[tilted & ~keep[part]] = -np.inf
+            tilted &= keep[part]
+        tilted = np.flatnonzero(tilted)
         if tilted.size:
             slab, a, c = np.unravel_index(tilted, (n, Q, Q))
             ab, bc = slab * Q + a, slab * Q + c
@@ -627,15 +760,27 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
             out.reshape(-1)[tilted] = _tilted_rows(
                 k, mu, u0, Q2, z1.reshape(-1, Q1)[ab], z2.reshape(-1, Q1)[bc], tb[slab],
                 la[slab, a, :, c], lb[slab, c, :, a], u_lo.reshape(-1)[tilted], shared)
-        if tilted.size < out.size:
-            for v in (la, lb):  # the node weights, in place
+        every = jacobi.all()
+        if every or jacobi.any():
+            # the stacks (slab, a) of ga and la, and (slab, c) of gb and lb,
+            # that hold a Jacobi row: views where every row is one
+            sa, sc = ((slice(None), slice(None)) if every else
+                      (np.flatnonzero(jacobi.any(axis=2)), np.flatnonzero(jacobi.any(axis=1))))
+            wa, wb = la.reshape(n * Q, Q1, Q)[sa], lb.reshape(n * Q, Q1, Q)[sc]
+            for v in (wa, wb):  # the node weights, in place
                 cut = v < -250.0
                 np.exp(v, out=v)
                 v[cut] = 0.0
-            # a0 over a1 (b0 over b1) of each row, laid out (2, slab, a, Q2, c)
-            s = _pair_sums(ga @ la, np.swapaxes(gb @ lb, 2, 4), wn)
             with np.errstate(divide="ignore"):
-                out[jacobi] = np.log(s[jacobi])
+                if every:
+                    # a0 over a1 (b0 over b1) of each row, laid out (2, slab, a, Q2, c)
+                    np.log(_pair_sums(ga @ la, np.swapaxes(gb @ lb, 2, 4), wn), out=out)
+                else:
+                    gbw = np.zeros((2, n * Q, Q2, Q))  # (2, slab c, Q2, a)
+                    gbw[:, sc] = gb.reshape(2, n * Q, Q2, Q1)[:, sc] @ wb
+                    gbw = np.swapaxes(gbw.reshape(2, n, Q, Q2, Q), 2, 4)[:, sa // Q, sa % Q]
+                    s = _pair_sums(ga.reshape(2, n * Q, Q2, Q1)[:, sa] @ wa, gbw, wn)
+                    out[jacobi] = np.log(s[jacobi.reshape(n * Q, Q)[sa]])
         out += ma
         out += mb.transpose(0, 2, 1)
         out += mu * tb[:, None, None]
@@ -643,17 +788,20 @@ def _rank3_level(k: float, lam: np.ndarray, X: np.ndarray, plan: Sequence[int]) 
 
     S = B * Q
     parts = np.array_split(np.arange(S), min(S, -(-S * Q * Q1 * Q2 // _TILT_BLOCK)))
+    # no rank-2 row has only tilted pairs unless mu (y_a - y_c) > u0 for some
+    # nodes, since z1 - z2 < y_a - y_c
+    if (mu * (ya.max(axis=1) - yc.min(axis=1)) > u0).any():
+        lo, hi = np.moveaxis(_chunked(bounds, np.empty((S, 2, Q, Q)), parts)
+                             .reshape(B, Q, 2, Q, Q), 2, 0)  # each (row, b, a, c)
+        keep = hi != -np.inf  # a NaN, a row with a Jacobi pair, is kept
+        test = np.isfinite(lo) & np.isfinite(hi)
+        for r in np.flatnonzero(test.any(axis=(1, 2, 3))).tolist():
+            keep[r][test[r]] = _kept(lo[r][test[r]], hi[r][test[r]])
+        keep = keep.reshape(S, Q, Q)
+        del lo, hi, test
     level = _chunked(slabs, np.empty((S, Q, Q)), parts).reshape(B, Q, Q, Q)  # (b, a, c)
-    # each node triple's log-weight and its log psi_lam but the rank-2 level,
-    # added a factor at a time: the node weights with psi_lam's e^{lam_2 y},
-    # pi(y)^(2 - 2k) (the level's pi(y) and psi_lam's pi(y)^(1 - 2k)), and
-    # psi_lam's Gamma(3k)/Gamma(k)^3
-    ya, yb, yc = ya[:, None, :, None], yb[:, :, None, None], yc[:, None, None, :]
-    for lw, y in ((lwa, ya), (lwb, yb), (lwc, yc)):
-        level += lw.reshape(y.shape) + lam[2] * y
-    for hi, lo in ((ya, yb), (ya, yc), (yb, yc)):
-        level += (2.0 - 2.0 * k) * np.log(hi - lo)
-    level += math.lgamma(3.0 * k) - 3.0 * math.lgamma(k)
+    for term in outer_terms(np.arange(B)[:, None], np.arange(Q)):
+        level += term
     return logsumexp(level.reshape(B, -1), axis=1)
 
 
@@ -731,6 +879,29 @@ def _tilted_rows(k: float, mu1: float, u0: float, Qi: int, y1: np.ndarray, y2: n
                 tot += np.exp(s[rows] - top)
             out[rows] = top + np.log(tot)
     return out
+
+
+def _tilted_bounds(k: float, u0: float, u_lo: np.ndarray, u_hi: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, size): lo <= H - (k - 1) log u <= hi over the pairs of each
+    rank-2 row whose pairs are all tilted (u_lo > u0) and whose u lie in
+    [u_lo, u_hi], H the Chebyshev series sum_j c_j T_j(x) of the row's rung
+    in ``_tilted_rows``, and size the absolute sum of the bounds' parts.
+
+    Since |T_j| <= 1 at x in (-1, 1], H lies in c_0 -+ sum_{j>=1} |c_j|, and
+    -(k - 1) log u between its values at u_lo and u_hi.  The log-sum of a
+    row's pairs in ``_tilted_rows`` then lies in these bounds plus the
+    log-sum-exp of its node terms ta and of tb.
+    """
+    rung = np.searchsorted(u0 * _LADDER, u_lo, side="right")
+    mid, half = np.zeros(_TOP_RUNG + 1), np.zeros(_TOP_RUNG + 1)
+    for r in np.flatnonzero(np.bincount(rung)).tolist():  # the rungs _tilted_rows takes
+        coef = _tilted_rung(k, u0, r)
+        mid[r], half[r] = coef[0], np.abs(coef[1:]).sum()
+    mid, half = mid[rung], half[rung]
+    ends = (1.0 - k) * np.log(u_lo), (1.0 - k) * np.log(u_hi)
+    size = np.abs(mid) + half + np.maximum(np.abs(ends[0]), np.abs(ends[1]))
+    return mid - half + np.minimum(*ends), mid + half + np.maximum(*ends), size
 
 
 def _jacobi_rows(k: float, mu: float, Qi: int, y1: np.ndarray, y2: np.ndarray,

@@ -1,5 +1,6 @@
-"""Certified psi-row pruning: every pruned positive sum of psi rows against
-the full sum over every row, and the evaluations the kernels report."""
+"""Certified psi-row pruning: every pruned positive sum of psi rows, and the
+rank-3 level's sum of rank-2 rows, against the full sum over every row, and
+the evaluations the kernels report."""
 
 import math
 
@@ -32,14 +33,15 @@ KEPT = heatkernel._kept
 STABLE_ROWS = 504
 
 
-def pruned_and_full(monkeypatch, fn):
-    """(pruned value, full value, [(kept, total)] of the pruned call)."""
+def pruned_and_full(monkeypatch, fn, module=heatkernel):
+    """(pruned value, full value, [(kept, total)] of the pruned call), with
+    the keep rule of ``module`` spied on."""
     spy = KeptSpy(full=False)
-    monkeypatch.setattr(heatkernel, "_kept", spy)
+    monkeypatch.setattr(module, "_kept", spy)
     pruned = fn()
-    monkeypatch.setattr(heatkernel, "_kept", KeptSpy(full=True))
+    monkeypatch.setattr(module, "_kept", KeptSpy(full=True))
     full = fn()
-    monkeypatch.setattr(heatkernel, "_kept", KEPT)
+    monkeypatch.setattr(module, "_kept", KEPT)
     return pruned, full, spy.calls
 
 
@@ -77,6 +79,22 @@ def test_pruned_stable_equals_full_sum(n, k, monkeypatch):
         kept += calls
     if n == 2:
         assert all(k < total for k, total in kept), kept
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 2.5])
+def test_pruned_rank3_level_equals_full_sum(k, monkeypatch):
+    # the rank-3 level leaves out the rank-2 rows whose pairs are all tilted
+    # and that carry less than e^-37 of a point's sum (one keep rule a point),
+    # at the default plan: log psi moves by at most 1e-15 of itself, and
+    # rows are left out from pairing 1e3 on
+    rs = rootsystem(3, k)
+    for lam, X in spherical.pairing_sweep_grid(rs, span=(1e2, 1e4), num=5):
+        pruned, full, calls = pruned_and_full(
+            monkeypatch, lambda: spherical.spherical_log(rs, lam, X), spherical)
+        assert abs(pruned - full) <= 1e-15 * max(1.0, abs(full)), (pruned, full)
+        (kept, total), = calls
+        if spherical._pairing_columns(rs, lam, X)["min_pairing"] >= 1e3:
+            assert kept < total, (kept, total)
 
 
 # A_2 heat masses: generic cells on the gap rule, concentrated and near-wall

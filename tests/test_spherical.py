@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, hyp1f1, ive
+from scipy.special import gammaln, hyp1f1, ive, logsumexp
 
 from dunkl import cli, quad
 from dunkl import spherical as sph
@@ -537,6 +537,52 @@ def test_tilted_rungs_match_rung_zero(k, u0):
             assert degree <= 6, (i, degree)
 
 
+@pytest.mark.parametrize("u0", [12.0, 30.0])
+@pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 2.5, 10.0])
+def test_every_rung_stays_within_its_coefficient_bounds(k, u0):
+    # the bound of H_k that the rank-3 level's row pruning trusts: since
+    # |T_j| <= 1 on [-1, 1], each rung's series lies in c_0 -+ sum_{j>=1} |c_j|,
+    # also as _clenshaw rounds it, on a dense grid that holds both ends
+    x = np.concatenate([np.linspace(-1.0, 1.0, 20001),
+                        np.cos(np.pi * (np.arange(4000) + 0.5) / 4000)])
+    for i in range(sph._TOP_RUNG + 1):
+        coef = sph._tilted_rung(k, u0, i)
+        half = np.abs(coef[1:]).sum()
+        slack = sph._BOUND_SLACK * (1.0 + abs(coef[0]) + half)
+        val = sph._clenshaw(coef, x)
+        assert np.all(val >= coef[0] - half - slack) and np.all(val <= coef[0] + half + slack), i
+
+
+@pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 1.0, 2.5, 4.0])
+def test_every_fully_tilted_rank3_row_lies_within_its_bounds(k, monkeypatch):
+    # the bounds that the rank-3 level's row pruning trusts, on every rank-2
+    # row of the A_3 pairing sweep whose pairs are all tilted (the keep rule
+    # keeps them all here, so each is evaluated): the log-sum-exp of the
+    # row's node terms ta, tb of _tilted_rows plus _tilted_bounds, widened by
+    # the bounds' float margin
+    seen, tilted_rows = [], sph._tilted_rows
+
+    def spying(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared=None):
+        val = tilted_rows(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared)
+        full = u_lo > u0
+        u_hi = mu1 * (y1.max(axis=1) - y2.min(axis=1))
+        lo, hi, size = sph._tilted_bounds(k, u0, u_lo[full], u_hi[full])
+        sa = logsumexp(la[full] + mu1 * (y1[full] - c[full, None]), axis=1)
+        sb = logsumexp(lb[full] - math.log(mu1), axis=1)
+        slack = sph._BOUND_SLACK * (1.0 + size + np.abs(sa) + np.abs(sb))
+        seen.append((val[full], sa + sb + lo - slack, sa + sb + hi + slack))
+        return val
+
+    monkeypatch.setattr(sph, "_tilted_rows", spying)
+    monkeypatch.setattr(sph, "_kept", lambda lo, hi: np.ones(hi.shape, dtype=bool))
+    rs = rootsystem(3, k)
+    for lam, X in pairing_sweep_grid(rs, span=(1e2, 1e4)):
+        spherical_log(rs, lam, X)
+    val, lo, hi = (np.concatenate(v) for v in zip(*seen))
+    assert val.size >= 15 * 7000  # most of each point's 20^3 rank-2 rows
+    assert np.all(lo <= val) and np.all(val <= hi)
+
+
 def clenshaw_three_arrays(coef, x):
     """The Clenshaw recurrence from b = 0 in three arrays, as it ran before
     it started from its scalar state"""
@@ -762,18 +808,28 @@ def test_row_bits_do_not_depend_on_its_batch(n, rows, lam, plan, monkeypatch):
     X = np.sort(rng.uniform(-1.0, 1.0, (rows, n + 1)), axis=1)[:, ::-1]
     plan = sph.default_node_plan(n) if plan is None else plan
     assert rows * plan[0] ** n > sph._CHUNK
-    lows, tilted_rows = [], sph._tilted_rows
+    lows, tilted_rows, kept = [], sph._tilted_rows, []
 
     def spying(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared=None):
         lows.append(u_lo / u0)
         return tilted_rows(k, mu1, u0, Qi, y1, y2, c, la, lb, u_lo, shared)
 
+    def keeping(lo, hi):
+        kept.append(sph_kept(lo, hi))
+        return kept[-1]
+
+    sph_kept = sph._kept
     monkeypatch.setattr(sph, "_tilted_rows", spying)
+    monkeypatch.setattr(sph, "_kept", keeping)
     batch = spherical_log(rs, np.array(lam), X, plan)
     if n == 3:
-        # the share of mixed rows among the A_2 rows with a tilted pair
+        # the share of mixed rows among the A_2 rows with a tilted pair, and
+        # at (10000, 6000, 2000, 0) rows of the rank-3 levels left out by the
+        # keep rule, which the rows alone below must leave out too
         mixed = np.mean(np.concatenate(lows) <= 1.0)
         assert mixed > 0.9 if lam[0] < 1e3 else 0.0 < mixed < 0.1
+        if lam[0] > 1e3:
+            assert not np.concatenate(kept).all()
         classes = [np.arange(0, rows, 7)]
     elif n == 1:
         tilted = (lam[0] - lam[1]) * (X[:, 0] - X[:, 1]) > 30.0
